@@ -4,7 +4,7 @@ GO ?= go
 # PRs (compare runs with benchstat; see README "Benchmarks"), plus the
 # shard-engine reconstruction bench (serial vs -shards N on the
 # multi-component graph; see README "Sharding").
-BENCH_SUBSTRATE ?= BenchmarkHasEdge|BenchmarkMaximalCliques|BenchmarkScoreCliques|BenchmarkFeatures|BenchmarkDegeneracyOrdering|BenchmarkCommonNeighborCount|BenchmarkSumMinCommonWeight|BenchmarkMLPForward|BenchmarkParallelScoring|BenchmarkShardedReconstruct|BenchmarkIncrementalApply|BenchmarkCorpusReconstruct|BenchmarkParallelRound|BenchmarkCliqueEnumParallel
+BENCH_SUBSTRATE ?= BenchmarkHasEdge|BenchmarkMaximalCliques|BenchmarkScoreCliques|BenchmarkFeatures|BenchmarkDegeneracyOrdering|BenchmarkCommonNeighborCount|BenchmarkSumMinCommonWeight|BenchmarkMLPForward|BenchmarkParallelScoring|BenchmarkShardedReconstruct|BenchmarkIncrementalApply|BenchmarkCorpusReconstruct|BenchmarkParallelRound|BenchmarkCliqueEnumParallel|BenchmarkSubcliqueScoring
 
 # Flags for the bench-regression gate (CI overrides warn-only on pushes).
 BENCHDIFF_FLAGS ?= -warn-only

@@ -1,12 +1,15 @@
 package marioh_test
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"marioh/internal/core"
 	"marioh/internal/datasets"
 	"marioh/internal/features"
+	"marioh/internal/hypergraph"
 	"marioh/internal/mlp"
 )
 
@@ -63,6 +66,37 @@ func BenchmarkScoreCliques(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.ScoreCliques(s.gT, s.model, cliques)
+	}
+}
+
+// BenchmarkSubcliqueScoring is one Phase-2 pass of Algorithm 3 over a
+// fixed eu residual round: the filtered target after the first round's
+// Phase 1, with the lowest 40% of the round's below-θ maximal cliques as
+// parents, each explored with one random sub-clique per size.
+func BenchmarkSubcliqueScoring(b *testing.B) {
+	s := benchGraph(b)
+	const theta, r = 0.9, 40
+	g := s.gT.Clone()
+	rec := hypergraph.New(g.NumNodes())
+	core.Filter(g, rec)
+	cliques := g.MaximalCliques(2)
+	scores := core.ScoreCliques(g, s.model, cliques)
+	var rest []int
+	for i, sc := range scores {
+		if sc <= theta {
+			rest = append(rest, i)
+		}
+	}
+	slices.SortStableFunc(rest, func(x, y int) int { return cmp.Compare(scores[x], scores[y]) })
+	parents := make([][]int, 0, len(rest)*r/100)
+	for _, i := range rest[:cap(parents)] {
+		parents = append(parents, cliques[i])
+	}
+	core.BidirectionalSearch(g, s.model, core.SearchOptions{Theta: theta, R: r, DisableSubcliques: true, Parallelism: 1}, rec)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.ScoreSubcliques(g, s.model, parents, theta, 1)
 	}
 }
 

@@ -11,7 +11,9 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"marioh/internal/features"
@@ -192,24 +194,44 @@ func BuildExamples(gSrc *graph.Graph, hSrc *hypergraph.Hypergraph, opts TrainOpt
 }
 
 // Score returns the classifier's probability that clique q of g is a true
-// hyperedge.
+// hyperedge. It is safe for concurrent use and, in the steady state,
+// allocation-free: its buffers come from a pool shared by all models.
 func (m *Model) Score(g *graph.Graph, q []int, maximal bool) float64 {
-	var sc scorer
-	return m.scoreScratch(g, q, maximal, &sc)
+	sc := scorers.Get().(*scorer)
+	defer scorers.Put(sc)
+	return m.scoreScratch(g, q, maximal, sc)
 }
 
+// scorers recycles Score's buffers. A fresh scorer grows its pair
+// statistics scratch to the graph's node count, three arrays per call.
+var scorers = sync.Pool{New: func() any { return new(scorer) }}
+
 // scorer bundles the per-worker reusable buffers of the scoring hot path:
-// feature staging, the standardized vector, and the MLP activations. With
-// one scorer per worker, steady-state clique scoring performs zero heap
-// allocations. A scorer must not be shared between goroutines.
+// feature staging, the standardized vector, and the MLP activations, plus
+// Phase 2's parent clique and subset sampler. With one scorer per worker,
+// steady-state clique scoring performs zero heap allocations. A scorer
+// must not be shared between goroutines.
 type scorer struct {
-	feat features.Scratch
-	fwd  mlp.Scratch
+	feat   features.Scratch
+	fwd    mlp.Scratch
+	parent features.Parent
+	perm   PermSampler
 }
 
 // scoreScratch is Score with caller-owned buffers; bit-identical results.
 func (m *Model) scoreScratch(g *graph.Graph, q []int, maximal bool, sc *scorer) float64 {
-	f := features.Compute(m.Feat, &sc.feat, g, q, maximal)
+	return m.forward(features.Compute(m.Feat, &sc.feat, g, q, maximal), sc)
+}
+
+// scoreSub scores the sub-clique at the ascending positions pos of
+// sc.parent as non-maximal; bit-identical to scoreScratch on that
+// sub-clique.
+func (m *Model) scoreSub(g *graph.Graph, pos []int, sc *scorer) float64 {
+	return m.forward(features.ComputeSub(m.Feat, &sc.feat, g, &sc.parent, pos, false), sc)
+}
+
+// forward standardizes the feature vector f in place and runs the MLP.
+func (m *Model) forward(f []float64, sc *scorer) float64 {
 	m.Std.Transform(f)
 	return m.Net.ForwardScratch(f, &sc.fwd)
 }
@@ -266,7 +288,19 @@ type PermSampler struct {
 
 // Sample returns a sorted random k-subset of q.
 func (ps *PermSampler) Sample(q []int, k int, rng Intner) []int {
-	n := len(q)
+	out := make([]int, k)
+	for i, j := range ps.SamplePositions(len(q), k, rng) {
+		out[i] = q[j]
+	}
+	sort.Ints(out)
+	return out
+}
+
+// SamplePositions returns a random k-subset of the positions [0, n) in
+// ascending order, consuming rng exactly as Sample does on an n-element
+// slice; for a sorted q, Sample's subset is q at these positions. The
+// slice is owned by the sampler and valid until its next draw.
+func (ps *PermSampler) SamplePositions(n, k int, rng Intner) []int {
 	if cap(ps.perm) < n {
 		ps.perm = make([]int, n)
 	}
@@ -276,10 +310,7 @@ func (ps *PermSampler) Sample(q []int, k int, rng Intner) []int {
 		p[i] = p[j]
 		p[j] = i
 	}
-	out := make([]int, k)
-	for i, j := range p[:k] {
-		out[i] = q[j]
-	}
-	sort.Ints(out)
-	return out
+	pos := p[:k]
+	slices.Sort(pos)
+	return pos
 }

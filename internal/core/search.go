@@ -190,11 +190,12 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 	if workers > 1 && len(keys) > 1 {
 		accepted = searchComponentsParallel(g, m, opts, rec, keys, groups, acceptedBy, workers)
 	} else {
+		var sc scorer
 		for _, k := range keys {
 			if ctx.Err() != nil {
 				break
 			}
-			edges := searchComponent(g, m, opts, k, groups[k])
+			edges := searchComponent(g, m, opts, k, groups[k], &sc)
 			for _, e := range edges {
 				rec.Add(e)
 			}
@@ -258,12 +259,13 @@ func searchComponentsParallel(g *graph.Graph, m *Model, opts SearchOptions, rec 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var sc scorer
 			for {
 				idx := int(next.Add(1)) - 1
 				if idx >= len(keys) || ctx.Err() != nil {
 					return
 				}
-				results[idx] = searchComponent(g, m, opts, keys[idx], groups[keys[idx]])
+				results[idx] = searchComponent(g, m, opts, keys[idx], groups[keys[idx]], &sc)
 				processed[idx] = true
 			}
 		}()
@@ -289,31 +291,31 @@ func searchComponentsParallel(g *graph.Graph, m *Model, opts SearchOptions, rec 
 // consuming accepted cliques from g and returning them in acceptance
 // order; the caller records them into the reconstruction. Mutations and
 // reads stay inside the component, which is what makes the parallel
-// fan-out above exact.
-func searchComponent(g *graph.Graph, m *Model, opts SearchOptions, compKey int, cliques []scoredClique) [][]int {
+// fan-out above exact. sc is the calling worker's scratch.
+func searchComponent(g *graph.Graph, m *Model, opts SearchOptions, compKey int, cliques []scoredClique, sc *scorer) [][]int {
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	var pos, rest []scoredClique
-	for _, sc := range cliques {
-		if sc.score > opts.Theta {
-			pos = append(pos, sc)
+	for _, c := range cliques {
+		if c.score > opts.Theta {
+			pos = append(pos, c)
 		} else {
-			rest = append(rest, sc)
+			rest = append(rest, c)
 		}
 	}
 
 	var accepted [][]int
 	// Phase 1: most promising cliques, highest score first.
 	sortByScoreDesc(pos)
-	for i, sc := range pos {
+	for i, c := range pos {
 		if i&0x3ff == 0 && ctx.Err() != nil {
 			return accepted
 		}
-		if allEdgesPresent(g, sc.nodes) {
-			accepted = append(accepted, sc.nodes)
-			consumeClique(g, sc.nodes)
+		if allEdgesPresent(g, c.nodes) {
+			accepted = append(accepted, c.nodes)
+			consumeClique(g, c.nodes)
 		}
 	}
 
@@ -333,28 +335,58 @@ func searchComponent(g *graph.Graph, m *Model, opts SearchOptions, compKey int, 
 	}
 	rng := newSampleRNG(sampleSeed(opts.Seed, opts.Round, compKey))
 	var subs []scoredClique
-	var ps PermSampler
-	var scorerBuf scorer
-	for i, sc := range rest[:nNeg] {
+	for i, c := range rest[:nNeg] {
 		if i&0x3ff == 0 && ctx.Err() != nil {
 			return accepted
 		}
-		q := sc.nodes
-		for k := 2; k <= len(q)-1; k++ {
-			sub := ps.Sample(q, k, rng)
-			if s := m.scoreScratch(g, sub, false, &scorerBuf); s > opts.Theta {
-				subs = append(subs, scoredClique{nodes: sub, score: s})
-			}
-		}
+		subs = exploreSubcliques(g, m, c.nodes, opts.Theta, rng, sc, subs)
 	}
 	sortByScoreDesc(subs)
-	for _, sc := range subs {
-		if allEdgesPresent(g, sc.nodes) {
-			accepted = append(accepted, sc.nodes)
-			consumeClique(g, sc.nodes)
+	for _, c := range subs {
+		if allEdgesPresent(g, c.nodes) {
+			accepted = append(accepted, c.nodes)
+			consumeClique(g, c.nodes)
 		}
 	}
 	return accepted
+}
+
+// exploreSubcliques is Phase 2's draw for one parent clique q: one random
+// k-subset per size k ∈ [2, |q|−1] from rng, each scored as non-maximal;
+// those scoring above theta are appended to subs. Every draw's features
+// are read off one pair sweep of q (features.ComputeSub), exact because
+// Phase 2 scores all of a component's draws before it consumes an edge,
+// and a draw gets its own node slice only when it scores above theta.
+// q must be sorted — enumeration emits sorted cliques and the subgraph
+// remap preserves order — so that q at sorted positions is the sorted
+// subset Sample would return.
+func exploreSubcliques(g *graph.Graph, m *Model, q []int, theta float64, rng *sampleRNG, sc *scorer, subs []scoredClique) []scoredClique {
+	sc.parent.Reset(q)
+	for k := 2; k <= len(q)-1; k++ {
+		pos := sc.perm.SamplePositions(len(q), k, rng)
+		if s := m.scoreSub(g, pos, sc); s > theta {
+			nodes := make([]int, k)
+			for i, j := range pos {
+				nodes[i] = q[j]
+			}
+			subs = append(subs, scoredClique{nodes: nodes, score: s})
+		}
+	}
+	return subs
+}
+
+// ScoreSubcliques is the exported form of Phase 2's scoring step, used by
+// benchmarks: it explores every parent (a sorted clique of g) as a round's
+// Phase 2 does, drawing from one stream seeded by seed, and returns how
+// many draws score above theta. g is not modified.
+func ScoreSubcliques(g *graph.Graph, m *Model, parents [][]int, theta float64, seed int64) int {
+	rng := newSampleRNG(seed)
+	var sc scorer
+	var subs []scoredClique
+	for _, q := range parents {
+		subs = exploreSubcliques(g, m, q, theta, rng, &sc, subs)
+	}
+	return len(subs)
 }
 
 // dumpStalledComponents consumes the remaining edges of every component

@@ -15,6 +15,10 @@
 // and output buffers, so scoring a clique in the steady state performs no
 // heap allocations. Custom featurizers that only implement Featurizer keep
 // working through the same entry point at the cost of an allocation.
+//
+// ComputeSub scores sub-cliques of one parent clique. Marioh reads their
+// pair statistics off one sweep of the parent; every other featurizer
+// gets Compute on the built sub-clique. Both give Compute's values.
 package features
 
 import (
@@ -61,6 +65,80 @@ func Compute(f Featurizer, s *Scratch, g *graph.Graph, clique []int, maximal boo
 		return s.out
 	}
 	return f.Features(g, clique, maximal)
+}
+
+// Parent is a clique whose sub-cliques ComputeSub scores. Featurizers
+// that support it sweep the parent's pair statistics once, on the first
+// ComputeSub call that needs them, and read every sub-clique's pairs off
+// that table: ω(u,v) and MHH(u,v) depend only on the pair and the graph,
+// not on the clique they are read through. Neither the parent nor the
+// graph may change between Reset and the last ComputeSub on it. The zero
+// value is ready to use; one Parent per worker.
+type Parent struct {
+	q            []int
+	swept        bool
+	omega, mhh   []int // the parent's pair table, once swept
+	nodes        []int // the sub-clique being scored
+	subW, subMHH []int // its pairs, gathered from the table
+}
+
+// Reset makes q the parent clique of the ComputeSub calls that follow.
+// q is kept by reference, not copied.
+func (p *Parent) Reset(q []int) {
+	p.q = q
+	p.swept = false
+}
+
+// subclique returns the sub-clique at the ascending positions pos of the
+// parent, in a buffer owned by p that the next call overwrites.
+func (p *Parent) subclique(pos []int) []int {
+	p.nodes = p.nodes[:0]
+	for _, i := range pos {
+		p.nodes = append(p.nodes, p.q[i])
+	}
+	return p.nodes
+}
+
+// pairs returns the ω and MHH tables of the sub-clique at pos, gathered
+// from the parent's table, which is swept on first use. The parent's
+// table is copied out of s.pair so that other users of s between two
+// ComputeSub calls cannot overwrite it.
+func (p *Parent) pairs(g *graph.Graph, s *Scratch, pos []int) (omega, mhh []int) {
+	if !p.swept {
+		w, m := g.CliquePairStats(p.q, &s.pair)
+		p.omega = append(p.omega[:0], w...)
+		p.mhh = append(p.mhh[:0], m...)
+		p.swept = true
+	}
+	n := len(p.q)
+	p.subW, p.subMHH = p.subW[:0], p.subMHH[:0]
+	for a, i := range pos {
+		for _, j := range pos[a+1:] {
+			idx := graph.PairIndex(n, i, j)
+			p.subW = append(p.subW, p.omega[idx])
+			p.subMHH = append(p.subMHH, p.mhh[idx])
+		}
+	}
+	return p.subW, p.subMHH
+}
+
+// subcliqueFeaturizer is implemented by featurizers that read a
+// sub-clique's features off its parent's pair table.
+type subcliqueFeaturizer interface {
+	appendSubclique(dst []float64, s *Scratch, g *graph.Graph, p *Parent, pos []int, maximal bool) []float64
+}
+
+// ComputeSub evaluates f on the sub-clique of p's parent at the ascending
+// positions pos and returns exactly what Compute returns on that
+// sub-clique, in the same buffer. Featurizers that can (Marioh) read it
+// off the parent's pair table; any other featurizer, including ones
+// registered at run time, falls back to Compute on the built sub-clique.
+func ComputeSub(f Featurizer, s *Scratch, g *graph.Graph, p *Parent, pos []int, maximal bool) []float64 {
+	if sf, ok := f.(subcliqueFeaturizer); ok {
+		s.out = sf.appendSubclique(s.out[:0], s, g, p, pos, maximal)
+		return s.out
+	}
+	return Compute(f, s, g, p.subclique(pos), maximal)
 }
 
 // stage returns a zero-length slice with capacity ≥ n backed by *p, growing
@@ -121,6 +199,24 @@ func (m Marioh) Features(g *graph.Graph, q []int, maximal bool) []float64 {
 
 // AppendFeatures implements AppendFeaturizer.
 func (Marioh) AppendFeatures(dst []float64, s *Scratch, g *graph.Graph, q []int, maximal bool) []float64 {
+	pairW, pairMHH := g.CliquePairStats(q, &s.pair)
+	return appendMarioh(dst, s, g, q, pairW, pairMHH, maximal)
+}
+
+// appendSubclique implements subcliqueFeaturizer. A parent of three nodes
+// or fewer is not swept: its proper sub-cliques are pairs, whose two
+// sorted merges cost less than a sweep.
+func (m Marioh) appendSubclique(dst []float64, s *Scratch, g *graph.Graph, p *Parent, pos []int, maximal bool) []float64 {
+	if len(p.q) < 4 {
+		return m.AppendFeatures(dst, s, g, p.subclique(pos), maximal)
+	}
+	pairW, pairMHH := p.pairs(g, s, pos)
+	return appendMarioh(dst, s, g, p.subclique(pos), pairW, pairMHH, maximal)
+}
+
+// appendMarioh appends the 23 Marioh dimensions of clique q, given its
+// pair statistics in CliquePairStats order.
+func appendMarioh(dst []float64, s *Scratch, g *graph.Graph, q []int, pairW, pairMHH []int, maximal bool) []float64 {
 	nodeVals := stage(&s.node, len(q))
 	sumWDeg := 0.0
 	for _, u := range q {
@@ -135,7 +231,6 @@ func (Marioh) AppendFeatures(dst []float64, s *Scratch, g *graph.Graph, q []int,
 	mhh := stage(&s.edge2, nEdges)
 	ratio := stage(&s.edge3, nEdges)
 	internal := 0.0
-	pairW, pairMHH := g.CliquePairStats(q, &s.pair)
 	for p := range pairW {
 		w := float64(pairW[p])
 		m := float64(pairMHH[p])

@@ -52,8 +52,9 @@ func TestAppendFeaturesMatchesFeatures(t *testing.T) {
 	}
 }
 
-// TestComputeAllocationFree: after warm-up, the Compute path must not
-// allocate for the built-in featurizers.
+// TestComputeAllocationFree: after warm-up, neither Compute nor the
+// sub-clique path through a Parent may allocate for the built-in
+// featurizers.
 func TestComputeAllocationFree(t *testing.T) {
 	g := graph.New(12)
 	for i := 0; i < 12; i++ {
@@ -62,15 +63,25 @@ func TestComputeAllocationFree(t *testing.T) {
 		}
 	}
 	q := []int{0, 2, 4, 6, 8, 10}
+	draws := [][]int{{0, 1}, {0, 2, 3}, {1, 2, 3, 5}}
 	for _, name := range []string{"marioh", "marioh-nomhh", "shyre-count", "shyre-motif"} {
 		f, _ := ByName(name)
 		var s Scratch
-		Compute(f, &s, g, q, true) // warm the buffers
-		allocs := testing.AllocsPerRun(20, func() {
-			Compute(f, &s, g, q, true)
-		})
-		if allocs > 0 {
-			t.Fatalf("%s: Compute allocates %.1f per call, want 0", name, allocs)
+		var p Parent
+		paths := map[string]func(){
+			"Compute": func() { Compute(f, &s, g, q, true) },
+			"ComputeSub": func() {
+				p.Reset(q)
+				for _, pos := range draws {
+					ComputeSub(f, &s, g, &p, pos, false)
+				}
+			},
+		}
+		for path, run := range paths {
+			run() // warm the buffers
+			if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
+				t.Fatalf("%s: %s allocates %.1f per call, want 0", name, path, allocs)
+			}
 		}
 	}
 }

@@ -216,7 +216,8 @@ func TestEnsureNodesWidensBitsetRows(t *testing.T) {
 
 // TestCliquePairStatsMatchesPairwise: the one-sweep pair statistics must
 // equal the per-pair Weight / SumMinCommonWeight primitives on random
-// graphs, for maximal cliques and for arbitrary (non-clique) node sets.
+// graphs, for maximal cliques and for arbitrary (non-clique) node sets,
+// at the positions PairIndex names.
 func TestCliquePairStatsMatchesPairwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	var ps PairScratch
@@ -242,6 +243,9 @@ func TestCliquePairStatsMatchesPairwise(t *testing.T) {
 			p := 0
 			for i := 0; i < len(q); i++ {
 				for j := i + 1; j < len(q); j++ {
+					if got := PairIndex(len(q), i, j); got != p {
+						t.Fatalf("PairIndex(%d, %d, %d) = %d, want %d", len(q), i, j, got, p)
+					}
 					if want := g.Weight(q[i], q[j]); omega[p] != want {
 						t.Fatalf("trial %d q=%v pair (%d,%d): ω %d, want %d",
 							trial, q, q[i], q[j], omega[p], want)

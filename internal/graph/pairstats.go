@@ -29,6 +29,12 @@ func (s *PairScratch) grow(n int) {
 	}
 }
 
+// PairIndex returns the position of pair (i, j), 0 ≤ i < j < m, in the
+// tables CliquePairStats returns for an m-node clique.
+func PairIndex(m, i, j int) int {
+	return i*(2*m-i-1)/2 + j - i - 1
+}
+
 // CliquePairStats returns, for every pair (q[i], q[j]) with i < j in the
 // order (0,1), (0,2), …, (1,2), …, the edge multiplicity ω and the MHH
 // bound SumMinCommonWeight — the two edge-level quantities of the MARIOH
