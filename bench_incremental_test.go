@@ -51,7 +51,7 @@ func BenchmarkIncrementalApply(b *testing.B) {
 	}
 
 	b.Run("session", func(b *testing.B) {
-		sess, err := r.OpenSession(st.g)
+		sess, err := r.NewSession(context.Background(), marioh.SessionConfig{Graph: st.g})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestIncrementalSessionSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := r.OpenSession(st.g)
+	sess, err := r.NewSession(context.Background(), marioh.SessionConfig{Graph: st.g})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package marioh_test
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"marioh"
@@ -14,12 +13,12 @@ import (
 // count over the two giant-component corpus families — powerlaw-hubs (one
 // huge hub component) and clique-cores (overlapping dense cores) — which
 // are exactly the shapes the parallel engine targets. par=1 is the serial
-// reference (now fused and arena-backed, so its allocs/op are the number
-// to watch on single-core recordings); par=max is GOMAXPROCS.
+// reference (arena-backed, so its allocs/op are the number to watch on
+// single-core recordings); par=max is GOMAXPROCS.
 //
 // Run with
 //
-//	go test -run '^$' -bench 'BenchmarkParallelRound|BenchmarkCliqueEnumParallel' -benchmem .
+//	go test -run '^$' -bench BenchmarkParallelRound -benchmem .
 
 // parallelBenchFamilies are the giant-component shapes worth sweeping.
 var parallelBenchFamilies = []string{"powerlaw-hubs", "clique-cores"}
@@ -63,33 +62,6 @@ func BenchmarkParallelRound(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := r.Reconstruct(context.Background(), g); err != nil {
 						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkCliqueEnumParallel isolates the enumeration layer: maximal-
-// clique enumeration via the per-seed worker pool, against the same
-// family graphs.
-func BenchmarkCliqueEnumParallel(b *testing.B) {
-	for _, name := range parallelBenchFamilies {
-		f, ok := corpus.ByName(name)
-		if !ok {
-			b.Fatalf("corpus family %q missing", name)
-		}
-		g := f.Gen(1)
-		for _, w := range parallelBenchWorkers() {
-			workers := w.par
-			if workers <= 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
-			b.Run(name+"/"+w.label, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if cliques := g.MaximalCliquesParallel(2, -1, workers); len(cliques) == 0 {
-						b.Fatal("no cliques enumerated")
 					}
 				}
 			})

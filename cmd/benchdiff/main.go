@@ -14,10 +14,13 @@
 //
 // Ratios are per-op (ns/op), so recordings and fresh runs may use
 // different -benchtime values. Benchmarks present only in the fresh run
-// are reported as new and never fail the gate; benchmarks present in the
-// baseline but missing from the fresh run are governed by -missing: they
-// warn by default (PR mode) and fail the gate with -missing=fail (main
-// mode) — a silently vanished benchmark is a silently shrunken perf gate.
+// are reported as new and never fail the gate. A baseline benchmark
+// missing from the fresh run is retired, and never fails the gate, when
+// the newest committed recording in -dir lacks it too: the change that
+// removed it re-recorded the suite. Otherwise it is missing, governed by
+// -missing: it warns by default (PR mode) and fails the gate with
+// -missing=fail (main mode) — a silently vanished benchmark is a silently
+// shrunken perf gate.
 package main
 
 import (
@@ -147,6 +150,57 @@ func latestRecording(dir string) (string, error) {
 	return kept[len(kept)-1], nil
 }
 
+// readBench parses the recording at path.
+func readBench(path string) (map[string]float64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return parseBench(f)
+}
+
+// diff prints the baseline/fresh comparison to w and counts the
+// benchmarks slower than tolerance and those missing from the fresh run.
+// A baseline benchmark absent from both current and recorded, the newest
+// committed recording, is retired rather than missing; a nil recorded
+// retires nothing.
+func diff(w io.Writer, baseline, current, recorded map[string]float64, tolerance float64) (regressions, missed int) {
+	names := make([]string, 0, len(baseline))
+	for name := range baseline {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+
+	fmt.Fprintf(w, "%-40s %14s %14s %8s\n", "benchmark", "old ns/op", "new ns/op", "ratio")
+	for _, name := range names {
+		old := baseline[name]
+		cur, ok := current[name]
+		if !ok {
+			if _, kept := recorded[name]; recorded != nil && !kept {
+				fmt.Fprintf(w, "%-40s %14.1f %14s %8s  (retired: absent from the latest recording)\n", name, old, "-", "-")
+				continue
+			}
+			fmt.Fprintf(w, "%-40s %14.1f %14s %8s  (missing from fresh run)\n", name, old, "-", "-")
+			missed++
+			continue
+		}
+		ratio := cur / old
+		verdict := ""
+		if ratio > tolerance {
+			verdict = "  REGRESSION"
+			regressions++
+		}
+		fmt.Fprintf(w, "%-40s %14.1f %14.1f %7.2fx%s\n", name, old, cur, ratio, verdict)
+	}
+	for name := range current {
+		if _, ok := baseline[name]; !ok {
+			fmt.Fprintf(w, "%-40s %14s %14.1f %8s  (new benchmark)\n", name, "-", current[name], "-")
+		}
+	}
+	return regressions, missed
+}
+
 func run() (int, error) {
 	against := flag.String("against", "latest", `baseline recording ("latest" = newest BENCH_*.json in -dir)`)
 	dir := flag.String("dir", ".", "directory searched for recordings when -against=latest")
@@ -165,20 +219,15 @@ func run() (int, error) {
 		return 2, fmt.Errorf(`-missing must be "warn" or "fail", got %q`, *missing)
 	}
 
+	latest, latestErr := latestRecording(*dir)
 	baselinePath := *against
 	if baselinePath == "latest" {
-		p, err := latestRecording(*dir)
-		if err != nil {
-			return 1, err
+		if latestErr != nil {
+			return 1, latestErr
 		}
-		baselinePath = p
+		baselinePath = latest
 	}
-	bf, err := os.Open(baselinePath)
-	if err != nil {
-		return 1, err
-	}
-	baseline, err := parseBench(bf)
-	bf.Close()
+	baseline, err := readBench(baselinePath)
 	if err != nil {
 		return 1, err
 	}
@@ -203,42 +252,22 @@ func run() (int, error) {
 		return 1, fmt.Errorf("no benchmark results in fresh input")
 	}
 
-	names := make([]string, 0, len(baseline))
-	for name := range baseline {
-		names = append(names, name)
+	// With no committed recording in -dir, nothing can be retired.
+	var recorded map[string]float64
+	if latestErr == nil {
+		if recorded, err = readBench(latest); err != nil {
+			return 1, err
+		}
 	}
-	sort.Strings(names)
 
 	fmt.Printf("benchdiff: baseline %s, tolerance %.2fx\n", baselinePath, *tolerance)
-	fmt.Printf("%-40s %14s %14s %8s\n", "benchmark", "old ns/op", "new ns/op", "ratio")
-	regressions, missed := 0, 0
-	for _, name := range names {
-		old := baseline[name]
-		cur, ok := current[name]
-		if !ok {
-			fmt.Printf("%-40s %14.1f %14s %8s  (missing from fresh run)\n", name, old, "-", "-")
-			missed++
-			continue
-		}
-		ratio := cur / old
-		verdict := ""
-		if ratio > *tolerance {
-			verdict = "  REGRESSION"
-			regressions++
-		}
-		fmt.Printf("%-40s %14.1f %14.1f %7.2fx%s\n", name, old, cur, ratio, verdict)
-	}
-	for name := range current {
-		if _, ok := baseline[name]; !ok {
-			fmt.Printf("%-40s %14s %14.1f %8s  (new benchmark)\n", name, "-", current[name], "-")
-		}
-	}
+	regressions, missed := diff(os.Stdout, baseline, current, recorded, *tolerance)
 
 	failed := false
 	if missed > 0 {
 		fmt.Printf("benchdiff: %d baseline benchmark(s) missing from the fresh run\n", missed)
 		if *missing == "fail" {
-			fmt.Println("benchdiff: failing (-missing=fail): a removed or renamed benchmark silently shrinks the gate")
+			fmt.Println("benchdiff: failing (-missing=fail): a benchmark removed or renamed without re-recording the suite silently shrinks the gate")
 			failed = true
 		} else {
 			fmt.Println("benchdiff: warning only (-missing=warn); main builds run with -missing=fail")

@@ -198,14 +198,14 @@ func TestVariantsRun(t *testing.T) {
 }
 
 func TestScoreCliquesParallelMatchesSequential(t *testing.T) {
-	// Force the parallel path with > defaultScoreParallelThreshold cliques and
+	// Force the parallel path with > fanoutCliques cliques and
 	// compare against direct sequential scoring.
 	ds := datasets.MustByName("eu", 1)
 	src := ds.Source.Reduced()
 	g := src.Project()
 	m := Train(g, src, TrainOptions{Seed: 1, Epochs: 10})
 	cliques := g.MaximalCliquesLimit(2, 1000)
-	if len(cliques) <= defaultScoreParallelThreshold {
+	if len(cliques) <= fanoutCliques {
 		t.Skipf("only %d cliques; cannot exercise parallel path", len(cliques))
 	}
 	got := ScoreCliques(g, m, cliques)

@@ -39,23 +39,12 @@ type Options struct {
 	// unlimited.
 	MaxCliqueLimit int
 	Seed           int64
-	// Parallelism bounds the worker fan-out inside each round: maximal-
-	// clique enumeration, the fused enumerate→score pipeline, and the
-	// per-component search all use at most this many workers. 0 = one
-	// worker per GOMAXPROCS; 1 = fully serial (the reference pipeline).
-	// Output bytes are identical at every setting — see README "Parallel
-	// round engine".
+	// Parallelism bounds the worker fan-out inside each round: the
+	// enumerate-and-score loop and the per-component search both use at
+	// most this many workers. 0 = one worker per GOMAXPROCS; 1 = fully
+	// serial (the reference pipeline). Output bytes are identical at every
+	// setting — see README "Parallel round engine".
 	Parallelism int
-	// ScoreParallelThreshold is the per-round clique count at which
-	// scoring and the fused pipeline start fanning out; below it the
-	// round stays single-threaded, since goroutine hand-off only pays for
-	// itself on large rounds. ≤ 0 = default 256 (set it to 1 to always
-	// fan out).
-	ScoreParallelThreshold int
-	// PipelineChunk is the number of cliques per chunk handed from the
-	// enumeration workers to the scoring workers in the fused pipeline.
-	// ≤ 0 = default 64.
-	PipelineChunk int
 	// Progress, when non-nil, is invoked after every round of the outer
 	// loop with a snapshot of the run. Callbacks must be fast; they run on
 	// the reconstruction goroutine.
@@ -81,12 +70,6 @@ func (o *Options) defaults() {
 	o.Alpha = resolveNonNeg(o.Alpha, 1.0/20)
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = 10000
-	}
-	if o.ScoreParallelThreshold <= 0 {
-		o.ScoreParallelThreshold = defaultScoreParallelThreshold
-	}
-	if o.PipelineChunk <= 0 {
-		o.PipelineChunk = defaultPipelineChunk
 	}
 }
 
@@ -210,17 +193,15 @@ func reconstructGraph(ctx context.Context, g *graph.Graph, m *Model, opts Option
 		}
 		res.Times.Rounds++
 		accepted := BidirectionalSearch(work, m, SearchOptions{
-			Ctx:                    ctx,
-			Theta:                  theta,
-			R:                      opts.R,
-			DisableSubcliques:      opts.DisableBidirectional,
-			MaxCliqueLimit:         opts.MaxCliqueLimit,
-			Round:                  round,
-			Seed:                   opts.Seed,
-			OrigID:                 origID,
-			Parallelism:            opts.Parallelism,
-			ScoreParallelThreshold: opts.ScoreParallelThreshold,
-			PipelineChunk:          opts.PipelineChunk,
+			Ctx:               ctx,
+			Theta:             theta,
+			R:                 opts.R,
+			DisableSubcliques: opts.DisableBidirectional,
+			MaxCliqueLimit:    opts.MaxCliqueLimit,
+			Round:             round,
+			Seed:              opts.Seed,
+			OrigID:            origID,
+			Parallelism:       opts.Parallelism,
 			// Once θ has bottomed out at 0 (or is frozen by α = 0), a
 			// component where nothing scored above the threshold can no
 			// longer make Phase-1 progress; its edges are consumed as

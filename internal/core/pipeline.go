@@ -1,33 +1,36 @@
-// The fused enumerate→score pipeline: once a round proves itself large
-// enough (and workers > 1), clique enumeration stops materializing the
-// full [][]int list and streams chunks straight into concurrent scorers.
-// Small or serial rounds keep the classic batch phases — enumerate, sort,
-// score — with per-clique allocations replaced by an arena; fusing the two
-// phases on a single core only thrashes cache. Determinism argument, in
-// three pieces:
+// The round's enumerate-and-score step: one worker loop over the seeds of
+// graph.CliqueSeeder, the independent Bron–Kerbosch subtrees of the
+// degeneracy ordering. Each worker claims the next seed index from an
+// atomic counter, enumerates that seed's maximal cliques, scores each one
+// in place with its own scorer, and files the scored cliques in the seed's
+// bucket. ScoreCliques runs through the same loop over a given list, one
+// clique per seed.
 //
-//   - A clique's score depends only on the graph and the clique (scorer
-//     structs are pure scratch), so where and when it is scored cannot
-//     change the value.
-//   - When MaxCliqueLimit is off, the set of cliques a round sees is
-//     order-independent, and every consumer of the scored slice
-//     (searchComponent's phase sorts) orders by (score, nodes) — a strict
-//     total order over distinct cliques — so the stream order never
-//     reaches the output. The pipeline is therefore free to emit scored
-//     cliques in whatever order scheduling produces.
-//   - When MaxCliqueLimit is on, the truncation point does depend on the
-//     serial enumeration order, so that path materializes the cliques via
-//     graph.MaximalCliquesParallel — which reproduces the exact serial
-//     prefix from index-addressed per-seed buckets — and batch-scores them.
+// Determinism: a clique's score depends only on the graph and the clique
+// (a scorer is pure scratch), and a seed's sub-stream is the same whoever
+// enumerates it, so joining the buckets in seed order yields the serial
+// enumeration stream, scored, at every worker count. The MaxCliqueLimit
+// cut is therefore a plain prefix of that stream.
 package core
 
 import (
-	"slices"
+	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"marioh/internal/graph"
 )
+
+// fanoutCliques is the number of known cliques at which the loop starts
+// its helper workers. Below it, the hand-off costs more than it saves: an
+// always-fan-out variant won eu-dense's big rounds but lost serve-mixed,
+// whose misses score at most 56 cliques a round.
+const fanoutCliques = 256
+
+// fanoutAt is the fan-out point the loop uses: fanoutCliques, except in
+// tests that lower it to force the fan-out on tiny rounds.
+var fanoutAt = fanoutCliques
 
 // arenaBlockInts sizes the blocks nodeArena carves clique node slices
 // from. One block serves a few hundred small cliques, replacing per-clique
@@ -61,180 +64,175 @@ func (a *nodeArena) alloc(n int) []int {
 	return a.buf[lo : lo+n : lo+n]
 }
 
-// cliqueChunk is the hand-off unit between enumeration and scoring
-// workers. The clique headers are reused through a sync.Pool; the node
-// storage comes from the chunk's arena and escapes into scoredCliques, so
-// the arena keeps filling its current block across reuses instead of
-// being reset.
-type cliqueChunk struct {
-	cliques [][]int
-	arena   nodeArena
+// resolveWorkers maps an Options.Parallelism value to a worker count:
+// ≤ 0 means one worker per GOMAXPROCS, otherwise the value itself.
+func resolveWorkers(parallelism int) int {
+	if parallelism <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return parallelism
 }
 
-// enumerateScored enumerates the maximal cliques of g (min size 2, capped
-// at limit when > 0) and scores each as maximal, using at most workers
-// goroutines, chunkSize cliques per pipeline hand-off, and staying serial
-// below threshold cliques. mapBack, when non-nil, relabels clique nodes
-// from g's ids to mapBack[id] after scoring (the induced-subgraph dirty
-// path); it must be ascending so relabeled cliques stay sorted.
-//
-// The scored slice is in no particular order when limit ≤ 0 — callers
-// sort by (score, nodes) before anything order-sensitive — and reports
-// whether enumeration was truncated by limit.
-func enumerateScored(g *graph.Graph, m *Model, limit, workers, chunkSize, threshold int, mapBack []int) ([]scoredClique, bool) {
-	if limit > 0 {
-		// Truncation depends on the serial enumeration prefix, so the
-		// capped path materializes the cliques in exact serial order and
-		// batch-scores them.
-		cliques := g.MaximalCliquesParallel(2, limit, workers)
-		truncated := len(cliques) >= limit
-		scored := scoreCliques(g, m, cliques, workers, threshold)
-		remapNodes(scored, mapBack)
-		return scored, truncated
-	}
-
+// enumerateScored enumerates the maximal cliques of g (min size 2) and
+// scores each as maximal, in the serial enumeration order, using at most
+// workers goroutines. limit > 0 keeps only the stream's first limit
+// cliques; the bool reports whether the stream reached limit. mapBack,
+// when non-nil, relabels clique nodes from g's ids to mapBack[id] after
+// scoring (the induced-subgraph dirty path); it must be ascending so
+// relabeled cliques stay sorted. ctx is polled before each seed claim;
+// after cancellation the result is partial and must be dropped.
+func enumerateScored(ctx context.Context, g *graph.Graph, m *Model, limit, workers int, mapBack []int) ([]scoredClique, bool) {
 	s := g.CliqueSeeds(2)
-	n := s.NumSeeds()
-	if workers > n {
-		workers = n
-	}
-
-	// Serial prefix: enumerate (without scoring) until the round has proven
-	// itself big enough to pay for fan-out. Rounds below the threshold
-	// never spawn a goroutine; at workers == 1 this covers the whole graph.
-	// Scoring is deliberately NOT fused into this loop: interleaving the
-	// scorers' feature extraction with Bron–Kerbosch's bitset walk per
-	// clique thrashes cache on a single core — batch phases keep each
-	// working set hot, and the arena keeps the alloc win either way.
-	var (
-		cliques [][]int
-		arena   nodeArena
-		enum    graph.CliqueEnum
-	)
-	// emit is hoisted out of the seed loop: one closure per round, not one
-	// per seed (which showed up as the top allocator in round profiles).
-	emit := func(c []int) bool {
-		nodes := arena.alloc(len(c))
-		copy(nodes, c)
-		cliques = append(cliques, nodes)
-		return true
-	}
-	seed := 0
-	for ; seed < n && (workers <= 1 || len(cliques) < threshold); seed++ {
-		s.EnumSeed(seed, &enum, emit)
-	}
-	if seed >= n {
-		// The whole graph fit in the serial prefix: reproduce the classic
-		// batch shape — lex-sorted cliques, then one scoring pass (which
-		// itself fans out past the threshold when workers allow).
-		// Lex-sorting first keeps this path's scoring order — and
-		// therefore its memory-access pattern — identical to the
-		// materialize-then-score reference.
-		slices.SortFunc(cliques, cmpNodes)
-		scored := scoreCliques(g, m, cliques, workers, threshold)
-		remapNodes(scored, mapBack)
-		return scored, false
-	}
-	scored := scoreCliques(g, m, cliques, workers, threshold)
-	remapNodes(scored, mapBack)
-	return pipelineScore(g, m, s, seed, workers, chunkSize, mapBack, scored), false
+	l := &seedLoop{ctx: ctx, g: g, m: m, limit: limit, mapBack: mapBack,
+		seed: func(w *seedWorker, i int) { s.EnumSeed(i, &w.enum, w.emit) }}
+	return l.run(s.NumSeeds(), workers, 0)
 }
 
-// pipelineScore drains seeds [start, NumSeeds) through the chunked
-// pipeline: enumeration workers pull seed indices from a shared counter
-// and emit pooled chunks into a bounded channel; scoring workers consume
-// chunks into private result slices, which are concatenated at the end
-// (in no particular order — see the package comment). Appending to the
-// already-scored serial prefix keeps the whole round in one slice.
-func pipelineScore(g *graph.Graph, m *Model, s *graph.CliqueSeeder, start, workers, chunkSize int, mapBack []int, scored []scoredClique) []scoredClique {
-	n := s.NumSeeds()
-	enumWorkers := workers
-	if enumWorkers > n-start {
-		enumWorkers = n - start
+// ScoreCliques evaluates the classifier on each clique (treated as
+// maximal) and returns the scores in input order. It is the exported form
+// of the per-round scoring pass, used by benchmarks and analyses; it runs
+// the round's loop, one clique per seed, at the default parallelism
+// (GOMAXPROCS).
+func ScoreCliques(g *graph.Graph, m *Model, cliques [][]int) []float64 {
+	l := &seedLoop{ctx: context.Background(), g: g, m: m,
+		seed: func(w *seedWorker, i int) { w.score(cliques[i]) }}
+	scored, _ := l.run(len(cliques), resolveWorkers(0), len(cliques))
+	out := make([]float64, len(scored))
+	for i, s := range scored {
+		out[i] = s.score
 	}
-	ch := make(chan *cliqueChunk, 2*workers)
-	pool := &sync.Pool{New: func() any { return &cliqueChunk{} }}
-	var next atomic.Int64
-	next.Store(int64(start))
-
-	var producers sync.WaitGroup
-	for w := 0; w < enumWorkers; w++ {
-		producers.Add(1)
-		go func() {
-			defer producers.Done()
-			var enum graph.CliqueEnum
-			chunk := pool.Get().(*cliqueChunk)
-			emit := func(c []int) bool {
-				nodes := chunk.arena.alloc(len(c))
-				copy(nodes, c)
-				chunk.cliques = append(chunk.cliques, nodes)
-				if len(chunk.cliques) >= chunkSize {
-					ch <- chunk
-					chunk = pool.Get().(*cliqueChunk)
-				}
-				return true
-			}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					break
-				}
-				s.EnumSeed(i, &enum, emit)
-			}
-			if len(chunk.cliques) > 0 {
-				ch <- chunk
-			} else {
-				pool.Put(chunk)
-			}
-		}()
-	}
-
-	results := make([][]scoredClique, workers)
-	var consumers sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		consumers.Add(1)
-		go func(out *[]scoredClique) {
-			defer consumers.Done()
-			var sc scorer
-			var local []scoredClique
-			for chunk := range ch {
-				for _, nodes := range chunk.cliques {
-					score := m.scoreScratch(g, nodes, true, &sc)
-					remapInPlace(nodes, mapBack)
-					local = append(local, scoredClique{nodes: nodes, score: score})
-				}
-				chunk.cliques = chunk.cliques[:0]
-				pool.Put(chunk)
-			}
-			*out = local
-		}(&results[w])
-	}
-	producers.Wait()
-	close(ch)
-	consumers.Wait()
-	for _, r := range results {
-		scored = append(scored, r...)
-	}
-	return scored
+	return out
 }
 
-// remapInPlace relabels nodes through back (nil = identity). back is
-// ascending, so a sorted clique stays sorted.
-func remapInPlace(nodes []int, back []int) {
-	if back == nil {
-		return
-	}
-	for j, u := range nodes {
-		nodes[j] = back[u]
-	}
+// seedLoop is one run of the enumerate-and-score loop.
+type seedLoop struct {
+	ctx     context.Context
+	g       *graph.Graph
+	m       *Model
+	limit   int   // > 0 keeps the stream's first limit cliques
+	mapBack []int // nil = identity
+	// seed scores seed i's cliques through w.score (or w.emit, which
+	// copies a reused enumeration buffer first).
+	seed func(w *seedWorker, i int)
+
+	next    atomic.Int64     // next unclaimed seed; claims form a prefix
+	done    atomic.Int64     // cliques in finished buckets
+	buckets [][]scoredClique // per seed, in seed order
 }
 
-// remapNodes relabels every scored clique through back (nil = identity).
-func remapNodes(scored []scoredClique, back []int) {
-	if back == nil {
-		return
+// run scores n seeds on up to workers goroutines and joins the buckets.
+// The calling goroutine works alone until known plus the finished
+// buckets' cliques reach fanoutAt; only then does it start the helpers.
+// known is the clique count the caller knows up front (a round learns its
+// count while it enumerates).
+func (l *seedLoop) run(n, workers, known int) ([]scoredClique, bool) {
+	l.buckets = make([][]scoredClique, n)
+	helpers := min(workers, n) - 1
+	var wg sync.WaitGroup
+	w := l.newWorker()
+	for {
+		if helpers > 0 && known+int(l.done.Load()) >= fanoutAt {
+			for ; helpers > 0; helpers-- {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					hw := l.newWorker()
+					for l.step(hw) {
+					}
+				}()
+			}
+		}
+		if !l.step(w) {
+			break
+		}
 	}
-	for i := range scored {
-		remapInPlace(scored[i].nodes, back)
+	wg.Wait()
+	return l.join()
+}
+
+// step claims the next seed and scores it on w. It reports false, claiming
+// nothing, once every seed is claimed, the finished buckets hold limit
+// cliques, or ctx is cancelled. Claimed seeds always run to the end, so
+// they form a prefix of the stream, and a limit stop leaves that prefix
+// holding at least limit cliques: the cut is exact. The done check and the
+// claim are one compare-and-swap apart, with no claim between them, so at
+// most (workers+1)·limit cliques are ever enumerated: fewer than limit
+// finished, plus one bucket of at most limit per worker.
+func (l *seedLoop) step(w *seedWorker) bool {
+	var i int64
+	for {
+		if l.ctx.Err() != nil {
+			return false
+		}
+		i = l.next.Load()
+		if i >= int64(len(l.buckets)) || (l.limit > 0 && l.done.Load() >= int64(l.limit)) {
+			return false
+		}
+		if l.next.CompareAndSwap(i, i+1) {
+			break
+		}
 	}
+	w.lo = len(w.out)
+	l.seed(w, int(i))
+	l.buckets[i] = w.out[w.lo:len(w.out):len(w.out)]
+	l.done.Add(int64(len(w.out) - w.lo))
+	return true
+}
+
+// join concatenates the buckets in seed order and applies the limit cut.
+func (l *seedLoop) join() ([]scoredClique, bool) {
+	total := 0
+	for _, b := range l.buckets {
+		total += len(b)
+	}
+	out := make([]scoredClique, 0, total)
+	for _, b := range l.buckets {
+		out = append(out, b...)
+		if l.limit > 0 && len(out) >= l.limit {
+			return out[:l.limit], true
+		}
+	}
+	return out, false
+}
+
+// seedWorker is one goroutine's scratch. Its buckets are sub-slices of
+// out, which an append may move; a moved-from array still holds the
+// buckets cut from it.
+type seedWorker struct {
+	l     *seedLoop
+	sc    scorer
+	arena nodeArena
+	enum  graph.CliqueEnum
+	emit  func([]int) bool // w.keep, bound once so a seed costs no closure
+	out   []scoredClique
+	lo    int // start of the current seed's bucket in out
+}
+
+func (l *seedLoop) newWorker() *seedWorker {
+	w := &seedWorker{l: l}
+	w.emit = w.keep
+	return w
+}
+
+// keep scores an enumerated clique, whose slice the enumerator reuses, by
+// copying it into the worker's arena first.
+func (w *seedWorker) keep(c []int) bool {
+	nodes := w.arena.alloc(len(c))
+	copy(nodes, c)
+	return w.score(nodes)
+}
+
+// score scores nodes as a maximal clique into the current seed's bucket,
+// then relabels them through mapBack. It reports whether the seed may
+// emit more: a bucket never needs more than limit cliques.
+func (w *seedWorker) score(nodes []int) bool {
+	l := w.l
+	s := l.m.scoreScratch(l.g, nodes, true, &w.sc)
+	if l.mapBack != nil {
+		for j, u := range nodes {
+			nodes[j] = l.mapBack[u]
+		}
+	}
+	w.out = append(w.out, scoredClique{nodes: nodes, score: s})
+	return l.limit <= 0 || len(w.out)-w.lo < l.limit
 }

@@ -261,7 +261,7 @@ func TestScoreCliquesScratchParallelMatchesSequential(t *testing.T) {
 	base := g.MaximalCliques(2)
 	// Replicate cliques past the parallel threshold.
 	var cliques [][]int
-	for len(cliques) < defaultScoreParallelThreshold+37 {
+	for len(cliques) < fanoutCliques+37 {
 		cliques = append(cliques, base...)
 	}
 	par := ScoreCliques(g, m, cliques)

@@ -36,9 +36,11 @@ type roundCache struct {
 
 // SearchOptions configure one round of BidirectionalSearch.
 type SearchOptions struct {
-	// Ctx, when non-nil, is polled between the phases of the round and
-	// while walking accepted cliques; cancellation makes the search return
-	// early with whatever it has accepted so far.
+	// Ctx, when non-nil, is polled before each seed claim of the
+	// enumerate-and-score loop, between the phases of the round and while
+	// walking accepted cliques; cancellation makes the search return early
+	// with whatever it has accepted so far (nothing, if it strikes before
+	// the phases begin).
 	Ctx context.Context
 	// Theta is the current acceptance threshold θ.
 	Theta float64
@@ -67,16 +69,10 @@ type SearchOptions struct {
 	// ids, so a shard draws exactly the samples the serial run draws for
 	// the same component.
 	OrigID []int
-	// Parallelism bounds the worker fan-out of the round (enumeration,
-	// scoring, per-component search); ≤ 0 = GOMAXPROCS, 1 = serial.
-	// Output bytes are identical at every setting.
+	// Parallelism bounds the worker fan-out of the round (the
+	// enumerate-and-score loop and the per-component search); ≤ 0 =
+	// GOMAXPROCS, 1 = serial. Output bytes are identical at every setting.
 	Parallelism int
-	// ScoreParallelThreshold is the clique count at which scoring and the
-	// fused pipeline fan out; ≤ 0 = the documented default (256).
-	ScoreParallelThreshold int
-	// PipelineChunk is the fused pipeline's hand-off chunk size; ≤ 0 =
-	// the documented default (64).
-	PipelineChunk int
 	// StallDump, when true, dumps the remaining edges of every component
 	// that accepted nothing this round as size-2 hyperedges — the
 	// termination guarantee for bottomed-out (or α-frozen) thresholds,
@@ -111,19 +107,7 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 		ctx = context.Background()
 	}
 
-	limit := opts.MaxCliqueLimit
-	if limit <= 0 {
-		limit = -1
-	}
 	workers := resolveWorkers(opts.Parallelism)
-	threshold := opts.ScoreParallelThreshold
-	if threshold <= 0 {
-		threshold = defaultScoreParallelThreshold
-	}
-	chunkSize := opts.PipelineChunk
-	if chunkSize <= 0 {
-		chunkSize = defaultPipelineChunk
-	}
 	key := componentKeys(g, opts.OrigID)
 
 	// Partition the live components into cached ones (unchanged since
@@ -158,15 +142,15 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 		var scored []scoredClique
 		if opts.cache == nil || len(opts.cache.comps) == 0 {
 			// Cache-free (the serial pipeline) or fully cold: enumerate
-			// the graph directly, fused with scoring.
-			scored, truncated = enumerateScored(g, m, limit, workers, chunkSize, threshold, nil)
+			// and score the graph directly.
+			scored, truncated = enumerateScored(ctx, g, m, opts.MaxCliqueLimit, workers, nil)
 		} else {
 			// Re-enumerate and re-score only the changed components,
 			// through the induced subgraph — exact because dirtyNodes is
 			// a union of whole components, the relabeling is
 			// order-preserving, and every feature is component-local.
 			sub, back := g.Subgraph(dirtyNodes)
-			scored, truncated = enumerateScored(sub, m, limit, workers, chunkSize, threshold, back)
+			scored, truncated = enumerateScored(ctx, sub, m, opts.MaxCliqueLimit, workers, back)
 		}
 		if ctx.Err() != nil {
 			return 0

@@ -14,12 +14,12 @@ import (
 // TestParallelRoundMatchesSerialOverCorpus is the corpus-wide determinism
 // property test for the parallel round engine: every family, reconstructed
 // at Parallelism ∈ {1, 2, 8}, must be byte-identical to the serial golden.
-// The Parallelism > 1 runs also force tiny pipeline knobs (threshold 1,
-// chunk 3) so the fused enumerate→score pipeline and the per-component
-// fan-out engage on every round of every family, however small — the
-// documented defaults would leave the small families serial. Named to
-// match the -race matrix ('Parallel'), which is where scheduling-dependent
-// divergence would surface.
+// It runs the engine as shipped, where the per-component search fans out
+// but most rounds stay below the enumerate-and-score loop's fan-out point
+// (256 cliques); internal/core's TestParallelRoundEngineMatchesSerial
+// repeats the sweep with the fan-out forced at the first clique through
+// the package's test hook. Named to match the -race matrix ('Parallel'),
+// which is where scheduling-dependent divergence would surface.
 func TestParallelRoundMatchesSerialOverCorpus(t *testing.T) {
 	// Force real goroutine interleaving even on single-core runners.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -45,12 +45,8 @@ func TestParallelRoundMatchesSerialOverCorpus(t *testing.T) {
 			}
 
 			for _, par := range []int{2, 8} {
-				res, err := core.ReconstructContext(context.Background(), f.Gen(1), m, core.Options{
-					Seed:                   1,
-					Parallelism:            par,
-					ScoreParallelThreshold: 1,
-					PipelineChunk:          3,
-				})
+				res, err := core.ReconstructContext(context.Background(), f.Gen(1), m,
+					core.Options{Seed: 1, Parallelism: par})
 				if err != nil {
 					t.Fatal(err)
 				}

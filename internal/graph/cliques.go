@@ -83,8 +83,8 @@ func (g *Graph) EachMaximalClique(minSize int, fn func(clique []int) bool) {
 // enumeration: the degeneracy ordering is computed once, and each seed
 // vertex's expansion — an independent subtree of the search — can then be
 // run on its own, with caller-provided scratch. That per-seed granularity
-// is what MaximalCliquesParallel fans out across workers, and what the
-// fused enumerate→score pipeline in internal/core streams from.
+// is the unit of work of the round's enumerate-and-score loop in
+// internal/core, whose workers claim seeds from a shared counter.
 //
 // Seeds are indexed 0..NumSeeds()-1 in degeneracy order. Running every
 // seed in index order through one CliqueEnum reproduces exactly the

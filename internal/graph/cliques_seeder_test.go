@@ -3,12 +3,15 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 // randomTestGraph builds a seeded multi-component G(n, p)-style graph with
-// a planted dense core, the shapes that exercise both the per-seed
-// fan-out and the bitset rows.
+// a planted dense core, a shape that exercises both many seeds and the
+// bitset rows.
 func randomTestGraph(t *testing.T, n int, p float64, seed int64) *Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -31,6 +34,49 @@ func randomTestGraph(t *testing.T, n int, p float64, seed int64) *Graph {
 	return g
 }
 
+// seederParallelCliques enumerates g's maximal cliques the way the round's
+// enumerate-and-score loop does: workers claim seed indices from an atomic
+// counter and share one CliqueSeeder, each with its own CliqueEnum, and
+// collect every seed's cliques in that seed's bucket. Joining the buckets
+// in seed order, cutting the first limit cliques (limit < 0: all) and
+// sorting them must give MaximalCliquesLimit's result.
+func seederParallelCliques(g *Graph, minSize, limit, workers int) [][]int {
+	s := g.CliqueSeeds(minSize)
+	buckets := make([][][]int, s.NumSeeds())
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc CliqueEnum
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= s.NumSeeds() {
+					return
+				}
+				s.EnumSeed(i, &sc, func(c []int) bool {
+					buckets[i] = append(buckets[i], append([]int(nil), c...))
+					return true
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	var out [][]int
+	for _, b := range buckets {
+		out = append(out, b...)
+	}
+	if limit >= 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	slices.SortFunc(out, cmpIntSlice)
+	return out
+}
+
+// TestMaximalCliquesParallelMatchesSerial: one CliqueSeeder shared by
+// concurrent workers, joined in seed order, reproduces MaximalCliquesLimit
+// at every worker count and every limit.
 func TestMaximalCliquesParallelMatchesSerial(t *testing.T) {
 	graphs := map[string]*Graph{
 		"sparse":    randomTestGraph(t, 60, 0.05, 1),
@@ -45,7 +91,7 @@ func TestMaximalCliquesParallelMatchesSerial(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 8, 64} {
 			for _, limit := range limits {
 				want := g.MaximalCliquesLimit(2, limit)
-				got := g.MaximalCliquesParallel(2, limit, workers)
+				got := seederParallelCliques(g, 2, limit, workers)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: workers=%d limit=%d: parallel enumeration diverged: got %d cliques, want %d",
 						name, workers, limit, len(got), len(want))
@@ -56,7 +102,7 @@ func TestMaximalCliquesParallelMatchesSerial(t *testing.T) {
 }
 
 // TestCliqueSeederStreamMatchesEachMaximalClique pins the seeder contract
-// the parallel paths are built on: running every seed in index order
+// the round's enumerate-and-score loop is built on: running every seed in index order
 // reproduces the EachMaximalClique stream element for element.
 func TestCliqueSeederStreamMatchesEachMaximalClique(t *testing.T) {
 	g := randomTestGraph(t, 40, 0.15, 7)

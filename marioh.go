@@ -25,9 +25,6 @@
 // Algorithm variants and featurizers are resolved by name: see
 // WithVariant, WithFeaturizer and RegisterFeaturizer.
 //
-// The free functions TrainModel and Reconstruct are the pre-service API,
-// kept as thin deprecated wrappers.
-//
 // The exported names are aliases of the implementation packages under
 // internal/, so the full method sets of Hypergraph, Graph and Model are
 // available through this package.
@@ -56,14 +53,6 @@ type Graph = graph.Graph
 // Model is a trained multiplicity-aware clique classifier.
 type Model = core.Model
 
-// TrainOptions configure TrainModel; the zero value uses the paper's
-// defaults (multiplicity-aware features, a [32, 16] MLP, 60 epochs).
-type TrainOptions = core.TrainOptions
-
-// Options configure Reconstruct; the zero value uses θ_init = 0.9, r = 40
-// and α = 1/20.
-type Options = core.Options
-
 // Result is a reconstruction with its per-step timing breakdown.
 type Result = core.Result
 
@@ -76,28 +65,6 @@ func NewHypergraph(n int) *Hypergraph { return hypergraph.New(n) }
 
 // NewGraph returns an empty weighted graph with n nodes.
 func NewGraph(n int) *Graph { return graph.New(n) }
-
-// TrainModel fits the multiplicity-aware classifier on a source projected
-// graph and its ground-truth hypergraph (the supervision of Problem 1).
-//
-// Deprecated: use New and (*Reconstructor).Train, which add context
-// cancellation, progress events and named variants. TrainModel is
-// equivalent to training a zero-option Reconstructor with the same
-// TrainOptions.
-func TrainModel(gSrc *Graph, hSrc *Hypergraph, opts TrainOptions) *Model {
-	return core.Train(gSrc, hSrc, opts)
-}
-
-// Reconstruct runs MARIOH on a target projected graph: guaranteed size-2
-// filtering followed by iterative bidirectional clique search.
-//
-// Deprecated: use New and (*Reconstructor).Reconstruct (or
-// ReconstructBatch for many targets), which add context cancellation,
-// progress events and named variants. Reconstruct is equivalent to a
-// zero-option Reconstructor run with the same Options.
-func Reconstruct(gTgt *Graph, m *Model, opts Options) *Result {
-	return core.Reconstruct(gTgt, m, opts)
-}
 
 // Jaccard is the reconstruction accuracy over unique hyperedges.
 func Jaccard(truth, rec *Hypergraph) float64 { return eval.Jaccard(truth, rec) }

@@ -228,9 +228,9 @@ func WithNegativeRatio(v float64) Option {
 }
 
 // WithParallelism bounds the reconstructor's worker fan-out: the
-// ReconstructBatch pool, and the parallel round engine inside every
-// reconstruction (clique enumeration, the fused enumerate→score pipeline,
-// and per-component search — see README "Parallel round engine"). 0 (the
+// ReconstructBatch pool, a session's dirty-component pool, and the round
+// engine inside every reconstruction (the enumerate-and-score loop and
+// the per-component search — see README "Parallel round engine"). 0 (the
 // default) uses GOMAXPROCS; 1 forces the fully serial reference pipeline.
 // Output bytes are identical at every setting.
 func WithParallelism(n int) Option {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"marioh"
+	"marioh/internal/core"
 )
 
 // mustDataset generates a named dataset or fails the test.
@@ -21,15 +22,16 @@ func mustDataset(t *testing.T, name string, seed int64) *marioh.Dataset {
 }
 
 // TestNewZeroOptionsMatchesDeprecatedAPI pins the migration contract: a
-// zero-option Reconstructor reproduces the deprecated TrainModel +
-// Reconstruct flow bit for bit on a seeded dataset.
+// zero-option Reconstructor reproduces, bit for bit on a seeded dataset,
+// the zero-value core.Train + core.Reconstruct flow that the removed
+// TrainModel and Reconstruct free functions forwarded to.
 func TestNewZeroOptionsMatchesDeprecatedAPI(t *testing.T) {
 	ds := mustDataset(t, "crime", 1)
 	src, tgt := ds.Source.Reduced(), ds.Target.Reduced()
 	gS, gT := src.Project(), tgt.Project()
 
-	oldModel := marioh.TrainModel(gS, src, marioh.TrainOptions{Seed: 1})
-	oldRes := marioh.Reconstruct(gT, oldModel, marioh.Options{Seed: 1})
+	oldModel := core.Train(gS, src, core.TrainOptions{Seed: 1})
+	oldRes := core.Reconstruct(gT, oldModel, core.Options{Seed: 1})
 
 	r, err := marioh.New(marioh.WithSeed(1))
 	if err != nil {
@@ -43,7 +45,7 @@ func TestNewZeroOptionsMatchesDeprecatedAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !oldRes.Hypergraph.Equal(newRes.Hypergraph) {
-		t.Fatalf("zero-option Reconstructor diverges from deprecated API: old %d/%d vs new %d/%d hyperedges",
+		t.Fatalf("zero-option Reconstructor diverges from core.Train + core.Reconstruct: old %d/%d vs new %d/%d hyperedges",
 			oldRes.Hypergraph.NumUnique(), oldRes.Hypergraph.NumTotal(),
 			newRes.Hypergraph.NumUnique(), newRes.Hypergraph.NumTotal())
 	}

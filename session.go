@@ -90,7 +90,7 @@ type SessionStats struct {
 	WALRecords, WALBytes int64
 	// Snapshots counts the engine snapshots this process wrote.
 	Snapshots int64
-	// Replayed is the number of WAL records the last ResumeSession
+	// Replayed is the number of WAL records the last resume
 	// replayed to reach the recovered state.
 	Replayed int
 	// RecoveryOutcome classifies the last recovery: "clean", "torn-tail",
@@ -118,19 +118,27 @@ type SessionConfig struct {
 	Resume bool
 }
 
-// NewSession is the unified session entrypoint: it opens an in-memory,
-// durable, or resumed incremental reconstruction session over r's model
-// and configuration, selected by cfg. It subsumes OpenSession,
-// OpenDurableSession, and ResumeSession, which remain as deprecated
-// wrappers.
+// NewSession is the session entrypoint: it opens an in-memory, durable,
+// or resumed incremental reconstruction session over r's model and
+// configuration, selected by cfg. The graph is copied; the caller's graph
+// is never mutated. The session performs no work until the first Apply —
+// Apply with an empty Delta produces the initial full reconstruction.
+//
+// A durable session appends every Apply's delta batch to a write-ahead
+// log before reconstructing and snapshots the engine periodically, so
+// after a crash a Resume recovers it byte-identically to a cold rebuild;
+// its directory must not already hold a session. A Resume loads the
+// newest valid snapshot and replays the WAL tail, verifying the recorded
+// graph fingerprint after every record. A torn final record (the
+// expected crash artifact) is discarded — that batch was never
+// acknowledged. Deeper damage degrades along the snapshot chain and is
+// reported in SessionStats.RecoveryOutcome; only when no consistent state
+// can be proven does the Resume return an error, never a wrong answer.
 //
 // The model is pinned at open time: a later r.Train or r.SetModel does
 // not affect the session (mixing models across components would break
 // the byte-equality guarantee). For Resume, the reconstructor must carry
-// the same model and configuration the session was created with;
-// byte-identity is asserted against the recorded fingerprints during
-// replay, degrading along the snapshot chain rather than ever returning
-// a wrong answer (see SessionStats.RecoveryOutcome).
+// the same model and configuration the session was created with.
 //
 // ctx bounds the open itself: cancellation is honored between the open's
 // phases (an in-flight snapshot load or WAL replay step is not
@@ -169,27 +177,6 @@ func (r *Reconstructor) NewSession(ctx context.Context, cfg SessionConfig) (*Ses
 	}
 }
 
-// OpenSession starts an incremental reconstruction session over g using
-// r's model and configuration. The graph is copied; the caller's g is
-// never mutated. The session performs no work until the first Apply —
-// Apply with an empty Delta produces the initial full reconstruction.
-//
-// The model is pinned at open time: a later r.Train or r.SetModel does
-// not affect the session (mixing models across components would break the
-// byte-equality guarantee).
-//
-// Deprecated: use r.NewSession(ctx, SessionConfig{Graph: g}).
-func OpenSession(r *Reconstructor, g *Graph) (*Session, error) {
-	return r.openSession(g)
-}
-
-// OpenSession is the method form of marioh.OpenSession.
-//
-// Deprecated: use NewSession(ctx, SessionConfig{Graph: g}).
-func (r *Reconstructor) OpenSession(g *Graph) (*Session, error) {
-	return r.openSession(g)
-}
-
 func (r *Reconstructor) openSession(g *Graph) (*Session, error) {
 	m := r.Model()
 	if m == nil {
@@ -217,8 +204,8 @@ func (r *Reconstructor) sessionWorkers() int {
 
 // DurableOptions configures an on-disk session directory.
 type DurableOptions struct {
-	// Dir is the session directory (created by OpenDurableSession if
-	// needed). One directory holds exactly one session.
+	// Dir is the session directory (created by NewSession if needed).
+	// One directory holds exactly one session.
 	Dir string
 	// NoFsync skips fsync on WAL appends and snapshot renames. Appends
 	// still reach the kernel before Apply returns — the session survives a
@@ -226,7 +213,7 @@ type DurableOptions struct {
 	NoFsync bool
 	// SnapshotEvery is the number of applies between engine snapshots; 0
 	// means the default (8), negative disables periodic snapshots (Close
-	// and ResumeSession still write one).
+	// and a Resume still write one).
 	SnapshotEvery int
 	// Logf receives recovery and degradation notices; nil discards them.
 	Logf func(format string, args ...any)
@@ -237,27 +224,8 @@ func (o DurableOptions) internal() durability.Options {
 }
 
 // HasDurableSession reports whether dir holds a durable session (and so
-// whether ResumeSession or OpenDurableSession is the right call).
+// whether to open it with SessionConfig.Resume).
 func HasDurableSession(dir string) bool { return durability.Exists(dir) }
-
-// OpenDurableSession starts a durable incremental session over g, backed
-// by o.Dir: every Apply appends the delta batch to a write-ahead log
-// before reconstructing, and the engine state is snapshotted
-// periodically, so after a crash ResumeSession recovers the session
-// byte-identically to a cold rebuild. The directory must not already
-// hold a session. The graph is copied; the caller's g is never mutated.
-//
-// Deprecated: use r.NewSession(ctx, SessionConfig{Graph: g, Durable: &o}).
-func OpenDurableSession(r *Reconstructor, g *Graph, o DurableOptions) (*Session, error) {
-	return r.openDurableSession(g, o)
-}
-
-// OpenDurableSession is the method form of marioh.OpenDurableSession.
-//
-// Deprecated: use NewSession(ctx, SessionConfig{Graph: g, Durable: &o}).
-func (r *Reconstructor) OpenDurableSession(g *Graph, o DurableOptions) (*Session, error) {
-	return r.openDurableSession(g, o)
-}
 
 func (r *Reconstructor) openDurableSession(g *Graph, o DurableOptions) (*Session, error) {
 	m := r.Model()
@@ -275,31 +243,6 @@ func (r *Reconstructor) openDurableSession(g *Graph, o DurableOptions) (*Session
 		return nil, err
 	}
 	return &Session{dur: dur}, nil
-}
-
-// ResumeSession recovers the durable session in o.Dir: the newest valid
-// snapshot is loaded and the WAL tail is replayed through the engine
-// with the recorded graph fingerprint verified after every record. A
-// torn final record (the expected crash artifact) is discarded — that
-// batch was never acknowledged. Deeper damage degrades along the
-// snapshot chain and is reported in SessionStats.RecoveryOutcome; only
-// when no consistent state can be proven does ResumeSession return an
-// error, never a wrong answer.
-//
-// The reconstructor must carry the same model and configuration the
-// session was created with; byte-identity is asserted against the
-// recorded fingerprints during replay.
-//
-// Deprecated: use r.NewSession(ctx, SessionConfig{Durable: &o, Resume: true}).
-func ResumeSession(r *Reconstructor, o DurableOptions) (*Session, error) {
-	return r.resumeSession(o)
-}
-
-// ResumeSession is the method form of marioh.ResumeSession.
-//
-// Deprecated: use NewSession(ctx, SessionConfig{Durable: &o, Resume: true}).
-func (r *Reconstructor) ResumeSession(o DurableOptions) (*Session, error) {
-	return r.resumeSession(o)
 }
 
 func (r *Reconstructor) resumeSession(o DurableOptions) (*Session, error) {
@@ -386,7 +329,7 @@ func (s *Session) Sync() error {
 	return nil
 }
 
-// Close writes a final snapshot (so the next ResumeSession replays
+// Close writes a final snapshot (so the next Resume replays
 // nothing) and releases the durable session's file handles. In-memory
 // sessions close trivially. Safe to call twice; a closed session's
 // Apply returns an error.

@@ -39,7 +39,7 @@ func renderResult(t *testing.T, res *marioh.Result) []byte {
 func TestSessionMatchesFullReconstruct(t *testing.T) {
 	r, g := trainedReconstructor(t)
 	orig := g.Clone()
-	sess, err := marioh.OpenSession(r, g)
+	sess, err := r.NewSession(context.Background(), marioh.SessionConfig{Graph: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSessionMatchesFullReconstruct(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("OpenSession/Apply mutated the caller's graph")
+		t.Fatal("NewSession/Apply mutated the caller's graph")
 	}
 	st := sess.Stats()
 	if st.Applies != len(batches) || st.Components == 0 || st.Edges != sess.Graph().NumEdges() {
@@ -99,18 +99,27 @@ func TestSessionMatchesFullReconstruct(t *testing.T) {
 	}
 }
 
-// TestSessionRequiresModel: OpenSession without a trained or attached
-// model fails like Reconstruct does.
+// TestSessionRequiresModel: NewSession without a trained or attached
+// model fails like Reconstruct does, for every session kind.
 func TestSessionRequiresModel(t *testing.T) {
 	r, err := marioh.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.OpenSession(marioh.NewGraph(4)); err != marioh.ErrNoModel {
-		t.Fatalf("err = %v, want ErrNoModel", err)
-	}
-	if _, err := marioh.OpenSession(r, nil); err != marioh.ErrNoModel {
-		t.Fatalf("nil-graph err = %v, want ErrNoModel (model is checked first)", err)
+	ctx := context.Background()
+	dopts := marioh.DurableOptions{Dir: t.TempDir()}
+	for _, c := range []struct {
+		name string
+		cfg  marioh.SessionConfig
+	}{
+		{"in-memory", marioh.SessionConfig{Graph: marioh.NewGraph(4)}},
+		{"nil graph", marioh.SessionConfig{}}, // the model is checked first
+		{"durable", marioh.SessionConfig{Graph: marioh.NewGraph(4), Durable: &dopts}},
+		{"resume", marioh.SessionConfig{Durable: &dopts, Resume: true}},
+	} {
+		if _, err := r.NewSession(ctx, c.cfg); err != marioh.ErrNoModel {
+			t.Fatalf("%s: err = %v, want ErrNoModel", c.name, err)
+		}
 	}
 }
 
@@ -121,7 +130,7 @@ func TestSessionProgressDirtyCount(t *testing.T) {
 	r, g := trainedReconstructor(t, marioh.WithProgress(func(p marioh.Progress) {
 		dirty = append(dirty, p.Dirty)
 	}))
-	sess, err := r.OpenSession(g)
+	sess, err := r.NewSession(context.Background(), marioh.SessionConfig{Graph: g})
 	if err != nil {
 		t.Fatal(err)
 	}
