@@ -142,8 +142,14 @@ func BuildExamples(gSrc *graph.Graph, hSrc *hypergraph.Hypergraph, opts TrainOpt
 	// One shared Scratch across all examples: Compute's reusable buffers
 	// make extraction allocation-free per call, so only the retained copy
 	// of each vector is allocated (the Features fallback would rebuild
-	// O(NumNodes) pair-stat scratch for every single example).
+	// O(NumNodes) pair-stat scratch for every single example). gSrc does
+	// not change here, so every example reads its pairs off one table.
 	var sc features.Scratch
+	if features.UsesPairTable(feat) {
+		var t graph.PairTable
+		t.Build(gSrc, nil)
+		sc.UseTable(&t)
+	}
 	extract := func(q []int, maximal bool) []float64 {
 		return append([]float64(nil), features.Compute(feat, &sc, gSrc, q, maximal)...)
 	}
@@ -208,14 +214,17 @@ var scorers = sync.Pool{New: func() any { return new(scorer) }}
 
 // scorer bundles the per-worker reusable buffers of the scoring hot path:
 // feature staging, the standardized vector, and the MLP activations, plus
-// Phase 2's parent clique and subset sampler. With one scorer per worker,
-// steady-state clique scoring performs zero heap allocations. A scorer
-// must not be shared between goroutines.
+// Phase 2's parent clique and subset sampler, and a pair table with the
+// buffer of the nodes it covers (see roundScratch for who builds it).
+// With one scorer per worker, steady-state clique scoring performs zero
+// heap allocations. A scorer must not be shared between goroutines.
 type scorer struct {
 	feat   features.Scratch
 	fwd    mlp.Scratch
 	parent features.Parent
 	perm   PermSampler
+	table  graph.PairTable
+	cover  []int
 }
 
 // scoreScratch is Score with caller-owned buffers; bit-identical results.

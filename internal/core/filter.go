@@ -15,17 +15,24 @@ import (
 // and ω(u,v) is decreased by r, removing the edge entirely when it reaches
 // zero.
 //
-// All MHH values are computed against the input graph before any weight is
-// modified, matching Algorithm 2, which derives every bound from the
-// original ω. Filter mutates g in place (callers clone first) and returns
-// the number of size-2 hyperedge occurrences emitted.
+// All MHH values are read off one graph.PairTable over the input graph —
+// the kernel the search rounds read their features off — built before any
+// weight is modified, matching Algorithm 2, which derives every bound from
+// the original ω. Filter mutates g in place (callers clone first) and
+// returns the number of size-2 hyperedge occurrences emitted.
 func Filter(g *graph.Graph, rec *hypergraph.Hypergraph) int {
+	return filter(g, rec, new(graph.PairTable))
+}
+
+// filter is Filter with a caller-owned table, which it rebuilds over g.
+func filter(g *graph.Graph, rec *hypergraph.Hypergraph, t *graph.PairTable) int {
 	type resid struct {
 		u, v, r int
 	}
+	t.Build(g, nil)
 	var found []resid
 	for _, e := range g.Edges() {
-		mhh := g.SumMinCommonWeight(e.U, e.V)
+		_, mhh := t.Pair(e.U, e.V)
 		if r := e.W - mhh; r > 0 {
 			found = append(found, resid{e.U, e.V, r})
 		}

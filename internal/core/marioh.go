@@ -166,6 +166,7 @@ func reconstructGraph(ctx context.Context, g *graph.Graph, m *Model, opts Option
 	work := g.Clone()
 	rec := hypergraph.New(g.NumNodes())
 	res := &Result{Hypergraph: rec}
+	rs := new(roundScratch)
 
 	if err := ctx.Err(); err != nil {
 		return res, err
@@ -173,7 +174,7 @@ func reconstructGraph(ctx context.Context, g *graph.Graph, m *Model, opts Option
 	total := 0
 	if !opts.DisableFiltering {
 		t0 := time.Now() //lint:randsource stage timing recorded in Result.Times, never in reconstruction output
-		res.FilteredSize2 = Filter(work, rec)
+		res.FilteredSize2 = filter(work, rec, &rs.workers(1)[0].table)
 		res.Times.Filtering = time.Since(t0)
 		total += res.FilteredSize2
 		if opts.Progress != nil {
@@ -210,6 +211,7 @@ func reconstructGraph(ctx context.Context, g *graph.Graph, m *Model, opts Option
 			// positive score is accepted — so real models never hit it.
 			StallDump: theta == 0 || opts.Alpha == 0,
 			cache:     cache,
+			scratch:   rs,
 		}, rec)
 		total += accepted
 		if opts.Progress != nil {

@@ -70,7 +70,7 @@ func TestScoreFanoutHonorsParallelism(t *testing.T) {
 	forceFanout(t)
 	m, g := pipelineTestSetup(t)
 	f := newCountingFeaturizer()
-	scored, _ := enumerateScored(context.Background(), g, withFeaturizer(m, f), 0, 1, nil)
+	scored, _ := enumerateScored(context.Background(), g, withFeaturizer(m, f), 0, 1, nil, nil)
 	if len(scored) < fanoutCliques {
 		t.Fatalf("only %d cliques; the round must exceed the default fan-out point", len(scored))
 	}
@@ -153,7 +153,7 @@ func TestPipelineEnumerateScoredMatchesSerial(t *testing.T) {
 				want = limit
 			}
 			for _, workers := range []int{1, 2, 3, 8, 64} {
-				got, truncated := enumerateScored(context.Background(), tc.g, m, limit, workers, nil)
+				got, truncated := enumerateScored(context.Background(), tc.g, m, limit, workers, nil, nil)
 				if len(got) != want {
 					t.Fatalf("%s: limit=%d workers=%d: %d cliques, want %d", tc.name, limit, workers, len(got), want)
 				}
@@ -187,7 +187,7 @@ func TestPipelineLimitBoundsEnumeration(t *testing.T) {
 		for _, limit := range []int{1, 3, 10} {
 			for _, workers := range []int{1, 2, 4, 8} {
 				f := newCountingFeaturizer()
-				got, truncated := enumerateScored(context.Background(), tc.g, withFeaturizer(m, f), limit, workers, nil)
+				got, truncated := enumerateScored(context.Background(), tc.g, withFeaturizer(m, f), limit, workers, nil, nil)
 				if len(got) != limit || !truncated {
 					t.Fatalf("%s: limit=%d workers=%d: %d cliques (truncated=%v), want the first %d", tc.name, limit, workers, len(got), truncated, limit)
 				}
@@ -210,7 +210,7 @@ func TestRoundCancelledBeforeScoring(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if scored, _ := enumerateScored(ctx, g, cm, 0, 2, nil); len(scored) != 0 || f.calls.Load() != 0 {
+	if scored, _ := enumerateScored(ctx, g, cm, 0, 2, nil, nil); len(scored) != 0 || f.calls.Load() != 0 {
 		t.Fatalf("cancelled loop returned %d cliques after %d scoring calls, want none", len(scored), f.calls.Load())
 	}
 	var before, after bytes.Buffer

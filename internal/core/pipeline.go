@@ -6,11 +6,18 @@
 // bucket. ScoreCliques runs through the same loop over a given list, one
 // clique per seed.
 //
+// Before the first claim the loop builds one graph.PairTable over the
+// whole graph, which every worker reads ω and MHH off: the graph does not
+// change while the loop runs, and the maximal cliques of a dense round
+// share their pairs many times over, so each edge's MHH is computed once
+// instead of once per clique that holds it.
+//
 // Determinism: a clique's score depends only on the graph and the clique
-// (a scorer is pure scratch), and a seed's sub-stream is the same whoever
-// enumerates it, so joining the buckets in seed order yields the serial
-// enumeration stream, scored, at every worker count. The MaxCliqueLimit
-// cut is therefore a plain prefix of that stream.
+// (a scorer is pure scratch, and the table yields the sweep's integers),
+// and a seed's sub-stream is the same whoever enumerates it, so joining
+// the buckets in seed order yields the serial enumeration stream, scored,
+// at every worker count. The MaxCliqueLimit cut is therefore a plain
+// prefix of that stream.
 package core
 
 import (
@@ -19,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"marioh/internal/features"
 	"marioh/internal/graph"
 )
 
@@ -64,6 +72,26 @@ func (a *nodeArena) alloc(n int) []int {
 	return a.buf[lo : lo+n : lo+n]
 }
 
+// roundScratch is the worker state of one reconstruction's rounds: one
+// scorer per worker index. It lives for the whole reconstruction, so the
+// node-indexed arrays of the scorers' pair tables and scratches are
+// allocated once per run rather than once per round. A round uses it one
+// step at a time — the loop's workers, then the component search's —
+// never from two steps at once, so the table the loop's workers share
+// can be its first worker's, which that worker rebuilds for Phase 2.
+type roundScratch struct {
+	scorers []*scorer
+}
+
+// workers returns n scorers, one per worker index, creating missing
+// ones; call it before starting the workers.
+func (r *roundScratch) workers(n int) []*scorer {
+	for len(r.scorers) < n {
+		r.scorers = append(r.scorers, new(scorer))
+	}
+	return r.scorers[:n]
+}
+
 // resolveWorkers maps an Options.Parallelism value to a worker count:
 // ≤ 0 means one worker per GOMAXPROCS, otherwise the value itself.
 func resolveWorkers(parallelism int) int {
@@ -80,10 +108,11 @@ func resolveWorkers(parallelism int) int {
 // when non-nil, relabels clique nodes from g's ids to mapBack[id] after
 // scoring (the induced-subgraph dirty path); it must be ascending so
 // relabeled cliques stay sorted. ctx is polled before each seed claim;
-// after cancellation the result is partial and must be dropped.
-func enumerateScored(ctx context.Context, g *graph.Graph, m *Model, limit, workers int, mapBack []int) ([]scoredClique, bool) {
+// after cancellation the result is partial and must be dropped. rs
+// supplies the workers' scratch; nil uses a fresh one.
+func enumerateScored(ctx context.Context, g *graph.Graph, m *Model, limit, workers int, mapBack []int, rs *roundScratch) ([]scoredClique, bool) {
 	s := g.CliqueSeeds(2)
-	l := &seedLoop{ctx: ctx, g: g, m: m, limit: limit, mapBack: mapBack,
+	l := &seedLoop{ctx: ctx, g: g, m: m, limit: limit, mapBack: mapBack, rs: rs,
 		seed: func(w *seedWorker, i int) { s.EnumSeed(i, &w.enum, w.emit) }}
 	return l.run(s.NumSeeds(), workers, 0)
 }
@@ -109,8 +138,9 @@ type seedLoop struct {
 	ctx     context.Context
 	g       *graph.Graph
 	m       *Model
-	limit   int   // > 0 keeps the stream's first limit cliques
-	mapBack []int // nil = identity
+	limit   int           // > 0 keeps the stream's first limit cliques
+	mapBack []int         // nil = identity
+	rs      *roundScratch // nil = a fresh one
 	// seed scores seed i's cliques through w.score (or w.emit, which
 	// copies a reused enumeration buffer first).
 	seed func(w *seedWorker, i int)
@@ -125,18 +155,36 @@ type seedLoop struct {
 // buckets' cliques reach fanoutAt; only then does it start the helpers.
 // known is the clique count the caller knows up front (a round learns its
 // count while it enumerates).
+//
+// The pair table is built on the calling goroutine before the first
+// claim and only read after it; the helpers start after the build. It is
+// skipped when ctx is already cancelled or the featurizer reads no pair
+// statistics.
 func (l *seedLoop) run(n, workers, known int) ([]scoredClique, bool) {
+	if l.rs == nil {
+		l.rs = new(roundScratch)
+	}
 	l.buckets = make([][]scoredClique, n)
 	helpers := min(workers, n) - 1
+	scs := l.rs.workers(max(helpers+1, 1))
+	var table *graph.PairTable
+	if n > 0 && l.ctx.Err() == nil && features.UsesPairTable(l.m.Feat) {
+		table = &scs[0].table
+		table.Build(l.g, nil)
+	}
+	for _, sc := range scs {
+		sc.feat.UseTable(table)
+	}
 	var wg sync.WaitGroup
-	w := l.newWorker()
+	w := l.newWorker(scs[0])
 	for {
 		if helpers > 0 && known+int(l.done.Load()) >= fanoutAt {
 			for ; helpers > 0; helpers-- {
+				sc := scs[helpers]
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					hw := l.newWorker()
+					hw := l.newWorker(sc)
 					for l.step(hw) {
 					}
 				}()
@@ -147,6 +195,9 @@ func (l *seedLoop) run(n, workers, known int) ([]scoredClique, bool) {
 		}
 	}
 	wg.Wait()
+	for _, sc := range scs {
+		sc.feat.UseTable(nil)
+	}
 	return l.join()
 }
 
@@ -200,7 +251,7 @@ func (l *seedLoop) join() ([]scoredClique, bool) {
 // buckets cut from it.
 type seedWorker struct {
 	l     *seedLoop
-	sc    scorer
+	sc    *scorer
 	arena nodeArena
 	enum  graph.CliqueEnum
 	emit  func([]int) bool // w.keep, bound once so a seed costs no closure
@@ -208,8 +259,8 @@ type seedWorker struct {
 	lo    int // start of the current seed's bucket in out
 }
 
-func (l *seedLoop) newWorker() *seedWorker {
-	w := &seedWorker{l: l}
+func (l *seedLoop) newWorker(sc *scorer) *seedWorker {
+	w := &seedWorker{l: l, sc: sc}
 	w.emit = w.keep
 	return w
 }
@@ -227,7 +278,7 @@ func (w *seedWorker) keep(c []int) bool {
 // emit more: a bucket never needs more than limit cliques.
 func (w *seedWorker) score(nodes []int) bool {
 	l := w.l
-	s := l.m.scoreScratch(l.g, nodes, true, &w.sc)
+	s := l.m.scoreScratch(l.g, nodes, true, w.sc)
 	if l.mapBack != nil {
 		for j, u := range nodes {
 			nodes[j] = l.mapBack[u]

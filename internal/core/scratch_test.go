@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -101,69 +103,100 @@ func phase2Fixture(t *testing.T, feat features.Featurizer) (g *graph.Graph, m *M
 }
 
 // TestExploreSubcliquesMatchesPerDrawScoring: Phase 2's draws, scored off
-// one pair sweep per parent, must be the sub-cliques Sample draws from the
-// same stream, with the scores a full Compute of each gives, bit for bit,
-// and must leave the stream where per-draw sampling leaves it.
+// one read of each parent's pairs — from a sweep, or off the component's
+// pair table as exploreParents builds it — must be the sub-cliques Sample
+// draws from the same stream, with the scores a full Compute of each
+// gives on the sweep path, bit for bit, and must leave the stream where
+// per-draw sampling leaves it.
 func TestExploreSubcliquesMatchesPerDrawScoring(t *testing.T) {
 	for _, name := range []string{"marioh", "marioh-nomhh", "shyre-count", "shyre-motif"} {
 		feat, _ := features.ByName(name)
 		g, m, parents := phase2Fixture(t, feat)
-		rngA, rngB := newSampleRNG(3), newSampleRNG(3)
-		var sc, ref scorer
-		var ps PermSampler
-		var got []scoredClique
-		for _, q := range parents {
-			got = exploreSubcliques(g, m, q, -1, rngA, &sc, got)
+		ps := make([]scoredClique, len(parents))
+		for i, q := range parents {
+			ps[i].nodes = q
 		}
-		i := 0
-		for _, q := range parents {
-			for k := 2; k <= len(q)-1; k++ {
-				sub := ps.Sample(q, k, rngB)
-				want := m.scoreScratch(g, sub, false, &ref)
-				if i >= len(got) {
-					t.Fatalf("%s: %d draws, want more", name, len(got))
+		for _, table := range []bool{false, true} {
+			rngA, rngB := newSampleRNG(3), newSampleRNG(3)
+			var sc, ref scorer
+			var got []scoredClique
+			if table {
+				got, _ = exploreParents(context.Background(), g, m, ps, -1, rngA, &sc, nil)
+			} else {
+				for _, q := range parents {
+					got = exploreSubcliques(g, m, q, -1, rngA, &sc, got)
 				}
-				if !reflect.DeepEqual(got[i].nodes, sub) || math.Float64bits(got[i].score) != math.Float64bits(want) {
-					t.Fatalf("%s draw %d of %v: %v scored %v, want %v scored %v",
-						name, i, q, got[i].nodes, got[i].score, sub, want)
-				}
-				i++
 			}
-		}
-		if i != len(got) || rngA.s != rngB.s {
-			t.Fatalf("%s: %d draws (want %d), stream at %d (want %d)", name, len(got), i, rngA.s, rngB.s)
+			checkDraws(t, fmt.Sprintf("%s (table=%v)", name, table), g, m, parents, got, rngA, rngB, &ref)
 		}
 	}
 }
 
-// TestPhase2AllocationsBounded: with a warm scorer, Phase 2 allocates one
-// node slice per draw that scores above θ and nothing for the rest.
-func TestPhase2AllocationsBounded(t *testing.T) {
-	g, m, parents := phase2Fixture(t, features.Marioh{})
-	var sc scorer
-	var rng sampleRNG
-	var subs []scoredClique
-	explore := func(theta float64) {
-		rng = sampleRNG{s: 11}
-		subs = subs[:0]
-		for _, q := range parents {
-			subs = exploreSubcliques(g, m, q, theta, &rng, &sc, subs)
+// checkDraws compares Phase 2's draws got, drawn from rngA, against
+// per-draw sampling from rngB and scoring on ref.
+func checkDraws(t *testing.T, name string, g *graph.Graph, m *Model, parents [][]int, got []scoredClique, rngA, rngB *sampleRNG, ref *scorer) {
+	t.Helper()
+	var ps PermSampler
+	i := 0
+	for _, q := range parents {
+		for k := 2; k <= len(q)-1; k++ {
+			sub := ps.Sample(q, k, rngB)
+			want := m.scoreScratch(g, sub, false, ref)
+			if i >= len(got) {
+				t.Fatalf("%s: %d draws, want more", name, len(got))
+			}
+			if !reflect.DeepEqual(got[i].nodes, sub) || math.Float64bits(got[i].score) != math.Float64bits(want) {
+				t.Fatalf("%s draw %d of %v: %v scored %v, want %v scored %v",
+					name, i, q, got[i].nodes, got[i].score, sub, want)
+			}
+			i++
 		}
 	}
-	explore(-1) // every draw: warms the scorer and sizes subs
-	draws := len(subs)
-	scores := make([]float64, draws)
-	for i, s := range subs {
-		scores[i] = s.score
+	if i != len(got) || rngA.s != rngB.s {
+		t.Fatalf("%s: %d draws (want %d), stream at %d (want %d)", name, len(got), i, rngA.s, rngB.s)
 	}
-	slices.Sort(scores)
-	theta := scores[draws*3/4]
-	explore(theta)
-	kept := len(subs)
-	allocs := testing.AllocsPerRun(10, func() { explore(theta) })
-	if allocs > float64(kept) || kept >= draws/2 {
-		t.Fatalf("Phase 2 allocates %.0f times for %d draws, %d above θ; want at most one per kept draw",
-			allocs, draws, kept)
+}
+
+// TestPhase2AllocationsBounded: with a warm scorer, Phase 2 allocates one
+// node slice per draw that scores above θ and nothing for the rest — on
+// the sweep path and on the table path, whose table rebuilds into the
+// warm arrays of the previous build.
+func TestPhase2AllocationsBounded(t *testing.T) {
+	g, m, parents := phase2Fixture(t, features.Marioh{})
+	ps := make([]scoredClique, len(parents))
+	for i, q := range parents {
+		ps[i].nodes = q
+	}
+	for _, table := range []bool{false, true} {
+		var sc scorer
+		var rng sampleRNG
+		var subs []scoredClique
+		explore := func(theta float64) {
+			rng = sampleRNG{s: 11}
+			subs = subs[:0]
+			if table {
+				subs, _ = exploreParents(context.Background(), g, m, ps, theta, &rng, &sc, subs)
+				return
+			}
+			for _, q := range parents {
+				subs = exploreSubcliques(g, m, q, theta, &rng, &sc, subs)
+			}
+		}
+		explore(-1) // every draw: warms the scorer and sizes subs
+		draws := len(subs)
+		scores := make([]float64, draws)
+		for i, s := range subs {
+			scores[i] = s.score
+		}
+		slices.Sort(scores)
+		theta := scores[draws*3/4]
+		explore(theta)
+		kept := len(subs)
+		allocs := testing.AllocsPerRun(10, func() { explore(theta) })
+		if allocs > float64(kept) || kept >= draws/2 {
+			t.Fatalf("table=%v: Phase 2 allocates %.0f times for %d draws, %d above θ; want at most one per kept draw",
+				table, allocs, draws, kept)
+		}
 	}
 }
 
@@ -225,7 +258,9 @@ func TestScoreScratchMatchesScore(t *testing.T) {
 }
 
 // TestScoreCliquesAllocationFree: the steady-state scoring pass must not
-// allocate per clique (a handful of setup allocations are allowed).
+// allocate per clique, on the sweep path or reading pairs off a warm
+// table that is rebuilt every round, as the enumerate-and-score loop
+// rebuilds it.
 func TestScoreCliquesAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	h := randomHypergraph(rng, 40, 120)
@@ -235,24 +270,28 @@ func TestScoreCliquesAllocationFree(t *testing.T) {
 	if len(cliques) < 20 {
 		t.Fatalf("want a meaty round, got %d cliques", len(cliques))
 	}
-	var sc scorer
-	// Warm the scratch, then measure.
-	for _, q := range cliques {
-		m.scoreScratch(g, q, true, &sc)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		for _, q := range cliques {
-			m.scoreScratch(g, q, true, &sc)
+	for _, table := range []bool{false, true} {
+		var sc scorer
+		round := func() {
+			if table {
+				sc.table.Build(g, nil)
+				sc.feat.UseTable(&sc.table)
+			}
+			for _, q := range cliques {
+				m.scoreScratch(g, q, true, &sc)
+			}
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state scoring allocates %.1f times per round over %d cliques, want 0",
-			allocs, len(cliques))
+		round() // warm the scratch and the table, then measure
+		if allocs := testing.AllocsPerRun(10, round); allocs > 0 {
+			t.Fatalf("table=%v: steady-state scoring allocates %.1f times per round over %d cliques, want 0",
+				table, allocs, len(cliques))
+		}
 	}
 }
 
-// TestScoreCliquesScratchParallelMatchesSequential: the chunked fan-out
-// with per-worker scratch must reproduce the sequential scores exactly.
+// TestScoreCliquesScratchParallelMatchesSequential: ScoreCliques past the
+// fan-out point, its workers reading one shared pair table, must
+// reproduce the sequential sweep's scores exactly.
 func TestScoreCliquesScratchParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	h := randomHypergraph(rng, 30, 80)

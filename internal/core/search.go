@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"marioh/internal/features"
 	"marioh/internal/graph"
 	"marioh/internal/hypergraph"
 )
@@ -83,6 +84,9 @@ type SearchOptions struct {
 	// scores if the residual graph has not changed, and records this
 	// round's for the next.
 	cache *roundCache
+	// scratch, when non-nil, is the reconstruction's worker state, kept
+	// across its rounds; nil gives the round a fresh one.
+	scratch *roundScratch
 }
 
 // BidirectionalSearch performs one round of MARIOH's Algorithm 3 on the
@@ -109,6 +113,10 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 
 	workers := resolveWorkers(opts.Parallelism)
 	key := componentKeys(g, opts.OrigID)
+	rs := opts.scratch
+	if rs == nil {
+		rs = new(roundScratch)
+	}
 
 	// Partition the live components into cached ones (unchanged since
 	// their last enumeration) and dirty ones that need a fresh pass.
@@ -143,14 +151,14 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 		if opts.cache == nil || len(opts.cache.comps) == 0 {
 			// Cache-free (the serial pipeline) or fully cold: enumerate
 			// and score the graph directly.
-			scored, truncated = enumerateScored(ctx, g, m, opts.MaxCliqueLimit, workers, nil)
+			scored, truncated = enumerateScored(ctx, g, m, opts.MaxCliqueLimit, workers, nil, rs)
 		} else {
 			// Re-enumerate and re-score only the changed components,
 			// through the induced subgraph — exact because dirtyNodes is
 			// a union of whole components, the relabeling is
 			// order-preserving, and every feature is component-local.
 			sub, back := g.Subgraph(dirtyNodes)
-			scored, truncated = enumerateScored(ctx, sub, m, opts.MaxCliqueLimit, workers, back)
+			scored, truncated = enumerateScored(ctx, sub, m, opts.MaxCliqueLimit, workers, back, rs)
 		}
 		if ctx.Err() != nil {
 			return 0
@@ -172,14 +180,14 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 	accepted := 0
 	acceptedBy := make(map[int]int, len(groups))
 	if workers > 1 && len(keys) > 1 {
-		accepted = searchComponentsParallel(g, m, opts, rec, keys, groups, acceptedBy, workers)
+		accepted = searchComponentsParallel(g, m, opts, rec, keys, groups, acceptedBy, rs.workers(min(workers, len(keys))))
 	} else {
-		var sc scorer
+		sc := rs.workers(1)[0]
 		for _, k := range keys {
 			if ctx.Err() != nil {
 				break
 			}
-			edges := searchComponent(g, m, opts, k, groups[k], &sc)
+			edges := searchComponent(g, m, opts, k, groups[k], sc)
 			for _, e := range edges {
 				rec.Add(e)
 			}
@@ -217,17 +225,18 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 }
 
 // searchComponentsParallel fans searchComponent over the components of
-// the round. Safe because components never share edges: each worker
-// mutates only its component's adjacency rows (the graph's global edge/
-// weight counters are atomic), and every graph read a component's search
-// performs — scoring features, edge-presence checks — is local to that
-// component, so it observes exactly the state the serial walk would.
-// Acceptances land in index-addressed per-component buffers, never in
-// shared state, and are merged into rec in ascending key order after the
-// join — the order the serial walk inserts them — so rec's in-memory
-// insertion order, the acceptance counts, and the cache bookkeeping all
-// match the serial path exactly.
-func searchComponentsParallel(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergraph.Hypergraph, keys []int, groups map[int][]scoredClique, acceptedBy map[int]int, workers int) int {
+// the round, one worker per scorer. Safe because components never share
+// edges: each worker mutates only its component's adjacency rows (the
+// graph's global edge/weight counters are atomic), and every graph read a
+// component's search performs — scoring features, its pair table's
+// build, edge-presence checks — is local to that component, so it
+// observes exactly the state the serial walk would. Acceptances land in
+// index-addressed per-component buffers, never in shared state, and are
+// merged into rec in ascending key order after the join — the order the
+// serial walk inserts them — so rec's in-memory insertion order, the
+// acceptance counts, and the cache bookkeeping all match the serial path
+// exactly.
+func searchComponentsParallel(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergraph.Hypergraph, keys []int, groups map[int][]scoredClique, acceptedBy map[int]int, scs []*scorer) int {
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -236,20 +245,16 @@ func searchComponentsParallel(g *graph.Graph, m *Model, opts SearchOptions, rec 
 	processed := make([]bool, len(keys))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	if workers > len(keys) {
-		workers = len(keys)
-	}
-	for i := 0; i < workers; i++ {
+	for _, sc := range scs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sc scorer
 			for {
 				idx := int(next.Add(1)) - 1
 				if idx >= len(keys) || ctx.Err() != nil {
 					return
 				}
-				results[idx] = searchComponent(g, m, opts, keys[idx], groups[keys[idx]], &sc)
+				results[idx] = searchComponent(g, m, opts, keys[idx], groups[keys[idx]], sc)
 				processed[idx] = true
 			}
 		}()
@@ -318,12 +323,9 @@ func searchComponent(g *graph.Graph, m *Model, opts SearchOptions, compKey int, 
 		return accepted
 	}
 	rng := newSampleRNG(sampleSeed(opts.Seed, opts.Round, compKey))
-	var subs []scoredClique
-	for i, c := range rest[:nNeg] {
-		if i&0x3ff == 0 && ctx.Err() != nil {
-			return accepted
-		}
-		subs = exploreSubcliques(g, m, c.nodes, opts.Theta, rng, sc, subs)
+	subs, ok := exploreParents(ctx, g, m, rest[:nNeg], opts.Theta, rng, sc, nil)
+	if !ok {
+		return accepted
 	}
 	sortByScoreDesc(subs)
 	for _, c := range subs {
@@ -335,15 +337,42 @@ func searchComponent(g *graph.Graph, m *Model, opts SearchOptions, compKey int, 
 	return accepted
 }
 
+// exploreParents is Phase 2's scoring step for one component: it explores
+// the parents in order on one stream and appends the draws scoring above
+// theta to subs. When m's featurizer reads pair statistics, it first
+// builds sc's pair table over the parents' nodes and attaches it for the
+// draws, detaching it before it returns. That is exact because Phase 1
+// is over and Phase 2 scores all of a component's draws before it
+// consumes an edge: pairs Phase 1 consumed are non-edges of the table's
+// graph, which the table computes as the sweep does. ctx is polled every
+// 1024 parents; ok is false after cancellation, and subs must be dropped.
+func exploreParents(ctx context.Context, g *graph.Graph, m *Model, parents []scoredClique, theta float64, rng *sampleRNG, sc *scorer, subs []scoredClique) (_ []scoredClique, ok bool) {
+	if features.UsesPairTable(m.Feat) {
+		sc.cover = sc.cover[:0]
+		for _, c := range parents {
+			sc.cover = append(sc.cover, c.nodes...)
+		}
+		sc.table.Build(g, sc.cover)
+		sc.feat.UseTable(&sc.table)
+		defer sc.feat.UseTable(nil)
+	}
+	for i, c := range parents {
+		if i&0x3ff == 0 && ctx.Err() != nil {
+			return subs, false
+		}
+		subs = exploreSubcliques(g, m, c.nodes, theta, rng, sc, subs)
+	}
+	return subs, true
+}
+
 // exploreSubcliques is Phase 2's draw for one parent clique q: one random
 // k-subset per size k ∈ [2, |q|−1] from rng, each scored as non-maximal;
 // those scoring above theta are appended to subs. Every draw's features
-// are read off one pair sweep of q (features.ComputeSub), exact because
-// Phase 2 scores all of a component's draws before it consumes an edge,
-// and a draw gets its own node slice only when it scores above theta.
-// q must be sorted — enumeration emits sorted cliques and the subgraph
-// remap preserves order — so that q at sorted positions is the sorted
-// subset Sample would return.
+// are read off q's pairs, read once (features.ComputeSub) off sc's
+// attached table or from one sweep, and a draw gets its own node slice
+// only when it scores above theta. q must be sorted — enumeration emits
+// sorted cliques and the subgraph remap preserves order — so that q at
+// sorted positions is the sorted subset Sample would return.
 func exploreSubcliques(g *graph.Graph, m *Model, q []int, theta float64, rng *sampleRNG, sc *scorer, subs []scoredClique) []scoredClique {
 	sc.parent.Reset(q)
 	for k := 2; k <= len(q)-1; k++ {
@@ -361,15 +390,15 @@ func exploreSubcliques(g *graph.Graph, m *Model, q []int, theta float64, rng *sa
 
 // ScoreSubcliques is the exported form of Phase 2's scoring step, used by
 // benchmarks: it explores every parent (a sorted clique of g) as a round's
-// Phase 2 does, drawing from one stream seeded by seed, and returns how
-// many draws score above theta. g is not modified.
+// Phase 2 does for one component, pair table included, drawing from one
+// stream seeded by seed, and returns how many draws score above theta.
+// g is not modified.
 func ScoreSubcliques(g *graph.Graph, m *Model, parents [][]int, theta float64, seed int64) int {
-	rng := newSampleRNG(seed)
-	var sc scorer
-	var subs []scoredClique
-	for _, q := range parents {
-		subs = exploreSubcliques(g, m, q, theta, rng, &sc, subs)
+	ps := make([]scoredClique, len(parents))
+	for i, q := range parents {
+		ps[i].nodes = q
 	}
+	subs, _ := exploreParents(context.Background(), g, m, ps, theta, newSampleRNG(seed), new(scorer), nil)
 	return len(subs)
 }
 

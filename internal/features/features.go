@@ -16,9 +16,15 @@
 // heap allocations. Custom featurizers that only implement Featurizer keep
 // working through the same entry point at the cost of an allocation.
 //
-// ComputeSub scores sub-cliques of one parent clique. Marioh reads their
-// pair statistics off one sweep of the parent; every other featurizer
-// gets Compute on the built sub-clique. Both give Compute's values.
+// Marioh reads two statistics per clique pair, ω and MHH. By default it
+// computes them with one graph.CliquePairStats sweep per clique. A
+// Scratch with a graph.PairTable attached (UseTable) reads them off the
+// table instead, so a caller that scores many cliques of one unchanged
+// graph — a round of the search, training-example extraction — computes
+// each edge's MHH once; UsesPairTable tells whether a featurizer reads
+// them at all. ComputeSub scores sub-cliques of one parent clique: Marioh
+// reads their pairs off the parent's, and every other featurizer gets
+// Compute on the built sub-clique. Every path gives Compute's values.
 package features
 
 import (
@@ -53,6 +59,23 @@ type Scratch struct {
 	node, edge1, edge2, edge3 []float64 // value-family staging
 	out                       []float64 // Compute's result buffer
 	pair                      graph.PairScratch
+	table                     *graph.PairTable // see UseTable
+}
+
+// UseTable makes s read pair statistics off t for cliques of t's graph
+// until the next UseTable; nil returns s to one sweep per clique. Cliques
+// of any other graph are still swept. t may be shared by several
+// Scratches, but no edge incident to a node it covers may change while
+// one of them uses it.
+func (s *Scratch) UseTable(t *graph.PairTable) { s.table = t }
+
+// pairStats returns ω and MHH of every pair of q in CliquePairStats
+// order, off s's table when it was built over g.
+func (s *Scratch) pairStats(g *graph.Graph, q []int) (omega, mhh []int) {
+	if s.table != nil && s.table.Graph() == g {
+		return s.table.CliquePairStats(q, &s.pair)
+	}
+	return g.CliquePairStats(q, &s.pair)
 }
 
 // Compute evaluates f on the clique. When f supports the allocation-free
@@ -68,25 +91,26 @@ func Compute(f Featurizer, s *Scratch, g *graph.Graph, clique []int, maximal boo
 }
 
 // Parent is a clique whose sub-cliques ComputeSub scores. Featurizers
-// that support it sweep the parent's pair statistics once, on the first
-// ComputeSub call that needs them, and read every sub-clique's pairs off
-// that table: ω(u,v) and MHH(u,v) depend only on the pair and the graph,
-// not on the clique they are read through. Neither the parent nor the
-// graph may change between Reset and the last ComputeSub on it. The zero
-// value is ready to use; one Parent per worker.
+// that support it read the parent's pair statistics once — off the
+// Scratch's table, or from one sweep — on the first ComputeSub call that
+// needs them, and read every sub-clique's pairs off that copy: ω(u,v)
+// and MHH(u,v) depend only on the pair and the graph, not on the clique
+// they are read through. Neither the parent nor the graph may change
+// between Reset and the last ComputeSub on it. The zero value is ready
+// to use; one Parent per worker.
 type Parent struct {
 	q            []int
-	swept        bool
-	omega, mhh   []int // the parent's pair table, once swept
+	read         bool
+	omega, mhh   []int // the parent's pairs, once read
 	nodes        []int // the sub-clique being scored
-	subW, subMHH []int // its pairs, gathered from the table
+	subW, subMHH []int // its pairs, gathered from the parent's
 }
 
 // Reset makes q the parent clique of the ComputeSub calls that follow.
 // q is kept by reference, not copied.
 func (p *Parent) Reset(q []int) {
 	p.q = q
-	p.swept = false
+	p.read = false
 }
 
 // subclique returns the sub-clique at the ascending positions pos of the
@@ -100,15 +124,15 @@ func (p *Parent) subclique(pos []int) []int {
 }
 
 // pairs returns the ω and MHH tables of the sub-clique at pos, gathered
-// from the parent's table, which is swept on first use. The parent's
-// table is copied out of s.pair so that other users of s between two
-// ComputeSub calls cannot overwrite it.
+// from the parent's, which are read on first use. The parent's are
+// copied out of s.pair so that other users of s between two ComputeSub
+// calls cannot overwrite them.
 func (p *Parent) pairs(g *graph.Graph, s *Scratch, pos []int) (omega, mhh []int) {
-	if !p.swept {
-		w, m := g.CliquePairStats(p.q, &s.pair)
+	if !p.read {
+		w, m := s.pairStats(g, p.q)
 		p.omega = append(p.omega[:0], w...)
 		p.mhh = append(p.mhh[:0], m...)
-		p.swept = true
+		p.read = true
 	}
 	n := len(p.q)
 	p.subW, p.subMHH = p.subW[:0], p.subMHH[:0]
@@ -122,19 +146,28 @@ func (p *Parent) pairs(g *graph.Graph, s *Scratch, pos []int) (omega, mhh []int)
 	return p.subW, p.subMHH
 }
 
-// subcliqueFeaturizer is implemented by featurizers that read a
-// sub-clique's features off its parent's pair table.
-type subcliqueFeaturizer interface {
+// pairFeaturizer is implemented by the featurizers that read ω and MHH
+// pair statistics: they read a sub-clique's features off its parent's
+// pairs, and a clique's off a Scratch's table when one is attached.
+type pairFeaturizer interface {
 	appendSubclique(dst []float64, s *Scratch, g *graph.Graph, p *Parent, pos []int, maximal bool) []float64
+}
+
+// UsesPairTable reports whether f reads pair statistics through its
+// Scratch, so that attaching a graph.PairTable (Scratch.UseTable) can
+// save it work. Featurizers for which it is false never read a table.
+func UsesPairTable(f Featurizer) bool {
+	_, ok := f.(pairFeaturizer)
+	return ok
 }
 
 // ComputeSub evaluates f on the sub-clique of p's parent at the ascending
 // positions pos and returns exactly what Compute returns on that
 // sub-clique, in the same buffer. Featurizers that can (Marioh) read it
-// off the parent's pair table; any other featurizer, including ones
+// off the parent's pairs; any other featurizer, including ones
 // registered at run time, falls back to Compute on the built sub-clique.
 func ComputeSub(f Featurizer, s *Scratch, g *graph.Graph, p *Parent, pos []int, maximal bool) []float64 {
-	if sf, ok := f.(subcliqueFeaturizer); ok {
+	if sf, ok := f.(pairFeaturizer); ok {
 		s.out = sf.appendSubclique(s.out[:0], s, g, p, pos, maximal)
 		return s.out
 	}
@@ -199,13 +232,13 @@ func (m Marioh) Features(g *graph.Graph, q []int, maximal bool) []float64 {
 
 // AppendFeatures implements AppendFeaturizer.
 func (Marioh) AppendFeatures(dst []float64, s *Scratch, g *graph.Graph, q []int, maximal bool) []float64 {
-	pairW, pairMHH := g.CliquePairStats(q, &s.pair)
+	pairW, pairMHH := s.pairStats(g, q)
 	return appendMarioh(dst, s, g, q, pairW, pairMHH, maximal)
 }
 
-// appendSubclique implements subcliqueFeaturizer. A parent of three nodes
-// or fewer is not swept: its proper sub-cliques are pairs, whose two
-// sorted merges cost less than a sweep.
+// appendSubclique implements pairFeaturizer. A parent of three nodes or
+// fewer is not read whole: its proper sub-cliques are pairs, each read
+// directly.
 func (m Marioh) appendSubclique(dst []float64, s *Scratch, g *graph.Graph, p *Parent, pos []int, maximal bool) []float64 {
 	if len(p.q) < 4 {
 		return m.AppendFeatures(dst, s, g, p.subclique(pos), maximal)

@@ -11,7 +11,7 @@ import (
 // TestAppendFeaturesMatchesFeatures: for every built-in featurizer the
 // allocation-free Compute path must return exactly the vector Features
 // returns, including when the scratch is reused across cliques of
-// different sizes.
+// different sizes, and when it reads pairs off a graph.PairTable.
 func TestAppendFeaturesMatchesFeatures(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := graph.New(25)
@@ -35,17 +35,22 @@ func TestAppendFeaturesMatchesFeatures(t *testing.T) {
 		if _, ok := f.(AppendFeaturizer); !ok {
 			t.Fatalf("%s does not implement AppendFeaturizer", name)
 		}
-		var s Scratch
-		for _, q := range cliques {
-			for _, maximal := range []bool{true, false} {
-				want := f.Features(g, q, maximal)
-				got := Compute(f, &s, g, q, maximal)
-				if len(want) != f.Dim() {
-					t.Fatalf("%s: Features returned %d dims, want %d", name, len(want), f.Dim())
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s on %v (maximal=%v):\n scratch %v\n  direct %v",
-						name, q, maximal, got, want)
+		var plain, tabled Scratch
+		var tab graph.PairTable
+		tab.Build(g, nil)
+		tabled.UseTable(&tab)
+		for _, s := range []*Scratch{&plain, &tabled} {
+			for _, q := range cliques {
+				for _, maximal := range []bool{true, false} {
+					want := f.Features(g, q, maximal)
+					got := Compute(f, s, g, q, maximal)
+					if len(want) != f.Dim() {
+						t.Fatalf("%s: Features returned %d dims, want %d", name, len(want), f.Dim())
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s on %v (maximal=%v, table=%v):\n scratch %v\n  direct %v",
+							name, q, maximal, s == &tabled, got, want)
+					}
 				}
 			}
 		}

@@ -67,48 +67,59 @@ func subsets(n int, fn func(pos []int)) {
 
 // TestComputeSubMatchesCompute: for every built-in featurizer and a plain
 // one, scoring a sub-clique through its parent must give, bit for bit,
-// what Compute gives on the built sub-clique — on a residual graph where
-// some of the parent's pairs are gone.
+// what Compute's sweep gives on the built sub-clique — on a residual
+// graph where some of the parent's pairs are gone, and with the parent's
+// pairs read off a graph.PairTable over the parents, as Phase 2 builds
+// one after Phase 1.
 func TestComputeSubMatchesCompute(t *testing.T) {
 	g, cliques := residualGraph(t, 23)
+	var cover []int
+	for _, q := range cliques {
+		cover = append(cover, q...)
+	}
+	var tab graph.PairTable
+	tab.Build(g, cover)
 	featurizers := []Featurizer{Marioh{}, MariohNoMHH{}, ShyreCount{}, ShyreMotif{}, plainMarioh{}}
 	zeroPairs, swept := 0, 0
 	for _, f := range featurizers {
-		var s, ref Scratch
-		var p Parent
-		for _, q := range cliques {
-			if len(q) < 3 || len(q) > 10 {
-				continue
-			}
-			p.Reset(q)
-			subsets(len(q), func(pos []int) {
-				sub := make([]int, len(pos))
-				for i, j := range pos {
-					sub[i] = q[j]
+		for _, table := range []*graph.PairTable{nil, &tab} {
+			var s, ref Scratch
+			var p Parent
+			s.UseTable(table)
+			for _, q := range cliques {
+				if len(q) < 3 || len(q) > 10 {
+					continue
 				}
-				for _, maximal := range []bool{false, true} {
-					want := append([]float64(nil), Compute(f, &ref, g, sub, maximal)...)
-					got := ComputeSub(f, &s, g, &p, pos, maximal)
-					if len(got) != len(want) {
-						t.Fatalf("%s on %v at %v: %d dims, want %d", f.Name(), q, pos, len(got), len(want))
+				p.Reset(q)
+				subsets(len(q), func(pos []int) {
+					sub := make([]int, len(pos))
+					for i, j := range pos {
+						sub[i] = q[j]
 					}
-					for d := range want {
-						if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
-							t.Fatalf("%s on %v at %v (maximal=%v): dim %d = %v, Compute gives %v",
-								f.Name(), q, pos, maximal, d, got[d], want[d])
+					for _, maximal := range []bool{false, true} {
+						want := append([]float64(nil), Compute(f, &ref, g, sub, maximal)...)
+						got := ComputeSub(f, &s, g, &p, pos, maximal)
+						if len(got) != len(want) {
+							t.Fatalf("%s on %v at %v: %d dims, want %d", f.Name(), q, pos, len(got), len(want))
 						}
+						for d := range want {
+							if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
+								t.Fatalf("%s on %v at %v (maximal=%v, table=%v): dim %d = %v, Compute gives %v",
+									f.Name(), q, pos, maximal, table != nil, d, got[d], want[d])
+							}
+						}
+						// Interleaved Compute calls on the same scratch must
+						// not disturb the parent's pairs.
+						Compute(f, &s, g, q, maximal)
 					}
-					// Interleaved Compute calls on the same scratch must
-					// not disturb the parent's table.
-					Compute(f, &s, g, q, maximal)
-				}
-			})
-			if _, ok := f.(Marioh); ok && len(q) >= 4 {
-				swept++
-				for i := 0; i < len(q); i++ {
-					for j := i + 1; j < len(q); j++ {
-						if !g.HasEdge(q[i], q[j]) {
-							zeroPairs++
+				})
+				if _, ok := f.(Marioh); ok && table == nil && len(q) >= 4 {
+					swept++
+					for i := 0; i < len(q); i++ {
+						for j := i + 1; j < len(q); j++ {
+							if !g.HasEdge(q[i], q[j]) {
+								zeroPairs++
+							}
 						}
 					}
 				}

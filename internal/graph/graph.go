@@ -25,6 +25,18 @@
 // cached and maintained on every update. All iteration orders are
 // ascending by node id, which makes every algorithm in this package
 // deterministic.
+//
+// # Pair statistics
+//
+// MARIOH's classifier and its filter read two integers per node pair: ω
+// and the MHH bound SumMinCommonWeight. CliquePairStats computes both for
+// every pair of one clique in a single sweep over the members' neighbor
+// lists. A PairTable computes MHH for every edge among a set of covered
+// nodes in one pass, in rows parallel to the adjacency arrays, so a
+// caller that reads many cliques of an unchanged graph — a search round,
+// training-example extraction, the filter — computes each edge's MHH once
+// and reads it with one binary search. Both yield SumMinCommonWeight's
+// integers.
 package graph
 
 import (
