@@ -36,7 +36,8 @@ type Options struct {
 	// MaxRounds bounds the outer loop as a safety valve. Default 10000.
 	MaxRounds int
 	// MaxCliqueLimit caps per-round maximal-clique enumeration; ≤ 0 means
-	// unlimited.
+	// unlimited. The cap is exact on ReconstructContext; shards and
+	// session applies apply it per piece (see ReconstructSharded).
 	MaxCliqueLimit int
 	Seed           int64
 	// Parallelism bounds the worker fan-out inside each round: the
@@ -143,30 +144,36 @@ func Reconstruct(g *graph.Graph, m *Model, opts Options) *Result {
 // between rounds and inside the bidirectional search, so long runs stop
 // promptly when the context is cancelled. On cancellation it returns the
 // partial reconstruction built so far together with ctx.Err().
+//
+// It runs the library's one round engine (see reconstructGraph), whose
+// round cache reuses the cliques and scores of the components a round left
+// unchanged; the output is byte-identical to the cache-free round loop.
 func ReconstructContext(ctx context.Context, g *graph.Graph, m *Model, opts Options) (*Result, error) {
-	return reconstructGraph(ctx, g, m, opts, nil, nil)
+	return reconstructGraph(ctx, g, m, opts, nil)
 }
 
-// reconstructGraph is the round engine shared by the serial pipeline and
-// the per-shard executor. origID maps g's node ids back to the original
-// graph when g is a shard (nil = g is the original graph); cache, when
-// non-nil, lets rounds that accepted nothing skip re-enumeration and
-// re-scoring of the unchanged residual (the shard executor's fast path —
-// the serial pipeline runs cache-free as the reference implementation).
+// reconstructGraph is the round engine behind every entry point: the
+// serial pipeline, pieces, shards and session applies. origID maps g's
+// node ids back to the original graph when g is a piece (nil = g is the
+// original graph). Each run carries a round cache, so a round
+// re-enumerates and re-scores only the components that consumed edges
+// since their last enumeration, in place on the residual graph.
 //
 // Every round decomposes exactly over the connected components of the
 // residual graph: Phase 2's sampling streams and the stall fallback are
-// keyed per component (see SearchOptions), so reconstructing a union of
+// keyed per component (see SearchOptions), and every feature is
+// component-local (see features.Featurizer), so reconstructing a union of
 // components equals the union of their reconstructions, round for round.
-// That property is what lets ReconstructSharded split a graph across
-// shards and merge per-shard results into the serial pipeline's exact
-// output.
-func reconstructGraph(ctx context.Context, g *graph.Graph, m *Model, opts Options, origID []int, cache *roundCache) (*Result, error) {
+// That property is what makes the cache exact and lets ReconstructSharded
+// split a graph across shards and merge per-shard results into the serial
+// pipeline's exact output.
+func reconstructGraph(ctx context.Context, g *graph.Graph, m *Model, opts Options, origID []int) (*Result, error) {
 	opts.defaults()
 	work := g.Clone()
 	rec := hypergraph.New(g.NumNodes())
 	res := &Result{Hypergraph: rec}
 	rs := new(roundScratch)
+	cache := new(roundCache)
 
 	if err := ctx.Err(); err != nil {
 		return res, err

@@ -70,7 +70,7 @@ func TestScoreFanoutHonorsParallelism(t *testing.T) {
 	forceFanout(t)
 	m, g := pipelineTestSetup(t)
 	f := newCountingFeaturizer()
-	scored, _ := enumerateScored(context.Background(), g, withFeaturizer(m, f), 0, 1, nil, nil)
+	scored, _ := enumerateScored(context.Background(), g, withFeaturizer(m, f), nil, 0, 1, nil)
 	if len(scored) < fanoutCliques {
 		t.Fatalf("only %d cliques; the round must exceed the default fan-out point", len(scored))
 	}
@@ -121,9 +121,9 @@ type namedGraph struct {
 // TestPipelineEnumerateScoredMatchesSerial: with the fan-out forced at the
 // first clique, the loop's output at every worker count and limit is the
 // serial EachMaximalClique stream's prefix, in order, with scores that
-// bit-match serial scoring. (The induced-subgraph mapBack path is covered
-// end-to-end by TestParallelRoundEngineMatchesSerial's cached-piece runs,
-// whose dirty components re-enumerate through Subgraph.)
+// bit-match serial scoring. (A cached round's restriction to its dirty
+// components is pinned by graph's TestCliqueSeederWithinMatchesFilteredStream
+// and end to end by TestRoundCacheMatchesUncached.)
 func TestPipelineEnumerateScoredMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	forceFanout(t)
@@ -153,7 +153,7 @@ func TestPipelineEnumerateScoredMatchesSerial(t *testing.T) {
 				want = limit
 			}
 			for _, workers := range []int{1, 2, 3, 8, 64} {
-				got, truncated := enumerateScored(context.Background(), tc.g, m, limit, workers, nil, nil)
+				got, truncated := enumerateScored(context.Background(), tc.g, m, nil, limit, workers, nil)
 				if len(got) != want {
 					t.Fatalf("%s: limit=%d workers=%d: %d cliques, want %d", tc.name, limit, workers, len(got), want)
 				}
@@ -187,7 +187,7 @@ func TestPipelineLimitBoundsEnumeration(t *testing.T) {
 		for _, limit := range []int{1, 3, 10} {
 			for _, workers := range []int{1, 2, 4, 8} {
 				f := newCountingFeaturizer()
-				got, truncated := enumerateScored(context.Background(), tc.g, withFeaturizer(m, f), limit, workers, nil, nil)
+				got, truncated := enumerateScored(context.Background(), tc.g, withFeaturizer(m, f), nil, limit, workers, nil)
 				if len(got) != limit || !truncated {
 					t.Fatalf("%s: limit=%d workers=%d: %d cliques (truncated=%v), want the first %d", tc.name, limit, workers, len(got), truncated, limit)
 				}
@@ -210,7 +210,7 @@ func TestRoundCancelledBeforeScoring(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if scored, _ := enumerateScored(ctx, g, cm, 0, 2, nil, nil); len(scored) != 0 || f.calls.Load() != 0 {
+	if scored, _ := enumerateScored(ctx, g, cm, nil, 0, 2, nil); len(scored) != 0 || f.calls.Load() != 0 {
 		t.Fatalf("cancelled loop returned %d cliques after %d scoring calls, want none", len(scored), f.calls.Load())
 	}
 	var before, after bytes.Buffer
@@ -230,12 +230,13 @@ func TestRoundCancelledBeforeScoring(t *testing.T) {
 }
 
 // TestParallelRoundEngineMatchesSerial drives full reconstructions — the
-// serial pipeline, the cached piece engine, and the sharded orchestrator —
-// of eu and every corpus family at several parallelism settings, with the
+// serial pipeline, the piece engine, and the sharded orchestrator — of eu
+// and every corpus family at several parallelism settings, with the
 // fan-out forced at the first clique so the helpers and the per-component
-// search engage on every round however small, and requires the serial
-// run's bytes throughout. (The corpus package pins the serial bytes to
-// its goldens and repeats the sweep at the default fan-out point.)
+// search engage on every round however small, and requires the bytes of
+// the cache-free oracle (uncachedReconstruct) at parallelism 1
+// throughout. (The corpus package pins the serial bytes to its goldens
+// and repeats the sweep at the default fan-out point.)
 func TestParallelRoundEngineMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	m, eu := pipelineTestSetup(t)
@@ -246,12 +247,8 @@ func TestParallelRoundEngineMatchesSerial(t *testing.T) {
 	forceFanout(t)
 	for _, tc := range graphs {
 		name, g := tc.name, tc.g
-		serial, err := ReconstructContext(context.Background(), g, m, Options{Seed: 1, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := renderHG(t, serial.Hypergraph)
-		for _, par := range []int{0, 2, 8} {
+		want := uncachedReconstruct(t, g, m, Options{Seed: 1, Parallelism: 1})
+		for _, par := range []int{0, 1, 2, 8} {
 			opts := Options{Seed: 1, Parallelism: par}
 			res, err := ReconstructContext(context.Background(), g, m, opts)
 			if err != nil {

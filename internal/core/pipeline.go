@@ -1,16 +1,17 @@
-// The round's enumerate-and-score step: one worker loop over the seeds of
+// The round's enumerate-and-score step: one Fanout over the seeds of
 // graph.CliqueSeeder, the independent Bron–Kerbosch subtrees of the
-// degeneracy ordering. Each worker claims the next seed index from an
-// atomic counter, enumerates that seed's maximal cliques, scores each one
-// in place with its own scorer, and files the scored cliques in the seed's
-// bucket. ScoreCliques runs through the same loop over a given list, one
-// clique per seed.
+// degeneracy ordering. Each worker claims the next seed index,
+// enumerates that seed's maximal cliques, scores each one in place with
+// its own scorer, and files the scored cliques in the seed's bucket. A
+// round whose cache holds some components runs only the seeds of the
+// others (CliqueSeeder.Within). ScoreCliques runs through the same loop
+// over a given list, one clique per seed.
 //
 // Before the first claim the loop builds one graph.PairTable over the
-// whole graph, which every worker reads ω and MHH off: the graph does not
-// change while the loop runs, and the maximal cliques of a dense round
-// share their pairs many times over, so each edge's MHH is computed once
-// instead of once per clique that holds it.
+// enumerated components, which every worker reads ω and MHH off: the
+// graph does not change while the loop runs, and the maximal cliques of a
+// dense round share their pairs many times over, so each edge's MHH is
+// computed once instead of once per clique that holds it.
 //
 // Determinism: a clique's score depends only on the graph and the clique
 // (a scorer is pure scratch, and the table yields the sweep's integers),
@@ -23,7 +24,6 @@ package core
 import (
 	"context"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"marioh/internal/features"
@@ -101,18 +101,21 @@ func resolveWorkers(parallelism int) int {
 	return parallelism
 }
 
-// enumerateScored enumerates the maximal cliques of g (min size 2) and
-// scores each as maximal, in the serial enumeration order, using at most
-// workers goroutines. limit > 0 keeps only the stream's first limit
-// cliques; the bool reports whether the stream reached limit. mapBack,
-// when non-nil, relabels clique nodes from g's ids to mapBack[id] after
-// scoring (the induced-subgraph dirty path); it must be ascending so
-// relabeled cliques stay sorted. ctx is polled before each seed claim;
-// after cancellation the result is partial and must be dropped. rs
-// supplies the workers' scratch; nil uses a fresh one.
-func enumerateScored(ctx context.Context, g *graph.Graph, m *Model, limit, workers int, mapBack []int, rs *roundScratch) ([]scoredClique, bool) {
+// enumerateScored enumerates the maximal cliques (min size 2) of the
+// components of g that hold nodes — all of g when nodes is nil — and
+// scores each as maximal, in g's enumeration order, using at most
+// workers goroutines. nodes must be a union of whole components; the pair
+// table covers only them. limit > 0 keeps only the stream's first limit
+// cliques; the bool reports whether the stream reached limit. ctx is
+// polled before each seed claim; after cancellation the result is partial
+// and must be dropped. rs supplies the workers' scratch; nil uses a fresh
+// one.
+func enumerateScored(ctx context.Context, g *graph.Graph, m *Model, nodes []int, limit, workers int, rs *roundScratch) ([]scoredClique, bool) {
 	s := g.CliqueSeeds(2)
-	l := &seedLoop{ctx: ctx, g: g, m: m, limit: limit, mapBack: mapBack, rs: rs,
+	if nodes != nil {
+		s = s.Within(nodes)
+	}
+	l := &seedLoop{ctx: ctx, g: g, m: m, cover: nodes, limit: limit, rs: rs,
 		seed: func(w *seedWorker, i int) { s.EnumSeed(i, &w.enum, w.emit) }}
 	return l.run(s.NumSeeds(), workers, 0)
 }
@@ -135,17 +138,16 @@ func ScoreCliques(g *graph.Graph, m *Model, cliques [][]int) []float64 {
 
 // seedLoop is one run of the enumerate-and-score loop.
 type seedLoop struct {
-	ctx     context.Context
-	g       *graph.Graph
-	m       *Model
-	limit   int           // > 0 keeps the stream's first limit cliques
-	mapBack []int         // nil = identity
-	rs      *roundScratch // nil = a fresh one
+	ctx   context.Context
+	g     *graph.Graph
+	m     *Model
+	cover []int         // the pair table's nodes; nil = all of g
+	limit int           // > 0 keeps the stream's first limit cliques
+	rs    *roundScratch // nil = a fresh one
 	// seed scores seed i's cliques through w.score (or w.emit, which
 	// copies a reused enumeration buffer first).
 	seed func(w *seedWorker, i int)
 
-	next    atomic.Int64     // next unclaimed seed; claims form a prefix
 	done    atomic.Int64     // cliques in finished buckets
 	buckets [][]scoredClique // per seed, in seed order
 }
@@ -156,6 +158,14 @@ type seedLoop struct {
 // known is the clique count the caller knows up front (a round learns its
 // count while it enumerates).
 //
+// Claiming stops once the finished buckets hold limit cliques. Claimed
+// seeds form a prefix of the stream and always run to the end, so a
+// limit stop leaves that prefix holding at least limit cliques: the cut
+// is exact. At most (workers+1)·limit cliques are ever enumerated: fewer
+// than limit finish before the stop, the bucket that crosses it holds at
+// most limit, and every other worker runs at most one more bucket of at
+// most limit.
+//
 // The pair table is built on the calling goroutine before the first
 // claim and only read after it; the helpers start after the build. It is
 // skipped when ctx is already cancelled or the featurizer reads no pair
@@ -165,69 +175,35 @@ func (l *seedLoop) run(n, workers, known int) ([]scoredClique, bool) {
 		l.rs = new(roundScratch)
 	}
 	l.buckets = make([][]scoredClique, n)
-	helpers := min(workers, n) - 1
-	scs := l.rs.workers(max(helpers+1, 1))
+	scs := l.rs.workers(max(min(workers, n), 1))
 	var table *graph.PairTable
 	if n > 0 && l.ctx.Err() == nil && features.UsesPairTable(l.m.Feat) {
 		table = &scs[0].table
-		table.Build(l.g, nil)
+		table.Build(l.g, l.cover)
 	}
 	for _, sc := range scs {
 		sc.feat.UseTable(table)
 	}
-	var wg sync.WaitGroup
-	w := l.newWorker(scs[0])
-	for {
-		if helpers > 0 && known+int(l.done.Load()) >= fanoutAt {
-			for ; helpers > 0; helpers-- {
-				sc := scs[helpers]
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					hw := l.newWorker(sc)
-					for l.step(hw) {
-					}
-				}()
-			}
+	ws := make([]*seedWorker, len(scs))
+	Fanout{
+		Workers: workers,
+		Ready:   func() bool { return known+int(l.done.Load()) >= fanoutAt },
+		Stop:    func() bool { return l.limit > 0 && l.done.Load() >= int64(l.limit) },
+	}.Run(l.ctx, n, func(wi, i int) {
+		w := ws[wi]
+		if w == nil {
+			w = l.newWorker(scs[wi])
+			ws[wi] = w
 		}
-		if !l.step(w) {
-			break
-		}
-	}
-	wg.Wait()
+		w.lo = len(w.out)
+		l.seed(w, i)
+		l.buckets[i] = w.out[w.lo:len(w.out):len(w.out)]
+		l.done.Add(int64(len(w.out) - w.lo))
+	})
 	for _, sc := range scs {
 		sc.feat.UseTable(nil)
 	}
 	return l.join()
-}
-
-// step claims the next seed and scores it on w. It reports false, claiming
-// nothing, once every seed is claimed, the finished buckets hold limit
-// cliques, or ctx is cancelled. Claimed seeds always run to the end, so
-// they form a prefix of the stream, and a limit stop leaves that prefix
-// holding at least limit cliques: the cut is exact. The done check and the
-// claim are one compare-and-swap apart, with no claim between them, so at
-// most (workers+1)·limit cliques are ever enumerated: fewer than limit
-// finished, plus one bucket of at most limit per worker.
-func (l *seedLoop) step(w *seedWorker) bool {
-	var i int64
-	for {
-		if l.ctx.Err() != nil {
-			return false
-		}
-		i = l.next.Load()
-		if i >= int64(len(l.buckets)) || (l.limit > 0 && l.done.Load() >= int64(l.limit)) {
-			return false
-		}
-		if l.next.CompareAndSwap(i, i+1) {
-			break
-		}
-	}
-	w.lo = len(w.out)
-	l.seed(w, int(i))
-	l.buckets[i] = w.out[w.lo:len(w.out):len(w.out)]
-	l.done.Add(int64(len(w.out) - w.lo))
-	return true
 }
 
 // join concatenates the buckets in seed order and applies the limit cut.
@@ -273,17 +249,12 @@ func (w *seedWorker) keep(c []int) bool {
 	return w.score(nodes)
 }
 
-// score scores nodes as a maximal clique into the current seed's bucket,
-// then relabels them through mapBack. It reports whether the seed may
-// emit more: a bucket never needs more than limit cliques.
+// score scores nodes as a maximal clique into the current seed's bucket.
+// It reports whether the seed may emit more: a bucket never needs more
+// than limit cliques.
 func (w *seedWorker) score(nodes []int) bool {
 	l := w.l
 	s := l.m.scoreScratch(l.g, nodes, true, w.sc)
-	if l.mapBack != nil {
-		for j, u := range nodes {
-			nodes[j] = l.mapBack[u]
-		}
-	}
 	w.out = append(w.out, scoredClique{nodes: nodes, score: s})
 	return l.limit <= 0 || len(w.out)-w.lo < l.limit
 }

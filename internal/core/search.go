@@ -4,8 +4,6 @@ import (
 	"context"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"marioh/internal/features"
 	"marioh/internal/graph"
@@ -19,18 +17,16 @@ type scoredClique struct {
 }
 
 // roundCache carries per-component clique enumeration and scoring results
-// across search rounds of one reconstruction run. A component that accepts
-// nothing in a round is unchanged, so its maximal cliques and scores next
-// round are bit-for-bit identical; the shard executor reuses them and
-// re-enumerates (through an induced subgraph) only the components that
-// consumed edges — where the serial pipeline re-enumerates and re-scores
-// the whole residual every round. The reuse is exact for the same reason
-// sharding is: every feature is component-local, so scoring a component's
-// cliques in an induced subgraph reproduces the full-graph scores bit for
-// bit. (Phase 1 and Phase 2 still run every round for every live
-// component; only enumeration and maximal-clique scoring are skipped.)
-// The serial pipeline deliberately runs cache-free — it is the reference
-// implementation the equivalence tests compare against.
+// across the search rounds of one reconstruction run; every production
+// entry point runs with one. A component that accepts nothing in a round
+// is unchanged, so its maximal cliques and scores next round are
+// bit-for-bit identical: a round reuses them and re-enumerates, in place
+// on the residual graph, only the components that changed. The reuse is
+// exact because every feature is component-local and a seed's
+// Bron–Kerbosch subtree stays inside its component. (Phase 1 and Phase 2
+// still run every round for every live component; only enumeration and
+// maximal-clique scoring are skipped.) BidirectionalSearch without a
+// cache is the cache-free round, kept as the tests' oracle.
 type roundCache struct {
 	comps map[int][]scoredClique // component key → its scored cliques
 }
@@ -53,8 +49,8 @@ type SearchOptions struct {
 	DisableSubcliques bool
 	// MaxCliqueLimit caps maximal-clique enumeration per round (safety
 	// valve for pathologically dense residual graphs); ≤ 0 means no cap.
-	// The cap is a global per-round budget, so it is the one option that
-	// does not decompose over shards (see ReconstructSharded).
+	// The cap is a per-round budget over the whole of g, so it is the one
+	// option that does not decompose over shards (see ReconstructSharded).
 	MaxCliqueLimit int
 	// Round is the 0-based global round index. Together with Seed it keys
 	// the per-component sub-clique sampling streams, which is what makes a
@@ -80,9 +76,9 @@ type SearchOptions struct {
 	// applied per component so it decomposes over shards. Dumped
 	// occurrences count as accepted.
 	StallDump bool
-	// cache, when non-nil, reuses the previous round's enumeration and
-	// scores if the residual graph has not changed, and records this
-	// round's for the next.
+	// cache, when non-nil, supplies the cliques and scores of the
+	// components that accepted nothing since their last enumeration, and
+	// records this round's for the next.
 	cache *roundCache
 	// scratch, when non-nil, is the reconstruction's worker state, kept
 	// across its rounds; nil gives the round a fresh one.
@@ -105,6 +101,12 @@ type SearchOptions struct {
 // this per-component order produces exactly the same acceptances as any
 // interleaving — which is what makes the round equal to the union of the
 // same round run on each component (or shard) separately.
+//
+// With a cache, the components it holds keep their cliques and the round
+// enumerates the others' seeds only. The clique budget stays exact: the
+// changed components get the limit minus the cached cliques, and if they
+// reach it the round drops the cache and enumerates all of g, as the
+// cache-free round does.
 func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergraph.Hypergraph) int {
 	ctx := opts.Ctx
 	if ctx == nil {
@@ -118,47 +120,45 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 		rs = new(roundScratch)
 	}
 
-	// Partition the live components into cached ones (unchanged since
-	// their last enumeration) and dirty ones that need a fresh pass.
-	live := map[int]bool{}
-	var dirtyNodes []int
-	for v, k := range key {
-		if k < 0 {
-			continue
-		}
-		live[k] = true
-		if opts.cache != nil {
-			if _, ok := opts.cache.comps[k]; ok {
+	// Group this round's cliques by the component they live in, starting
+	// with the live components the cache holds; dirty collects the nodes
+	// of the others. Cliques never span components, so the first node's
+	// key labels a clique.
+	groups := map[int][]scoredClique{}
+	cached := 0
+	var dirty []int
+	if opts.cache != nil && len(opts.cache.comps) > 0 {
+		for v, k := range key {
+			if k < 0 {
 				continue
 			}
-		}
-		dirtyNodes = append(dirtyNodes, v)
-	}
-
-	// Group this round's cliques by the component they live in. Cliques
-	// never span components, so the first node's key labels the clique.
-	groups := map[int][]scoredClique{}
-	if opts.cache != nil {
-		for k, sc := range opts.cache.comps {
-			if live[k] {
+			if sc, ok := opts.cache.comps[k]; !ok {
+				dirty = append(dirty, v)
+			} else if _, seen := groups[k]; !seen {
 				groups[k] = sc
+				cached += len(sc)
 			}
 		}
 	}
 	truncated := false
-	if len(dirtyNodes) > 0 {
+	if cached == 0 || len(dirty) > 0 {
+		limit, nodes := opts.MaxCliqueLimit, dirty
+		if cached == 0 {
+			nodes = nil // nothing cached: enumerate all of g
+		} else if limit > 0 {
+			// The cache holds cliques of untruncated rounds only, so fewer
+			// than limit; the floor keeps a budget from reading as
+			// unlimited all the same.
+			limit = max(limit-cached, 1)
+		}
 		var scored []scoredClique
-		if opts.cache == nil || len(opts.cache.comps) == 0 {
-			// Cache-free (the serial pipeline) or fully cold: enumerate
-			// and score the graph directly.
-			scored, truncated = enumerateScored(ctx, g, m, opts.MaxCliqueLimit, workers, nil, rs)
-		} else {
-			// Re-enumerate and re-score only the changed components,
-			// through the induced subgraph — exact because dirtyNodes is
-			// a union of whole components, the relabeling is
-			// order-preserving, and every feature is component-local.
-			sub, back := g.Subgraph(dirtyNodes)
-			scored, truncated = enumerateScored(ctx, sub, m, opts.MaxCliqueLimit, workers, back, rs)
+		scored, truncated = enumerateScored(ctx, g, m, nodes, limit, workers, rs)
+		if truncated && cached > 0 {
+			// The changed components used up what the cached cliques left
+			// of the budget, so the cache-free round cuts the whole
+			// stream: redo the round cold, as it does.
+			clear(groups)
+			scored, truncated = enumerateScored(ctx, g, m, nil, opts.MaxCliqueLimit, workers, rs)
 		}
 		if ctx.Err() != nil {
 			return 0
@@ -177,25 +177,8 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 	}
 	sort.Ints(keys)
 
-	accepted := 0
 	acceptedBy := make(map[int]int, len(groups))
-	if workers > 1 && len(keys) > 1 {
-		accepted = searchComponentsParallel(g, m, opts, rec, keys, groups, acceptedBy, rs.workers(min(workers, len(keys))))
-	} else {
-		sc := rs.workers(1)[0]
-		for _, k := range keys {
-			if ctx.Err() != nil {
-				break
-			}
-			edges := searchComponent(g, m, opts, k, groups[k], sc)
-			for _, e := range edges {
-				rec.Add(e)
-			}
-			acceptedBy[k] = len(edges)
-			accepted += len(edges)
-		}
-	}
-
+	accepted := searchComponents(g, m, opts, rec, keys, groups, acceptedBy, rs.workers(min(workers, len(keys))))
 	if opts.StallDump && ctx.Err() == nil {
 		accepted += dumpStalledComponents(g, rec, key, acceptedBy)
 	}
@@ -204,11 +187,7 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 		if opts.cache.comps == nil {
 			opts.cache.comps = map[int][]scoredClique{}
 		}
-		for k := range opts.cache.comps {
-			if !live[k] {
-				delete(opts.cache.comps, k)
-			}
-		}
+		clear(opts.cache.comps)
 		for k, sc := range groups {
 			// A component that accepted (or dumped) nothing is unchanged:
 			// its enumeration and scores stay valid verbatim. Truncated
@@ -216,55 +195,38 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 			// re-applied from scratch each round.
 			if acceptedBy[k] == 0 && !truncated {
 				opts.cache.comps[k] = sc
-			} else {
-				delete(opts.cache.comps, k)
 			}
 		}
 	}
 	return accepted
 }
 
-// searchComponentsParallel fans searchComponent over the components of
-// the round, one worker per scorer. Safe because components never share
-// edges: each worker mutates only its component's adjacency rows (the
-// graph's global edge/weight counters are atomic), and every graph read a
-// component's search performs — scoring features, its pair table's
-// build, edge-presence checks — is local to that component, so it
-// observes exactly the state the serial walk would. Acceptances land in
+// searchComponents runs searchComponent over the components of the
+// round, fanned over one worker per scorer. Safe because components never
+// share edges: each worker mutates only its component's adjacency rows
+// (the graph's global edge/weight counters are atomic), and every graph
+// read a component's search performs — scoring features, its pair
+// table's build, edge-presence checks — is local to that component, so it
+// observes exactly the state a serial walk would. Acceptances land in
 // index-addressed per-component buffers, never in shared state, and are
-// merged into rec in ascending key order after the join — the order the
-// serial walk inserts them — so rec's in-memory insertion order, the
-// acceptance counts, and the cache bookkeeping all match the serial path
-// exactly.
-func searchComponentsParallel(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergraph.Hypergraph, keys []int, groups map[int][]scoredClique, acceptedBy map[int]int, scs []*scorer) int {
+// merged into rec in ascending key order after the join, so rec's
+// in-memory insertion order, the acceptance counts, and the cache
+// bookkeeping match the serial walk exactly. A component skipped by
+// cancellation stays out of acceptedBy.
+func searchComponents(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergraph.Hypergraph, keys []int, groups map[int][]scoredClique, acceptedBy map[int]int, scs []*scorer) int {
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	results := make([][][]int, len(keys))
 	processed := make([]bool, len(keys))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for _, sc := range scs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= len(keys) || ctx.Err() != nil {
-					return
-				}
-				results[idx] = searchComponent(g, m, opts, keys[idx], groups[keys[idx]], sc)
-				processed[idx] = true
-			}
-		}()
-	}
-	wg.Wait()
+	Fanout{Workers: len(scs)}.Run(ctx, len(keys), func(w, i int) {
+		results[i] = searchComponent(g, m, opts, keys[i], groups[keys[i]], scs[w])
+		processed[i] = true
+	})
 	accepted := 0
 	for i, k := range keys {
 		if !processed[i] {
-			// Skipped by cancellation; like the serial loop's break, the
-			// component stays out of acceptedBy.
 			continue
 		}
 		for _, e := range results[i] {

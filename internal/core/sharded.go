@@ -19,55 +19,42 @@ type ShardOptions struct {
 	// TargetEdges is the partitioner's shard size target; 0 derives it
 	// from the edge count and shard count.
 	TargetEdges int
-	// Workers bounds how many shards reconstruct concurrently on the
-	// built-in pool; 0 means GOMAXPROCS. Ignored when Executor is set.
-	// It composes with Options.Parallelism, which each piece's round
-	// engine honors internally (enumeration/scoring/per-component
-	// fan-out), so total goroutines approach Workers × Parallelism;
-	// callers running many shards typically keep Parallelism at 1.
-	Workers int
 	// Executor, when non-nil, runs the per-shard tasks instead of the
-	// built-in pool — the hook external schedulers (e.g. the mariohd job
-	// queue) use to fan shards onto their own workers. It must execute
-	// every task exactly once, on any goroutines it likes, and return
-	// only when all of them finished.
+	// built-in Fanout over Options.Parallelism workers — the hook external
+	// schedulers (e.g. the mariohd job queue) use to fan shards onto their
+	// own workers. It must execute every task exactly once, on any
+	// goroutines it likes, and return only when all of them finished.
 	Executor func(tasks []func())
 }
 
-// ReconstructPiece runs the cached round engine on one piece of a larger
-// graph: g is the piece's subgraph and origID maps its node ids back to
-// the original graph (nil when g is the original). The piece carries the
-// shard executor's exact per-component round cache, so rounds in which a
-// component accepted nothing skip re-enumeration and re-scoring. This is
-// the entry point the incremental session engine shares with the shard
-// executor: both reconstruct pieces whose components are keyed by original
-// node ids, so their outputs merge bit-for-bit into the serial pipeline's.
+// ReconstructPiece runs the round engine on one piece of a larger graph:
+// g is the piece's subgraph and origID maps its node ids back to the
+// original graph (nil when g is the original, which makes it
+// ReconstructContext). Components are keyed by original node ids, so
+// piece outputs merge bit-for-bit into the serial pipeline's. The result
+// keeps g's piece-local node ids; RunPieces relabels them.
 func ReconstructPiece(ctx context.Context, g *graph.Graph, m *Model, opts Options, origID []int) (*Result, error) {
-	return reconstructGraph(ctx, g, m, opts, origID, &roundCache{})
+	return reconstructGraph(ctx, g, m, opts, origID)
 }
 
 // ReconstructSharded runs MARIOH on g by partitioning it into shards,
-// reconstructing every shard concurrently, and merging the per-shard
-// hypergraphs. The output is byte-identical to ReconstructContext on the
-// same inputs, for any shard count: hyperedges never span connected
-// components, the partitioner splits oversized components only along
-// bridges (which filtering consumes before anything is scored), and the
-// round engine keys all per-round randomness and fallbacks by component —
-// so each shard reproduces exactly the slice of the serial run its
-// components would have produced. The one exception is Options.
-// MaxCliqueLimit, a global per-round budget that is applied per shard
-// instead; runs relying on it may diverge from the serial pipeline.
-//
-// Sharded runs are also faster than the serial pipeline on one core:
-// each shard caches its clique enumeration and scores across rounds in
-// which nothing was accepted (θ still decaying), where the serial
-// reference re-enumerates and re-scores every round.
+// reconstructing the shards concurrently through RunPieces, and merging
+// the per-shard hypergraphs. The output is byte-identical to
+// ReconstructContext on the same inputs, for any shard count: hyperedges
+// never span connected components, the partitioner splits oversized
+// components only along bridges (which filtering consumes before anything
+// is scored), and the round engine keys all per-round randomness and
+// fallbacks by component — so each shard reproduces exactly the slice of
+// the serial run its components would have produced. The one exception is
+// Options.MaxCliqueLimit, a per-round budget over the whole graph that is
+// applied per shard instead; runs relying on it may diverge from the
+// serial pipeline.
 //
 // Progress events carry the shard index and shard-local rounds and edge
 // counts. Result.Times aggregates the per-shard breakdowns (durations
 // summed, Rounds the maximum); Result.Shards records the shard count.
-// On error or cancellation the merged partial reconstruction is returned
-// with the first error, matching ReconstructContext's contract.
+// On error or cancellation the merge of the shards that finished is
+// returned with the first error, matching ReconstructContext's contract.
 func ReconstructSharded(ctx context.Context, g *graph.Graph, m *Model, opts Options, so ShardOptions) (*Result, error) {
 	if so.Shards < 1 {
 		so.Shards = runtime.GOMAXPROCS(0)
@@ -82,100 +69,97 @@ func ReconstructSharded(ctx context.Context, g *graph.Graph, m *Model, opts Opti
 	})
 
 	if len(plan.Pieces) <= 1 {
-		res, err := reconstructGraph(ctx, g, m, opts, nil, &roundCache{})
+		res, err := ReconstructContext(ctx, g, m, opts)
 		res.Shards = 1
 		return res, err
 	}
+	results, err := RunPieces(ctx, len(plan.Pieces), func(i int) shard.Piece { return plan.Pieces[i] },
+		m, opts, opts.Parallelism, so.Executor, func(p *Progress, i int) { p.Shard = i })
+	merged := MergeResults(g.NumNodes(), results)
+	merged.Shards = len(plan.Pieces)
+	return merged, err
+}
 
-	// Serialize progress delivery across shards and stamp the shard index,
-	// so one Progress callback observes the whole run without locks.
-	var progressMu sync.Mutex
-	progressFor := func(idx int) ProgressFunc {
-		fn := opts.Progress
-		if fn == nil {
-			return nil
-		}
-		return func(p Progress) {
-			p.Shard = idx
-			progressMu.Lock()
-			defer progressMu.Unlock()
-			fn(p)
-		}
-	}
-
+// RunPieces is the piece runner shared by shards and session applies: it
+// reconstructs pieces 0..n−1 through the round engine, on exec when it is
+// non-nil and otherwise on a Fanout over workers (≤ 0 = GOMAXPROCS), and
+// relabels each result to original node ids through the piece's Nodes.
+// piece(i) returns piece i; it runs on the worker that reconstructs the
+// piece, so building a piece's subgraph there fans out too. label stamps
+// piece i's progress events, which are delivered one at a time. The
+// first piece to fail cancels the pieces still to run; results[i] is nil
+// for every piece that did not finish, and err is the first error, or
+// else ctx's.
+func RunPieces(ctx context.Context, n int, piece func(i int) shard.Piece, m *Model, opts Options, workers int, exec func(tasks []func()), label func(p *Progress, i int)) (results []*Result, err error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	results := make([]*Result, len(plan.Pieces))
-	errs := make([]error, len(plan.Pieces))
-	tasks := make([]func(), len(plan.Pieces))
-	for i := range plan.Pieces {
-		i := i
-		piece := plan.Pieces[i]
-		tasks[i] = func() {
-			popts := opts
-			popts.Progress = progressFor(i)
-			results[i], errs[i] = ReconstructPiece(runCtx, piece.Graph, m, popts, piece.Nodes)
-			if errs[i] != nil {
-				cancel()
+	var mu sync.Mutex // guards err and the delivery of progress events
+	progress := opts.Progress
+	run := func(i int) {
+		popts := opts
+		if progress != nil {
+			popts.Progress = func(p Progress) {
+				label(&p, i)
+				mu.Lock()
+				defer mu.Unlock()
+				progress(p)
 			}
 		}
-	}
-
-	if so.Executor != nil {
-		so.Executor(tasks)
-	} else {
-		workers := so.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
+		p := piece(i)
+		res, perr := ReconstructPiece(runCtx, p.Graph, m, popts, p.Nodes)
+		if perr != nil {
+			mu.Lock()
+			if err == nil {
+				err = perr
+			}
+			mu.Unlock()
+			cancel()
+			return
 		}
-		if workers > len(tasks) {
-			workers = len(tasks)
-		}
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					tasks[i]()
-				}
-			}()
-		}
-		for i := range tasks {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
-
-	merged := &Result{Hypergraph: hypergraph.New(g.NumNodes()), Shards: len(plan.Pieces)}
-	var firstErr error
-	buf := make([]int, 0, 16)
-	for i, res := range results {
-		if errs[i] != nil && firstErr == nil {
-			firstErr = errs[i]
-		}
-		if res == nil {
-			continue
-		}
-		nodes := plan.Pieces[i].Nodes
+		rec := hypergraph.New(0)
+		buf := make([]int, 0, 16)
 		res.Hypergraph.Each(func(local []int, mult int) {
 			buf = buf[:0]
 			for _, u := range local {
-				buf = append(buf, nodes[u])
+				buf = append(buf, p.Nodes[u])
 			}
-			merged.Hypergraph.AddMult(buf, mult)
+			rec.AddMult(buf, mult)
 		})
+		res.Hypergraph = rec
+		results[i] = res
+	}
+
+	results = make([]*Result, n)
+	if exec != nil {
+		tasks := make([]func(), n)
+		for i := range tasks {
+			tasks[i] = func() { run(i) }
+		}
+		exec(tasks)
+	} else {
+		Fanout{Workers: workers}.Run(runCtx, n, func(_, i int) { run(i) })
+	}
+	if err == nil {
+		err = ctx.Err()
+	}
+	return results, err
+}
+
+// MergeResults unions the hypergraphs of results, all in one graph's node
+// ids, into one Result over n nodes, in slice order: FilteredSize2 and
+// the step durations add up, and Rounds is the maximum. nil entries are
+// skipped.
+func MergeResults(n int, results []*Result) *Result {
+	merged := &Result{Hypergraph: hypergraph.New(n)}
+	for _, res := range results {
+		if res == nil {
+			continue
+		}
+		res.Hypergraph.Each(merged.Hypergraph.AddMult)
 		merged.FilteredSize2 += res.FilteredSize2
 		merged.Times.Filtering += res.Times.Filtering
 		merged.Times.Bidirectional += res.Times.Bidirectional
-		if res.Times.Rounds > merged.Times.Rounds {
-			merged.Times.Rounds = res.Times.Rounds
-		}
+		merged.Times.Rounds = max(merged.Times.Rounds, res.Times.Rounds)
 	}
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return merged, firstErr
+	return merged
 }

@@ -34,6 +34,14 @@ import (
 )
 
 // Featurizer turns a clique into a fixed-width feature vector.
+//
+// A featurizer must be component-local: the vector of a clique may read
+// only graph state inside the clique's connected component. The round
+// engine relies on it everywhere — its cache reuses an unchanged
+// component's scores, the component search runs components on parallel
+// workers, and shards and sessions score a component inside a subgraph —
+// and every built-in featurizer is. A featurizer that reads beyond the
+// component makes those outputs differ from one another.
 type Featurizer interface {
 	// Name identifies the featurizer in logs and serialized models.
 	Name() string

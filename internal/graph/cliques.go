@@ -117,6 +117,18 @@ func (g *Graph) CliqueSeeds(minSize int) *CliqueSeeder {
 // order).
 func (s *CliqueSeeder) NumSeeds() int { return len(s.order) }
 
+// Within returns a seeder over the seeds of the given distinct nodes, kept
+// in s's degeneracy order; s must be unrestricted. When nodes is a union
+// of whole connected components, its seeds enumerate exactly those
+// components' maximal cliques, in the order the full enumeration emits
+// them: a seed's subtree never leaves its component, and each seed still
+// splits its neighbors by their rank in the whole graph's ordering.
+func (s *CliqueSeeder) Within(nodes []int) *CliqueSeeder {
+	order := slices.Clone(nodes)
+	slices.SortFunc(order, func(a, b int) int { return s.rank[a] - s.rank[b] })
+	return &CliqueSeeder{g: s.g, minSize: s.minSize, order: order, rank: s.rank}
+}
+
 // CliqueEnum is the reusable scratch of one enumeration worker. The zero
 // value is ready to use; a CliqueEnum must not be shared between
 // concurrently running EnumSeed calls.

@@ -126,3 +126,58 @@ func TestCliqueSeederStreamMatchesEachMaximalClique(t *testing.T) {
 		t.Fatalf("seed-by-seed stream diverged: got %d cliques, want %d", len(got), len(want))
 	}
 }
+
+// TestCliqueSeederWithinMatchesFilteredStream: restricting a seeder to a
+// union of whole components yields exactly the full stream's cliques of
+// those components, in the full stream's order, for every subset of the
+// components of a multi-component graph.
+func TestCliqueSeederWithinMatchesFilteredStream(t *testing.T) {
+	g := randomTestGraph(t, 90, 0.04, 11)
+	comps := g.ConnectedComponents()
+	if len(comps) < 3 {
+		t.Fatalf("want a multi-component graph, got %d components", len(comps))
+	}
+	compOf := make([]int, g.NumNodes())
+	for c, nodes := range comps {
+		for _, u := range nodes {
+			compOf[u] = c
+		}
+	}
+	var full [][]int
+	g.EachMaximalClique(2, func(c []int) bool {
+		full = append(full, append([]int(nil), c...))
+		return true
+	})
+	s := g.CliqueSeeds(2)
+	for mask := 1; mask < 1<<min(len(comps), 6); mask++ {
+		var nodes []int
+		keep := map[int]bool{}
+		for c := range comps {
+			if mask>>(c%6)&1 == 1 {
+				keep[c] = true
+				nodes = append(nodes, comps[c]...)
+			}
+		}
+		var want [][]int
+		for _, q := range full {
+			if keep[compOf[q[0]]] {
+				want = append(want, q)
+			}
+		}
+		w := s.Within(nodes)
+		if w.NumSeeds() != len(nodes) {
+			t.Fatalf("mask %b: %d seeds, want %d", mask, w.NumSeeds(), len(nodes))
+		}
+		var sc CliqueEnum
+		var got [][]int
+		for i := 0; i < w.NumSeeds(); i++ {
+			w.EnumSeed(i, &sc, func(c []int) bool {
+				got = append(got, append([]int(nil), c...))
+				return true
+			})
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("mask %b: restricted stream diverged: got %d cliques, want %d", mask, len(got), len(want))
+		}
+	}
+}

@@ -515,8 +515,8 @@ func (g *Graph) CountTriangles() int {
 // Subgraph returns the induced subgraph on the given nodes, relabeled
 // 0..len(nodes)-1 in the order given, together with the mapping back to the
 // original node ids. The dense index array makes extraction O(n + deg(S)),
-// cheap enough for the reconstruction engine to carve out its dirty
-// components every round.
+// cheap enough for a session to carve out its dirty components on every
+// apply.
 func (g *Graph) Subgraph(nodes []int) (*Graph, []int) {
 	idx := make([]int32, len(g.nbrs))
 	for i := range idx {

@@ -16,28 +16,20 @@
 // its current value, an insert immediately reverted within the batch)
 // lands back on its old fingerprint and stays a cache hit.
 //
-// The guarantee carries the same two caveats as sharding: it assumes the
-// built-in component-local featurizers, and Options.MaxCliqueLimit — a
-// global per-round budget — is applied per component instead.
+// The dirty components reconstruct through core.RunPieces, the piece
+// runner shards use too. The guarantee carries sharding's caveat:
+// Options.MaxCliqueLimit, a per-round budget over the whole graph, is
+// applied per component instead.
 package incremental
 
 import (
 	"context"
 	"runtime"
-	"sync"
 
 	"marioh/internal/core"
 	"marioh/internal/graph"
-	"marioh/internal/hypergraph"
+	"marioh/internal/shard"
 )
-
-// compResult is one component's cached reconstruction.
-type compResult struct {
-	fp       uint64
-	rec      *hypergraph.Hypergraph // hyperedges in original node ids
-	filtered int
-	times    core.StepTimes
-}
 
 // Engine is the incremental reconstruction state of one session: the live
 // graph (mutated only through Apply), its component tracker, and the
@@ -51,8 +43,8 @@ type Engine struct {
 	opts    core.Options
 	workers int
 
-	cache   map[uint64]*compResult
-	fpByKey map[int]uint64 // component key (min node) → fingerprint
+	cache   map[uint64]*core.Result // fingerprint → the component's result, in original node ids
+	fpByKey map[int]uint64          // component key (min node) → fingerprint
 
 	applies   int
 	lastDirty int
@@ -75,7 +67,7 @@ func New(g *graph.Graph, m *core.Model, opts core.Options, workers int) *Engine 
 		model:   m,
 		opts:    opts,
 		workers: workers,
-		cache:   map[uint64]*compResult{},
+		cache:   map[uint64]*core.Result{},
 		fpByKey: map[int]uint64{},
 	}
 }
@@ -139,51 +131,25 @@ func (e *Engine) Apply(ctx context.Context, ops []graph.DeltaOp) (*core.Result, 
 	// entries — the byte-equality guarantee holds across failed batches.
 	e.tracker.ResetTouched()
 
-	// Reconstruct the dirty components, each through the cached piece
-	// engine on its induced subgraph, fanned over a bounded worker pool.
-	// Per-component randomness is keyed by original node ids, so results
-	// are independent of worker count and completion order.
-	fresh := make([]*compResult, len(dirty))
-	errs := make([]error, len(dirty))
-	if len(dirty) > 0 {
-		runCtx, cancel := context.WithCancel(ctx)
-		workers := e.workers
-		if workers > len(dirty) {
-			workers = len(dirty)
-		}
-		var progressMu sync.Mutex
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for di := range jobs {
-					fresh[di], errs[di] = e.reconstructComponent(runCtx, comps[dirty[di]], fps[dirty[di]], &progressMu)
-					if errs[di] != nil {
-						cancel()
-					}
-				}
-			}()
-		}
-		for di := range dirty {
-			jobs <- di
-		}
-		close(jobs)
-		wg.Wait()
-		cancel()
+	// Reconstruct the dirty components, each on its induced subgraph,
+	// through the piece runner. Per-component randomness is keyed by
+	// original node ids, so results are independent of worker count and
+	// completion order.
+	g := e.tracker.Graph()
+	piece := func(di int) shard.Piece {
+		sub, back := g.Subgraph(comps[dirty[di]])
+		return shard.Piece{Graph: sub, Nodes: back}
 	}
+	dirtyCount := len(dirty)
+	fresh, firstErr := core.RunPieces(ctx, len(dirty), piece, e.model, e.opts, e.workers, nil,
+		func(p *core.Progress, _ int) { p.Dirty = dirtyCount })
 
 	// Install the refreshed components, then drop cache entries no live
 	// component references so session memory tracks the graph, not its
 	// history.
-	var firstErr error
-	for di, cr := range fresh {
-		if errs[di] != nil && firstErr == nil {
-			firstErr = errs[di]
-		}
-		if cr != nil {
-			e.cache[cr.fp] = cr
+	for di, res := range fresh {
+		if res != nil {
+			e.cache[fps[dirty[di]]] = res
 		}
 	}
 	e.fpByKey = newFpByKey
@@ -197,67 +163,15 @@ func (e *Engine) Apply(ctx context.Context, ops []graph.DeltaOp) (*core.Result, 
 		}
 	}
 
-	// Merge per-component results in ascending component-key order.
-	g := e.tracker.Graph()
-	res := &core.Result{
-		Hypergraph:      hypergraph.New(g.NumNodes()),
-		DirtyComponents: len(dirty),
+	// Merge per-component results in ascending component-key order; a
+	// component whose reconstruction failed or was cancelled is missing.
+	merge := make([]*core.Result, len(fps))
+	for i, fp := range fps {
+		merge[i] = e.cache[fp]
 	}
-	for _, fp := range fps {
-		cr, ok := e.cache[fp]
-		if !ok {
-			continue // this component's reconstruction failed or was cancelled
-		}
-		cr.rec.Each(func(nodes []int, mult int) {
-			res.Hypergraph.AddMult(nodes, mult)
-		})
-		res.FilteredSize2 += cr.filtered
-		res.Times.Filtering += cr.times.Filtering
-		res.Times.Bidirectional += cr.times.Bidirectional
-		if cr.times.Rounds > res.Times.Rounds {
-			res.Times.Rounds = cr.times.Rounds
-		}
-	}
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
+	res := core.MergeResults(g.NumNodes(), merge)
+	res.DirtyComponents = len(dirty)
 	return res, firstErr
-}
-
-// reconstructComponent runs the cached piece engine on one component's
-// induced subgraph and maps the result back to original node ids.
-func (e *Engine) reconstructComponent(ctx context.Context, comp []int, fp uint64, progressMu *sync.Mutex) (*compResult, error) {
-	g := e.tracker.Graph()
-	sub, back := g.Subgraph(comp)
-	opts := e.opts
-	if fn := e.opts.Progress; fn != nil {
-		dirty := e.lastDirty
-		opts.Progress = func(p core.Progress) {
-			p.Dirty = dirty
-			progressMu.Lock()
-			defer progressMu.Unlock()
-			fn(p)
-		}
-	}
-	res, err := core.ReconstructPiece(ctx, sub, e.model, opts, back)
-	if err != nil {
-		return nil, err
-	}
-	rec := hypergraph.New(g.NumNodes())
-	buf := make([]int, 0, 16)
-	res.Hypergraph.Each(func(local []int, mult int) {
-		buf = buf[:0]
-		for _, u := range local {
-			buf = append(buf, back[u])
-		}
-		rec.AddMult(buf, mult)
-	})
-	return &compResult{
-		fp:       fp,
-		rec:      rec,
-		filtered: res.FilteredSize2,
-		times:    res.Times,
-	}, nil
 }
 
 // touchedAny reports whether the delta batch touched any node of comp.

@@ -96,8 +96,8 @@ func (e *Engine) State() *EngineState {
 	}
 	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
 	for _, fp := range fps {
-		cr := e.cache[fp]
-		st.Entries = append(st.Entries, CacheEntry{FP: fp, Filtered: cr.filtered, Rec: cr.rec})
+		res := e.cache[fp]
+		st.Entries = append(st.Entries, CacheEntry{FP: fp, Filtered: res.FilteredSize2, Rec: res.Hypergraph})
 	}
 	return st
 }
@@ -113,7 +113,7 @@ func Restore(st *EngineState, m *core.Model, opts core.Options, workers int) *En
 		e.fpByKey[c.Key] = c.FP
 	}
 	for _, en := range st.Entries {
-		e.cache[en.FP] = &compResult{fp: en.FP, rec: en.Rec, filtered: en.Filtered}
+		e.cache[en.FP] = &core.Result{Hypergraph: en.Rec, FilteredSize2: en.Filtered}
 	}
 	return e
 }

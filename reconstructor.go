@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"marioh/internal/core"
@@ -99,7 +98,10 @@ func WithFeaturizer(name string) Option {
 }
 
 // WithCustomFeaturizer installs a featurizer implementation directly,
-// bypassing the registry.
+// bypassing the registry. Like every featurizer it must be
+// component-local, reading only graph state inside a clique's connected
+// component (see Featurizer); otherwise reconstructions are not
+// reproducible across parallelism, sharding and sessions.
 func WithCustomFeaturizer(f Featurizer) Option {
 	return func(c *config) error {
 		if f == nil {
@@ -158,7 +160,9 @@ func WithMaxRounds(n int) Option {
 }
 
 // WithMaxCliqueLimit caps per-round maximal-clique enumeration; 0 means
-// unlimited (the default).
+// unlimited (the default). The cap is exact on the default path; sharded
+// runs and sessions apply it per shard or component instead, so their
+// output under a cap may differ from the default path's.
 func WithMaxCliqueLimit(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -228,11 +232,12 @@ func WithNegativeRatio(v float64) Option {
 }
 
 // WithParallelism bounds the reconstructor's worker fan-out: the
-// ReconstructBatch pool, a session's dirty-component pool, and the round
-// engine inside every reconstruction (the enumerate-and-score loop and
-// the per-component search — see README "Parallel round engine"). 0 (the
-// default) uses GOMAXPROCS; 1 forces the fully serial reference pipeline.
-// Output bytes are identical at every setting.
+// ReconstructBatch targets, the shards of WithSharding, a session's dirty
+// components, and the round engine inside every reconstruction (the
+// enumerate-and-score loop and the per-component search — see README
+// "Parallel round engine"). Every level fans out through the same
+// ordered-claim scheduler. 0 (the default) uses GOMAXPROCS; 1 runs every
+// path serially. Output bytes are identical at every setting.
 func WithParallelism(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -266,11 +271,9 @@ type ShardingOptions struct {
 	// cut that preserves exactness). 0 derives the target from the edge
 	// count and shard count.
 	TargetEdges int
-	// Workers bounds how many shards reconstruct concurrently; 0 uses
-	// GOMAXPROCS. Ignored when Executor is set.
-	Workers int
 	// Executor, when non-nil, runs the per-shard tasks on an external
-	// worker pool (e.g. a server job queue) instead of the built-in one.
+	// worker pool (e.g. a server job queue) instead of the built-in one,
+	// which fans them over WithParallelism workers.
 	// It must execute every task exactly once and return only when all
 	// of them finished.
 	Executor func(tasks []func())
@@ -280,12 +283,13 @@ type ShardingOptions struct {
 // through the shard-parallel engine: the target graph is deterministically
 // partitioned — connected components first, oversized components split
 // along low-multiplicity bridges — and the shards are reconstructed
-// concurrently and merged. The output is byte-identical to the unsharded
+// concurrently, each through the same cached round engine as the default
+// path, and merged. The output is byte-identical to the unsharded
 // pipeline for any shard count (asserted by the shard-equivalence tests
 // and CI job); Progress events additionally carry the shard index. The
-// guarantee assumes the built-in featurizers — a custom featurizer that
-// reads graph state beyond a clique's component breaks it — and does not
-// extend to WithMaxCliqueLimit, whose global budget is applied per shard.
+// guarantee assumes component-local featurizers (see
+// WithCustomFeaturizer) and does not extend to WithMaxCliqueLimit, which
+// is applied per shard.
 func WithSharding(o ShardingOptions) Option {
 	return func(c *config) error {
 		if o.Shards < 0 {
@@ -293,9 +297,6 @@ func WithSharding(o ShardingOptions) Option {
 		}
 		if o.TargetEdges < 0 {
 			return fmt.Errorf("marioh: shard target %d must be ≥ 0", o.TargetEdges)
-		}
-		if o.Workers < 0 {
-			return fmt.Errorf("marioh: shard workers %d must be ≥ 0", o.Workers)
 		}
 		c.sharding = &o
 		return nil
@@ -424,6 +425,9 @@ func (r *Reconstructor) Reconstruct(ctx context.Context, g *Graph) (*Result, err
 	if m == nil {
 		return nil, ErrNoModel
 	}
+	if g == nil {
+		return nil, errors.New("marioh: nil target graph")
+	}
 	return r.reconstruct(ctx, g, m, r.reconstructOptions(nil))
 }
 
@@ -434,18 +438,18 @@ func (r *Reconstructor) reconstruct(ctx context.Context, g *Graph, m *Model, opt
 		return core.ReconstructSharded(ctx, g, m, opts, core.ShardOptions{
 			Shards:      s.Shards,
 			TargetEdges: s.TargetEdges,
-			Workers:     s.Workers,
 			Executor:    s.Executor,
 		})
 	}
 	return core.ReconstructContext(ctx, g, m, opts)
 }
 
-// ReconstructBatch reconstructs every target graph using a worker pool of
-// WithParallelism size (GOMAXPROCS by default). Results are positionally
-// aligned with targets. Each target is reconstructed with the same seed a
-// lone Reconstruct call would use, so a batch run is reproducibly equal to
-// len(targets) sequential runs regardless of parallelism.
+// ReconstructBatch reconstructs every target graph, fanned over
+// WithParallelism workers (GOMAXPROCS by default). Results are
+// positionally aligned with targets. Each target is reconstructed with the
+// same seed a lone Reconstruct call would use, so a batch run is
+// reproducibly equal to len(targets) sequential runs regardless of
+// parallelism. A nil target fails the batch before any work starts.
 //
 // On cancellation the remaining targets are abandoned, in-flight ones stop
 // mid-round, and the first error is returned alongside the partial results
@@ -455,24 +459,17 @@ func (r *Reconstructor) ReconstructBatch(ctx context.Context, targets []*Graph) 
 	if m == nil {
 		return nil, ErrNoModel
 	}
-	results := make([]*Result, len(targets))
-	if len(targets) == 0 {
-		return results, ctx.Err()
+	for i, g := range targets {
+		if g == nil {
+			return nil, fmt.Errorf("marioh: nil target graph at batch index %d", i)
+		}
 	}
-	workers := r.cfg.parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	// Serialize progress events across workers and stamp the target index,
 	// so one WithProgress callback observes the whole batch without locks.
-	var progressMu sync.Mutex
+	var mu sync.Mutex // guards firstErr and the delivery of progress events
 	progressFor := func(target int) ProgressFunc {
 		fn := r.cfg.progress
 		if fn == nil {
@@ -480,51 +477,26 @@ func (r *Reconstructor) ReconstructBatch(ctx context.Context, targets []*Graph) 
 		}
 		return func(p Progress) {
 			p.Target = target
-			progressMu.Lock()
-			defer progressMu.Unlock()
+			mu.Lock()
+			defer mu.Unlock()
 			fn(p)
 		}
 	}
 
-	jobs := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				opts := r.reconstructOptions(progressFor(i))
-				res, err := r.reconstruct(ctx, targets[i], m, opts)
-				results[i] = res
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					cancel()
-					return
-				}
+	results := make([]*Result, len(targets))
+	var firstErr error
+	core.Fanout{Workers: r.cfg.parallelism}.Run(ctx, len(targets), func(_, i int) {
+		res, err := r.reconstruct(ctx, targets[i], m, r.reconstructOptions(progressFor(i)))
+		results[i] = res
+		if err != nil {
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = err
 			}
-		}()
-	}
-feed:
-	for i := range targets {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
+			mu.Unlock()
+			cancel()
 		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	errMu.Lock()
-	defer errMu.Unlock()
+	})
 	if firstErr == nil {
 		firstErr = ctx.Err()
 	}

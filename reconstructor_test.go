@@ -175,6 +175,33 @@ func TestReconstructCancellation(t *testing.T) {
 	}
 }
 
+// TestNilTargetRejected: a nil target graph is an error, never a panic —
+// for a lone Reconstruct, and for a batch, which rejects before it starts
+// any worker (a panic inside one would kill the process).
+func TestNilTargetRejected(t *testing.T) {
+	ds := mustDataset(t, "crime", 1)
+	src, tgt := ds.Source.Reduced(), ds.Target.Reduced()
+	ran := 0
+	r, err := marioh.New(marioh.WithSeed(1), marioh.WithEpochs(5),
+		marioh.WithProgress(func(marioh.Progress) { ran++ }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Train(context.Background(), src.Project(), src); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := r.Reconstruct(context.Background(), nil); err == nil || res != nil {
+		t.Fatalf("Reconstruct(nil) = %v, %v; want an error and no result", res, err)
+	}
+	res, err := r.ReconstructBatch(context.Background(), []*marioh.Graph{tgt.Project(), nil, tgt.Project()})
+	if err == nil || res != nil {
+		t.Fatalf("ReconstructBatch with a nil entry = %v, %v; want an error and no results", res, err)
+	}
+	if ran != 0 {
+		t.Fatalf("a rejected batch reconstructed %d rounds, want none", ran)
+	}
+}
+
 // TestTrainCancellation checks the training path: a cancelled context
 // surfaces ctx.Err() and leaves no model behind.
 func TestTrainCancellation(t *testing.T) {
@@ -307,7 +334,6 @@ func TestVariantsAndRegistry(t *testing.T) {
 		marioh.WithFeaturizer("nope"),
 		marioh.WithSharding(marioh.ShardingOptions{Shards: -1}),
 		marioh.WithSharding(marioh.ShardingOptions{TargetEdges: -1}),
-		marioh.WithSharding(marioh.ShardingOptions{Workers: -2}),
 		marioh.WithThetaInit(1.5),
 		marioh.WithR(-3),
 		marioh.WithAlpha(-1),

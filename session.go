@@ -52,10 +52,11 @@ func WriteDeltas(w io.Writer, ops []DeltaOp) error { return graph.WriteDeltas(w,
 // The determinism guarantee is the headline: after any sequence of Apply
 // calls, the returned reconstruction is byte-identical to a from-scratch
 // Reconstruct of the mutated graph with the same configuration (asserted
-// by the incremental-equivalence tests and the CI incr-check job). As
-// with sharding, the guarantee assumes the built-in component-local
-// featurizers and does not extend to WithMaxCliqueLimit, whose global
-// per-round budget is applied per component.
+// by the incremental-equivalence tests and the CI incr-check job). The
+// dirty components reconstruct through the piece runner shards use, over
+// WithParallelism workers. As with sharding, the guarantee assumes
+// component-local featurizers and does not extend to WithMaxCliqueLimit,
+// which is applied per component.
 //
 // A Session is safe for concurrent use; Apply calls serialize.
 //
@@ -186,20 +187,8 @@ func (r *Reconstructor) openSession(g *Graph) (*Session, error) {
 		return nil, errors.New("marioh: nil session graph")
 	}
 	return &Session{
-		eng: incremental.New(g.Clone(), m, r.reconstructOptions(nil), r.sessionWorkers()),
+		eng: incremental.New(g.Clone(), m, r.reconstructOptions(nil), r.cfg.parallelism),
 	}, nil
-}
-
-// sessionWorkers resolves the engine worker count from the
-// reconstructor's sharding/parallelism configuration.
-func (r *Reconstructor) sessionWorkers() int {
-	if s := r.cfg.sharding; s != nil && s.Workers > 0 {
-		return s.Workers
-	}
-	if r.cfg.parallelism > 0 {
-		return r.cfg.parallelism
-	}
-	return 0
 }
 
 // DurableOptions configures an on-disk session directory.
@@ -238,7 +227,7 @@ func (r *Reconstructor) openDurableSession(g *Graph, o DurableOptions) (*Session
 	if o.Dir == "" {
 		return nil, errors.New("marioh: durable session needs a directory")
 	}
-	dur, err := durability.Create(o.Dir, g.Clone(), m, r.reconstructOptions(nil), r.sessionWorkers(), o.internal())
+	dur, err := durability.Create(o.Dir, g.Clone(), m, r.reconstructOptions(nil), r.cfg.parallelism, o.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +239,7 @@ func (r *Reconstructor) resumeSession(o DurableOptions) (*Session, error) {
 	if m == nil {
 		return nil, ErrNoModel
 	}
-	dur, err := durability.Resume(o.Dir, m, r.reconstructOptions(nil), r.sessionWorkers(), o.internal())
+	dur, err := durability.Resume(o.Dir, m, r.reconstructOptions(nil), r.cfg.parallelism, o.internal())
 	if err != nil {
 		return nil, err
 	}
