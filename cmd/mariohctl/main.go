@@ -154,35 +154,30 @@ func parse(fs *flag.FlagSet, args []string) error {
 // serviceFlags are the flags shared by every subcommand that builds a
 // Reconstructor.
 type serviceFlags struct {
-	seed        *int64
-	variant     *string
-	theta       *float64
-	ratio       *float64
-	alpha       *float64
-	parallel    *int
-	shards      *int
-	shardTarget *int
-	progress    *bool
+	seed     *int64
+	variant  *string
+	theta    *float64
+	ratio    *float64
+	alpha    *float64
+	parallel *int
+	shards   *int
+	progress *bool
 }
 
 func addServiceFlags(fs *flag.FlagSet) *serviceFlags {
 	return &serviceFlags{
-		seed:        fs.Int64("seed", 1, "random seed"),
-		variant:     fs.String("variant", "marioh", "algorithm variant: "+strings.Join(marioh.VariantNames(), " | ")),
-		theta:       fs.Float64("theta", 0.9, "initial classification threshold"),
-		ratio:       fs.Float64("r", 40, "negative prediction processing ratio (%)"),
-		alpha:       fs.Float64("alpha", 1.0/20, "threshold adjust ratio"),
-		parallel:    fs.Int("parallel", 0, "batch worker count (0 = GOMAXPROCS)"),
-		shards:      fs.Int("shards", 0, "shard-parallel reconstruction: shard count (0 = off, output is identical either way)"),
-		shardTarget: fs.Int("shard-target", 0, "shard size target in edges; components above it split along bridges (0 = auto)"),
-		progress:    fs.Bool("progress", false, "print per-round progress to stderr"),
+		seed:     fs.Int64("seed", 1, "random seed"),
+		variant:  fs.String("variant", "marioh", "algorithm variant: "+strings.Join(marioh.VariantNames(), " | ")),
+		theta:    fs.Float64("theta", 0.9, "initial classification threshold"),
+		ratio:    fs.Float64("r", 40, "negative prediction processing ratio (%)"),
+		alpha:    fs.Float64("alpha", 1.0/20, "threshold adjust ratio"),
+		parallel: fs.Int("parallel", 0, "worker bound for batch targets, shards, session components and the round engine (0 = GOMAXPROCS)"),
+		shards:   fs.Int("shards", 0, "shard-parallel reconstruction: shard count (0 = off, output is identical either way)"),
+		progress: fs.Bool("progress", false, "print per-round progress to stderr"),
 	}
 }
 
 func (sf *serviceFlags) options(extra ...marioh.Option) ([]marioh.Option, error) {
-	if *sf.shards == 0 && *sf.shardTarget != 0 {
-		return nil, usageError{msg: "-shard-target requires -shards (sharding is off at -shards 0)"}
-	}
 	opts := []marioh.Option{
 		marioh.WithSeed(*sf.seed),
 		marioh.WithVariant(*sf.variant),
@@ -192,10 +187,7 @@ func (sf *serviceFlags) options(extra ...marioh.Option) ([]marioh.Option, error)
 		marioh.WithParallelism(*sf.parallel),
 	}
 	if *sf.shards != 0 {
-		opts = append(opts, marioh.WithSharding(marioh.ShardingOptions{
-			Shards:      *sf.shards,
-			TargetEdges: *sf.shardTarget,
-		}))
+		opts = append(opts, marioh.WithSharding(marioh.ShardingOptions{Shards: *sf.shards}))
 	}
 	if *sf.progress {
 		sharded := *sf.shards != 0

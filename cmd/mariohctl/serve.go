@@ -90,7 +90,6 @@ func cmdRemoteReconstruct(ctx context.Context, args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	variant := fs.String("variant", "", "algorithm variant (empty = server default)")
 	shards := fs.Int("shards", 0, "shard-parallel reconstruction on the server: shard count (0 = off)")
-	shardTarget := fs.Int("shard-target", 0, "server-side shard size target in edges (0 = auto)")
 	async := fs.Bool("async", false, "force asynchronous execution and poll the job")
 	if err := parse(fs, args); err != nil {
 		return err
@@ -99,7 +98,7 @@ func cmdRemoteReconstruct(ctx context.Context, args []string) error {
 		return usageError{msg: "remote-reconstruct: -model and -target are required"}
 	}
 	c := remoteClient(*base, *tenant)
-	opts := server.OptionSpec{Seed: *seed, Variant: *variant, Shards: *shards, ShardTarget: *shardTarget}
+	opts := server.OptionSpec{Seed: *seed, Variant: *variant, Shards: *shards}
 
 	paths := strings.Split(*targetPath, ",")
 	targets := make([]string, len(paths))

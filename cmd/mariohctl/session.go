@@ -111,13 +111,12 @@ func cmdSession(ctx context.Context, args []string) error {
 
 	if *base != "" {
 		spec := server.OptionSpec{
-			Seed:        *sf.seed,
-			Variant:     *sf.variant,
-			ThetaInit:   sf.theta,
-			R:           sf.ratio,
-			Alpha:       sf.alpha,
-			Shards:      *sf.shards,
-			ShardTarget: *sf.shardTarget,
+			Seed:      *sf.seed,
+			Variant:   *sf.variant,
+			ThetaInit: sf.theta,
+			R:         sf.ratio,
+			Alpha:     sf.alpha,
+			Shards:    *sf.shards,
 		}
 		return remoteSession(ctx, remoteClient(*base, *tenant), *modelPath, *graphPath, *sessionID, spec, batches, *out, *keep)
 	}

@@ -16,9 +16,6 @@ type ShardOptions struct {
 	// GOMAXPROCS. The output is byte-identical for every shard count (see
 	// ReconstructSharded), so this is purely a throughput knob.
 	Shards int
-	// TargetEdges is the partitioner's shard size target; 0 derives it
-	// from the edge count and shard count.
-	TargetEdges int
 	// Executor, when non-nil, runs the per-shard tasks instead of the
 	// built-in Fanout over Options.Parallelism workers — the hook external
 	// schedulers (e.g. the mariohd job queue) use to fan shards onto their
@@ -41,8 +38,8 @@ func ReconstructPiece(ctx context.Context, g *graph.Graph, m *Model, opts Option
 // reconstructing the shards concurrently through RunPieces, and merging
 // the per-shard hypergraphs. The output is byte-identical to
 // ReconstructContext on the same inputs, for any shard count: hyperedges
-// never span connected components, the partitioner splits oversized
-// components only along bridges (which filtering consumes before anything
+// never span connected components, the partitioner cuts only edges whose
+// endpoints share no neighbour (which filtering consumes before anything
 // is scored), and the round engine keys all per-round randomness and
 // fallbacks by component — so each shard reproduces exactly the slice of
 // the serial run its components would have produced. The one exception is
@@ -60,10 +57,9 @@ func ReconstructSharded(ctx context.Context, g *graph.Graph, m *Model, opts Opti
 		so.Shards = runtime.GOMAXPROCS(0)
 	}
 	plan := shard.Partition(g, shard.Options{
-		Shards:      so.Shards,
-		TargetEdges: so.TargetEdges,
-		// Bridge cuts are only output-exact because filtering consumes
-		// every bridge before scoring; without filtering (MARIOH-F) the
+		Shards: so.Shards,
+		// Cuts are only output-exact because filtering consumes every cut
+		// edge before scoring; without filtering (MARIOH-F) the
 		// partitioner must stay at component granularity.
 		DisableSplit: opts.DisableFiltering,
 	})

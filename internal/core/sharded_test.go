@@ -99,9 +99,9 @@ func bridgeChain(k int) *hypergraph.Hypergraph {
 	return h
 }
 
-// TestShardedBridgeSplitMatchesSerial forces intra-component bridge
-// splitting with a tiny shard target and checks the output still matches
-// the serial pipeline byte for byte.
+// TestShardedBridgeSplitMatchesSerial cuts the one-component chain along
+// its bridges, which share no neighbour, and checks the output still
+// matches the serial pipeline byte for byte.
 func TestShardedBridgeSplitMatchesSerial(t *testing.T) {
 	h := bridgeChain(10)
 	g := h.Project()
@@ -112,21 +112,47 @@ func TestShardedBridgeSplitMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := renderHG(t, serial.Hypergraph)
-	for _, so := range []ShardOptions{
-		{Shards: 4, TargetEdges: 5},
-		{Shards: 16, TargetEdges: 4},
-		{Shards: 2, TargetEdges: 20},
-	} {
-		res, err := ReconstructSharded(context.Background(), g, m, opts, so)
+	for _, shards := range []int{2, 4, 16} {
+		res, err := ReconstructSharded(context.Background(), g, m, opts, ShardOptions{Shards: shards})
 		if err != nil {
-			t.Fatalf("%+v: %v", so, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if so.TargetEdges <= 5 && res.Shards < 2 {
-			t.Fatalf("%+v: expected the chain to split, got %d shards", so, res.Shards)
+		if res.Shards < 2 {
+			t.Fatalf("shards=%d: expected the chain to split, got %d shards", shards, res.Shards)
 		}
 		if got := renderHG(t, res.Hypergraph); !bytes.Equal(got, want) {
-			t.Fatalf("%+v: bridge-split output diverges from serial pipeline", so)
+			t.Fatalf("shards=%d: bridge-split output diverges from serial pipeline", shards)
 		}
+	}
+}
+
+// TestShardedCutsTriangleFreeCycle: two triangles joined by the edges 2–3
+// and 1–4 form one 2-edge-connected component, so no bridge splits it,
+// but neither joining edge has a common neighbour. The partitioner cuts
+// both, and the two pieces still reproduce the serial bytes.
+func TestShardedCutsTriangleFreeCycle(t *testing.T) {
+	h := hypergraph.New(6)
+	h.Add([]int{0, 1, 2})
+	h.Add([]int{3, 4, 5})
+	h.Add([]int{0, 1})
+	h.Add([]int{2, 3})
+	h.Add([]int{1, 4})
+	g := h.Project()
+	m := Train(g, h, TrainOptions{Seed: 2, Epochs: 15})
+	opts := Options{Seed: 2}
+	serial, err := ReconstructContext(context.Background(), g, m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ReconstructSharded(context.Background(), g, m, opts, ShardOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Shards != 2 {
+		t.Fatalf("run used %d shards, want 2", res.Shards)
+	}
+	if got, want := renderHG(t, res.Hypergraph), renderHG(t, serial.Hypergraph); !bytes.Equal(got, want) {
+		t.Fatalf("sharded output diverges from serial pipeline:\n%s\nvs\n%s", got, want)
 	}
 }
 

@@ -6,8 +6,8 @@
 // The byte-identical output contract (serial == sharded == incremental ==
 // recovered-after-crash) is only as strong as the graph shapes it is
 // proven on. Each Family in Families is engineered to stress one part of
-// the stack: dense bitset promote/demote churn, bridge-tree splitting,
-// overlapping-clique enumeration, component merge/split storms, exact
+// the stack: dense bitset promote/demote churn, intra-component shard
+// cuts, overlapping-clique enumeration, component merge/split storms, exact
 // structural reverts. The golden-output tests pin every family's
 // reconstruction bytes, the engine-vs-rebuild property tests and
 // FuzzDeltaSequence replay the delta streams through the incremental

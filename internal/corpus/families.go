@@ -10,7 +10,7 @@ import (
 // well under a second serially — small enough for per-batch -verify
 // rebuilds in the gates, large enough to exercise the pressure point
 // (powerlaw-hubs and hub-thrash cross the dense-bitset promote threshold,
-// bridge-chain outgrows any small shard target, archipelago has enough
+// bridge-chain splits into many shard atoms, archipelago has enough
 // components for the incremental cache to matter).
 //
 // Generators are named functions (not closures over the Family vars) so
@@ -140,8 +140,8 @@ var hubThrash = Family{
 }
 
 // genBridgeChain: a long chain of small 2-edge-connected blocks joined by
-// ω=1 bridges — the shape the bridge-tree splitter was built for. Any
-// small shard target forces real splits.
+// ω=1 bridges. A bridge shares no neighbour, so the partitioner cuts
+// every one and the single component splits into many atoms.
 func genBridgeChain(seed int64) *graph.Graph {
 	const blocks = 28
 	rng := rand.New(rand.NewSource(seed))

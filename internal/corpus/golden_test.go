@@ -94,8 +94,8 @@ func TestFamilyGoldenOutput(t *testing.T) {
 
 // TestFamilyGoldenShardEquivalence is the in-process mirror of
 // shard-check over the corpus: for every family, sharded reconstruction
-// at 1/4/16 shards (with a small TargetEdges so oversized components
-// really bridge-split) must reproduce the serial bytes exactly.
+// at 1/4/16 shards (cut at every edge whose endpoints share no
+// neighbour) must reproduce the serial bytes exactly.
 func TestFamilyGoldenShardEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full equivalence matrix; skipped in -short")
@@ -115,7 +115,7 @@ func TestFamilyGoldenShardEquivalence(t *testing.T) {
 			}
 			for _, shards := range []int{1, 4, 16} {
 				res, err := core.ReconstructSharded(context.Background(), f.Gen(1), m, opts,
-					core.ShardOptions{Shards: shards, TargetEdges: 8})
+					core.ShardOptions{Shards: shards})
 				if err != nil {
 					t.Fatal(err)
 				}

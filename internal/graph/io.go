@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -25,7 +26,9 @@ func (g *Graph) Write(w io.Writer) error {
 
 // Read parses the format produced by Write: an optional "% nodes N" header
 // followed by "u v w" lines (w defaults to 1 when omitted). Blank lines and
-// "%" comments are skipped.
+// "%" comments are skipped. A self-loop, a negative node id, or a weight
+// that, summed over repeated lines, overflows int32 fails with an error
+// naming the line.
 func Read(r io.Reader) (*Graph, error) {
 	g := New(0)
 	sc := bufio.NewScanner(r)
@@ -56,6 +59,9 @@ func Read(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad node %q", lineNo, fields[1])
 		}
+		if u == v || u < 0 || v < 0 {
+			return nil, fmt.Errorf("graph: line %d: bad edge {%d, %d}", lineNo, u, v)
+		}
 		w := 1
 		if len(fields) == 3 {
 			w, err = strconv.Atoi(fields[2])
@@ -63,11 +69,10 @@ func Read(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: bad weight %q", lineNo, fields[2])
 			}
 		}
-		top := u
-		if v > top {
-			top = v
+		g.EnsureNodes(max(u, v) + 1)
+		if g.Weight(u, v)+w > math.MaxInt32 {
+			return nil, fmt.Errorf("graph: line %d: weight of {%d, %d} overflows int32", lineNo, u, v)
 		}
-		g.EnsureNodes(top + 1)
 		g.AddWeight(u, v, w)
 	}
 	if err := sc.Err(); err != nil {

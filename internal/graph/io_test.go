@@ -39,9 +39,23 @@ func TestReadDefaultsWeight(t *testing.T) {
 }
 
 func TestReadErrors(t *testing.T) {
-	for _, in := range []string{"0", "0 1 2 3", "a 1", "0 b", "0 1 -2"} {
-		if _, err := Read(strings.NewReader(in)); err == nil {
-			t.Fatalf("input %q should fail", in)
+	for _, tc := range []struct {
+		in, line string
+	}{
+		{"0", "line 1"},
+		{"0 1 2 3", "line 1"},
+		{"a 1", "line 1"},
+		{"0 b", "line 1"},
+		{"0 1 -2", "line 1"},
+		{"0 1 1\n0 0 1", "line 2"},                   // self-loop
+		{"0 1 1\n-1 3 1", "line 2"},                  // negative node id
+		{"2 -3", "line 1"},                           // negative node id
+		{"0 1 2000000000\n0 1 2000000000", "line 2"}, // summed weight overflows int32
+		{"0 1 3000000000", "line 1"},                 // weight overflows int32
+	} {
+		_, err := Read(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.line) {
+			t.Fatalf("input %q: got %v, want an error naming %s", tc.in, err, tc.line)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,7 +57,9 @@ func (h *Hypergraph) Write(w io.Writer) error {
 }
 
 // Read parses the format produced by Write. Blank lines and lines starting
-// with "%" are skipped.
+// with "%" are skipped. A multiplicity below 1, a negative node id, or a
+// hyperedge of fewer than 2 distinct nodes fails with an error naming the
+// line.
 func Read(r io.Reader) (*Hypergraph, error) {
 	h := New(0)
 	sc := bufio.NewScanner(r)
@@ -74,6 +77,9 @@ func Read(r io.Reader) (*Hypergraph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("hypergraph: line %d: bad multiplicity: %v", lineNo, err)
 			}
+			if m < 1 {
+				return nil, fmt.Errorf("hypergraph: line %d: multiplicity %d must be ≥ 1", lineNo, m)
+			}
 			mult = m
 			text = strings.TrimSpace(text[:i])
 		}
@@ -84,10 +90,13 @@ func Read(r io.Reader) (*Hypergraph, error) {
 		nodes := make([]int, len(fields))
 		for i, f := range fields {
 			u, err := strconv.Atoi(f)
-			if err != nil {
+			if err != nil || u < 0 {
 				return nil, fmt.Errorf("hypergraph: line %d: bad node id %q", lineNo, f)
 			}
 			nodes[i] = u
+		}
+		if slices.Min(nodes) == slices.Max(nodes) {
+			return nil, fmt.Errorf("hypergraph: line %d: hyperedge needs at least 2 distinct nodes", lineNo)
 		}
 		h.AddMult(nodes, mult)
 	}

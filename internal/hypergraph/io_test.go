@@ -44,9 +44,20 @@ func TestReadFormatVariants(t *testing.T) {
 }
 
 func TestReadErrors(t *testing.T) {
-	for _, in := range []string{"5", "a b", "1 2 # x"} {
-		if _, err := Read(strings.NewReader(in)); err == nil {
-			t.Fatalf("input %q should fail", in)
+	for _, tc := range []struct {
+		in, line string
+	}{
+		{"5", "line 1"},
+		{"a b", "line 1"},
+		{"1 2 # x", "line 1"},
+		{"0 1\n1 1 # 1", "line 2"},   // one distinct node
+		{"0 1 2\n0 1 # 0", "line 2"}, // zero multiplicity
+		{"0 1 # -3", "line 1"},       // negative multiplicity
+		{"0 1\n-1 2", "line 2"},      // negative node id
+	} {
+		_, err := Read(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.line) {
+			t.Fatalf("input %q: got %v, want an error naming %s", tc.in, err, tc.line)
 		}
 	}
 }

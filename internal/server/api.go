@@ -36,10 +36,8 @@ type OptionSpec struct {
 	Parallelism int      `json:"parallelism,omitempty"`
 	// Shards routes reconstruction through the shard-parallel engine
 	// (0 = serial; output is byte-identical either way). The server fans
-	// the shards onto its job queue's worker pool. ShardTarget is the
-	// shard size target in edges (0 = auto).
-	Shards      int `json:"shards,omitempty"`
-	ShardTarget int `json:"shard_target,omitempty"`
+	// the shards onto its job queue's worker pool.
+	Shards int `json:"shards,omitempty"`
 }
 
 // Options resolves the spec into functional options for marioh.New. The
@@ -50,11 +48,8 @@ func (s OptionSpec) Options() ([]marioh.Option, error) {
 	if _, _, err := service.Resolve(s.Variant, s.Featurizer); err != nil {
 		return nil, err
 	}
-	if s.Shards < 0 || s.ShardTarget < 0 {
-		return nil, fmt.Errorf("options: shards %d / shard_target %d must be ≥ 0", s.Shards, s.ShardTarget)
-	}
-	if s.Shards == 0 && s.ShardTarget > 0 {
-		return nil, fmt.Errorf("options: shard_target requires shards (sharding is off at shards 0)")
+	if s.Shards < 0 {
+		return nil, fmt.Errorf("options: shards %d must be ≥ 0", s.Shards)
 	}
 	opts := []marioh.Option{marioh.WithSeed(s.Seed)}
 	if s.Variant != "" {

@@ -114,9 +114,8 @@ func (s *Server) shardingOptions(spec OptionSpec) []marioh.Option {
 		return nil
 	}
 	return []marioh.Option{marioh.WithSharding(marioh.ShardingOptions{
-		Shards:      spec.Shards,
-		TargetEdges: spec.ShardTarget,
-		Executor:    s.queue.RunTasks,
+		Shards:   spec.Shards,
+		Executor: s.queue.RunTasks,
 	})}
 }
 

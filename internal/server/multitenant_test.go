@@ -355,7 +355,7 @@ func TestServerDedupSingleflight(t *testing.T) {
 
 	// A request with different options is a different content address.
 	other, _, err := c.Reconstruct(ctx, ReconstructRequest{
-		Model: "m", Target: graphText(t, tgt), Options: OptionSpec{Seed: 3, Shards: 2, ShardTarget: 4},
+		Model: "m", Target: graphText(t, tgt), Options: OptionSpec{Seed: 3, Shards: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

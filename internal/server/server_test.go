@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -491,6 +492,36 @@ func TestServerValidationAndNotFound(t *testing.T) {
 	}
 }
 
+// TestServerMalformedGraphTextIsBadRequest: graph and hypergraph texts
+// the readers reject — a self-loop, a negative node id, an overflowing
+// weight, a one-node hyperedge, a zero multiplicity — are the client's
+// fault and answer 400 bad_request, not a recovered panic's 500.
+func TestServerMalformedGraphTextIsBadRequest(t *testing.T) {
+	_, c := newTestServer(t, nil)
+	trainOn(t, c, testSource(t), "m", OptionSpec{Seed: 1, Epochs: 5})
+	post := func(path string, req any) {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := doTenant(t, http.MethodPost, c.Base+path, "", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			resp.Body.Close()
+			t.Fatalf("%s %s = %d, want 400", path, body, resp.StatusCode)
+		}
+		if e := decodeEnvelope(t, resp); e.Code != CodeBadRequest {
+			t.Fatalf("%s %s: code %q, want %q", path, body, e.Code, CodeBadRequest)
+		}
+	}
+	for _, target := range []string{"0 0 1", "-1 3 1", "0 1 2000000000\n0 1 2000000000"} {
+		post("/v1/reconstruct", ReconstructRequest{Model: "m", Target: target})
+	}
+	for _, source := range []string{"1 1 # 1", "0 1 # 0", "-1 2"} {
+		post("/v1/train", TrainRequest{Source: source})
+	}
+}
+
 // TestServerHealthAndMetrics checks the observability endpoints.
 func TestServerHealthAndMetrics(t *testing.T) {
 	ctx := context.Background()
@@ -580,7 +611,7 @@ func TestServerShardedReconstructMatchesSerial(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		res, _, err := c.Reconstruct(ctx, ReconstructRequest{
 			Model: "m", Target: graphText(t, tgt),
-			Options: OptionSpec{Seed: 2, Shards: shards, ShardTarget: 4},
+			Options: OptionSpec{Seed: 2, Shards: shards},
 		})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -615,5 +646,24 @@ func TestServerShardedReconstructMatchesSerial(t *testing.T) {
 		Model: "m", Target: graphText(t, tgt), Options: OptionSpec{Shards: -1},
 	}); err == nil {
 		t.Fatal("negative shard count must be rejected")
+	}
+
+	// shard_target is no longer an option. The decoder ignores unknown
+	// fields, so a client that still sends it gets the same bytes.
+	body, err := json.Marshal(map[string]any{
+		"model": "m", "target": graphText(t, tgt),
+		"options": map[string]any{"seed": 2, "shards": 4, "shard_target": 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := doTenant(t, http.MethodPost, c.Base+"/v1/reconstruct", "", body)
+	defer legacy.Body.Close()
+	var got ReconstructResponse
+	if err := json.NewDecoder(legacy.Body).Decode(&got); err != nil || legacy.StatusCode != http.StatusOK {
+		t.Fatalf("request with shard_target = %d, %v", legacy.StatusCode, err)
+	}
+	if got.Result.Hypergraph != serial.Result.Hypergraph {
+		t.Fatal("request with shard_target diverges from the serial pipeline")
 	}
 }

@@ -2,14 +2,21 @@
 // MARIOH's shard-parallel reconstruction engine.
 //
 // A partition assigns every edge of the projected graph to exactly one
-// shard. Because hyperedges never span connected components, components are
-// the natural atoms; components larger than the target shard size are split
-// further along their bridges (preferring low-multiplicity ones), which is
-// the one kind of intra-component cut the reconstruction provably tolerates:
-// a bridge has no common neighbors, so MARIOH's size-2 filtering consumes it
-// entirely before any clique is ever scored, after which the two sides are
-// genuinely independent components. Every maximal clique of the input graph
-// therefore lives — and is scored — in exactly one shard.
+// shard. It cuts exactly where MARIOH's filtering step does: an edge whose
+// endpoints share no neighbour has MHH 0 (Lemma 1), so filtering
+// (Algorithm 2) removes it in full, as a size-2 hyperedge, before any
+// clique is scored. The atoms of the partition are the connected
+// components of the graph without those cut edges; each cut edge joins the
+// atom of its smaller endpoint, where its larger endpoint is a halo node.
+//
+// The cut is exact. Any common neighbour z of an uncut edge (u, v) is
+// joined to both endpoints by uncut edges ((u, z) shares v, (v, z) shares
+// u), so z and both its edges sit in u's atom: a piece computes every
+// uncut edge's MHH exactly as the whole graph does, and a halo node is
+// never a common neighbour inside a piece. After filtering, every piece
+// therefore holds whole components of the serial run's residual graph,
+// and every maximal clique of the input graph lives — and is scored — in
+// exactly one shard.
 //
 // Partitioning is single-threaded and fully deterministic: the same graph
 // and options produce the same Plan regardless of GOMAXPROCS or prior
@@ -28,22 +35,17 @@ type Options struct {
 	// packing). Values < 1 are treated as 1. The plan may contain fewer
 	// pieces when the graph has fewer atoms than shards.
 	Shards int
-	// TargetEdges is the shard size target: connected components owning
-	// more edges are split along their bridges. 0 derives
-	// ceil(edges/Shards) from the graph. A 2-edge-connected block larger
-	// than the target cannot be split exactly and is kept whole.
-	TargetEdges int
-	// DisableSplit keeps connected components atomic. The reconstruction
-	// engine forces this when filtering is disabled (MARIOH-F), because
-	// bridge cuts are only output-exact when filtering consumes the
-	// bridges first.
+	// DisableSplit cuts nothing, so atoms are whole connected components.
+	// The reconstruction engine sets it when filtering is disabled
+	// (MARIOH-F), because a cut is only output-exact when filtering
+	// consumes the cut edge first.
 	DisableSplit bool
 }
 
 // Piece is one shard: the subgraph carrying the edges assigned to it.
 type Piece struct {
-	// Nodes are the sorted original node ids appearing in the piece —
-	// the nodes it owns plus halo endpoints of assigned bridge edges.
+	// Nodes are the sorted original node ids appearing in the piece: the
+	// nodes of its atoms plus the halo endpoints of its cut edges.
 	Nodes []int
 	// Graph is the piece's subgraph, relabeled 0..len(Nodes)-1 in Nodes
 	// order (so the relabeling is order-preserving); Nodes doubles as the
@@ -56,31 +58,6 @@ type Piece struct {
 // Plan is a deterministic edge partition of a graph.
 type Plan struct {
 	Pieces []Piece
-	// Owner maps every original node id to the index of the piece that
-	// owns it. Nodes without edges are owned by piece 0 by convention
-	// (they appear in no piece's subgraph). Halo nodes appear in a
-	// piece's Nodes without being owned by it.
-	Owner []int
-}
-
-// atom is an indivisible unit of the packing: a connected component, or a
-// bridge-tree part of an oversized component.
-type atom struct {
-	owned []int // sorted original node ids owned by the atom
-	edges []graph.Edge
-}
-
-// minNode returns the smallest original node id appearing in the atom,
-// the LPT packing tie-break key for equal-weight atoms. owned[0] is that
-// minimum: owned is sorted ascending, and every assigned edge's smaller
-// endpoint is an owned node (a cut bridge goes to the part owning its
-// smaller endpoint; only the larger endpoint is a halo), so no halo can
-// undercut it. Keying the tie-break on the atom's minimum node makes the
-// packing a pure function of the graph — the property session
-// re-partitioning after deltas relies on for determinism across runs,
-// pinned by TestPackEqualWeightTieBreakByMinNode.
-func (a *atom) minNode() int {
-	return a.owned[0]
 }
 
 // Partition builds a deterministic shard plan for g.
@@ -88,304 +65,69 @@ func Partition(g *graph.Graph, opts Options) *Plan {
 	if opts.Shards < 1 {
 		opts.Shards = 1
 	}
-	target := opts.TargetEdges
-	if target <= 0 {
-		target = (g.NumEdges() + opts.Shards - 1) / opts.Shards
-	}
-	if target < 1 {
-		target = 1
-	}
-
-	var atoms []atom
-	var isolated []int
-	for _, comp := range g.ConnectedComponents() {
-		edges := componentEdges(g, comp)
-		if len(edges) == 0 {
-			isolated = append(isolated, comp...)
-			continue
-		}
-		if opts.DisableSplit || len(edges) <= target {
-			atoms = append(atoms, atom{owned: comp, edges: edges})
-			continue
-		}
-		atoms = append(atoms, splitComponent(g, comp, edges, target)...)
-	}
-
-	return pack(g, atoms, isolated, opts.Shards)
-}
-
-// componentEdges collects the edges of a component (all edges incident to
-// its nodes, each reported once with U < V, lexicographically sorted).
-func componentEdges(g *graph.Graph, comp []int) []graph.Edge {
-	var out []graph.Edge
-	for _, u := range comp {
-		g.NeighborWeights(u, func(v, w int) {
-			if u < v {
-				out = append(out, graph.Edge{U: u, V: v, W: w})
-			}
-		})
-	}
-	return out
-}
-
-// splitComponent cuts one oversized component along its bridges into atoms
-// of at most target owned edges where possible. It builds the bridge tree
-// (2-edge-connected blocks connected by bridges), greedily merges child
-// subtrees bottom-up — keeping high-multiplicity bridges internal and
-// cutting low-multiplicity ones first when a part overflows — and assigns
-// every cut bridge to the side holding its smaller endpoint, with the other
-// endpoint joining that side as a halo node.
-func splitComponent(g *graph.Graph, comp []int, edges []graph.Edge, target int) []atom {
-	local := make(map[int]int, len(comp)) // original id → local index
-	for i, u := range comp {
-		local[u] = i
-	}
-	adj := make([][]int, len(comp))
-	for _, e := range edges {
-		lu, lv := local[e.U], local[e.V]
-		adj[lu] = append(adj[lu], lv)
-		adj[lv] = append(adj[lv], lu)
-	}
-	bridgeList := findBridges(adj)
-	if len(bridgeList) == 0 {
-		// 2-edge-connected through and through: nothing exact to cut.
-		return []atom{{owned: comp, edges: edges}}
-	}
-	isBridge := make(map[[2]int]bool, len(bridgeList))
-	for _, b := range bridgeList {
-		isBridge[normPair(b[0], b[1])] = true
-	}
-
-	// Label 2-edge-connected blocks: components of the graph minus bridges.
-	block := make([]int, len(comp))
-	for i := range block {
-		block[i] = -1
-	}
-	nBlocks := 0
+	// One traversal over the uncut edges, started from every unvisited
+	// node in ascending id, collects the atoms; each node files its edges
+	// toward larger nodes under its own atom. An edge is tested only when
+	// it reaches an unvisited node, so each is tested at most once.
+	n := g.NumNodes()
+	seen := make([]bool, n)
+	var atoms [][]graph.Edge
 	stack := make([]int, 0, 64)
-	for s := range adj {
-		if block[s] >= 0 {
+	for s := 0; s < n; s++ {
+		if seen[s] {
 			continue
 		}
-		block[s] = nBlocks
+		var edges []graph.Edge
+		seen[s] = true
 		stack = append(stack[:0], s)
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, v := range adj[u] {
-				if block[v] < 0 && !isBridge[normPair(u, v)] {
-					block[v] = nBlocks
+			g.NeighborWeights(u, func(v, w int) {
+				if u < v {
+					edges = append(edges, graph.Edge{U: u, V: v, W: w})
+				}
+				if !seen[v] && (opts.DisableSplit || g.CountCommonNeighbors(u, v) > 0) {
+					seen[v] = true
 					stack = append(stack, v)
 				}
-			}
+			})
 		}
-		nBlocks++
-	}
-
-	// Per-block owned-edge weight (non-bridge edges).
-	blockW := make([]int, nBlocks)
-	for _, e := range edges {
-		lu, lv := local[e.U], local[e.V]
-		if !isBridge[normPair(lu, lv)] {
-			blockW[block[lu]]++
+		// An atom without edges is an isolated node, or one whose edges
+		// are all cut and held by the atoms of their smaller endpoints.
+		if len(edges) > 0 {
+			atoms = append(atoms, edges)
 		}
 	}
-
-	// Bridge-tree adjacency: treeNbr[b] lists (other block, bridge index).
-	type treeEdge struct {
-		other  int
-		bridge int // index into bridgeList
-	}
-	treeNbr := make([][]treeEdge, nBlocks)
-	for i, b := range bridgeList {
-		bu, bv := block[b[0]], block[b[1]]
-		treeNbr[bu] = append(treeNbr[bu], treeEdge{other: bv, bridge: i})
-		treeNbr[bv] = append(treeNbr[bv], treeEdge{other: bu, bridge: i})
-	}
-
-	// Greedy bottom-up tree partition, rooted at the block of the smallest
-	// node. Children are merged in descending bridge multiplicity (ties:
-	// bridge index, which is deterministic), so overflow cuts fall on the
-	// cheapest bridges.
-	root := block[0] // comp is sorted, so local 0 is the smallest node
-	parentBridge := make([]int, nBlocks)
-	for i := range parentBridge {
-		parentBridge[i] = -1
-	}
-	order := make([]int, 0, nBlocks) // DFS pre-order
-	seen := make([]bool, nBlocks)
-	seen[root] = true
-	stack = append(stack[:0], root)
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		order = append(order, b)
-		for _, te := range treeNbr[b] {
-			if !seen[te.other] {
-				seen[te.other] = true
-				parentBridge[te.other] = te.bridge
-				stack = append(stack, te.other)
-			}
-		}
-	}
-
-	bridgeOmega := func(i int) int {
-		b := bridgeList[i]
-		return g.Weight(comp[b[0]], comp[b[1]])
-	}
-	cut := make([]bool, len(bridgeList))
-	weight := make([]int, nBlocks) // retained part weight, filled bottom-up
-	for i := len(order) - 1; i >= 0; i-- {
-		b := order[i]
-		children := make([]treeEdge, 0, len(treeNbr[b]))
-		for _, te := range treeNbr[b] {
-			if parentBridge[te.other] == te.bridge {
-				children = append(children, te)
-			}
-		}
-		sort.Slice(children, func(x, y int) bool {
-			ox, oy := bridgeOmega(children[x].bridge), bridgeOmega(children[y].bridge)
-			if ox != oy {
-				return ox > oy
-			}
-			return children[x].bridge < children[y].bridge
-		})
-		acc := blockW[b]
-		for _, te := range children {
-			if w := weight[te.other] + 1; acc+w <= target {
-				acc += w
-			} else {
-				cut[te.bridge] = true
-			}
-		}
-		weight[b] = acc
-	}
-
-	// Parts = components of the block tree minus cut bridges.
-	part := make([]int, nBlocks)
-	for i := range part {
-		part[i] = -1
-	}
-	nParts := 0
-	for s := 0; s < nBlocks; s++ {
-		if part[s] >= 0 {
-			continue
-		}
-		part[s] = nParts
-		stack = append(stack[:0], s)
-		for len(stack) > 0 {
-			b := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, te := range treeNbr[b] {
-				if part[te.other] < 0 && !cut[te.bridge] {
-					part[te.other] = nParts
-					stack = append(stack, te.other)
-				}
-			}
-		}
-		nParts++
-	}
-
-	// Assign edges and nodes to parts. Edges are emitted with U < V, so
-	// taking U's part assigns internal edges to their own part and every
-	// cut bridge to the part of its smaller endpoint — whose other
-	// endpoint joins that part as a halo node.
-	out := make([]atom, nParts)
-	for _, u := range comp {
-		p := part[block[local[u]]]
-		out[p].owned = append(out[p].owned, u)
-	}
-	for _, e := range edges {
-		p := part[block[local[e.U]]]
-		out[p].edges = append(out[p].edges, e)
-	}
-	return out
-}
-
-// normPair returns the unordered pair (a, b) in canonical order.
-func normPair(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int{a, b}
-}
-
-// findBridges runs an iterative Tarjan low-link pass over a local
-// adjacency list and returns the bridge edges as local id pairs.
-func findBridges(adj [][]int) [][2]int {
-	n := len(adj)
-	disc := make([]int, n)
-	low := make([]int, n)
-	for i := range disc {
-		disc[i] = -1
-	}
-	timer := 0
-	var out [][2]int
-	type frame struct{ u, parent, idx int }
-	var stack []frame
-	for s := 0; s < n; s++ {
-		if disc[s] >= 0 {
-			continue
-		}
-		disc[s], low[s] = timer, timer
-		timer++
-		stack = append(stack[:0], frame{u: s, parent: -1})
-		for len(stack) > 0 {
-			top := len(stack) - 1
-			u, parent := stack[top].u, stack[top].parent
-			if stack[top].idx < len(adj[u]) {
-				v := adj[u][stack[top].idx]
-				stack[top].idx++
-				if v == parent {
-					continue // simple graph: the tree edge appears once
-				}
-				if disc[v] == -1 {
-					disc[v], low[v] = timer, timer
-					timer++
-					stack = append(stack, frame{u: v, parent: u})
-				} else if disc[v] < low[u] {
-					low[u] = disc[v]
-				}
-				continue
-			}
-			stack = stack[:top]
-			if top > 0 {
-				p := stack[top-1].u
-				if low[u] < low[p] {
-					low[p] = low[u]
-				}
-				if low[u] > disc[p] {
-					out = append(out, [2]int{p, u})
-				}
-			}
-		}
-	}
-	return out
+	return pack(atoms, opts.Shards, n)
 }
 
 // pack bins atoms into at most shards pieces with a deterministic
 // longest-processing-time greedy: atoms sorted by descending edge count,
-// breaking equal weights by minimum original node id (see atom.minNode),
-// land in the currently lightest bin (ties: lowest bin index).
-func pack(g *graph.Graph, atoms []atom, isolated []int, shards int) *Plan {
+// breaking equal weights by their smallest node, land in the currently
+// lightest bin (ties: lowest bin index). Every node below the node an
+// atom's traversal started from was visited before it, so that start node
+// is the atom's smallest and its first edge leaves it. Keying the
+// tie-break on it makes the packing a pure function of the graph — the
+// property session re-partitioning after deltas relies on for determinism
+// across runs, pinned by TestPackEqualWeightTieBreakByMinNode.
+func pack(atoms [][]graph.Edge, shards, n int) *Plan {
 	order := make([]int, len(atoms))
-	minNode := make([]int, len(atoms))
 	for i := range order {
 		order[i] = i
-		minNode[i] = atoms[i].minNode()
 	}
 	sort.Slice(order, func(x, y int) bool {
-		ax, ay := &atoms[order[x]], &atoms[order[y]]
-		if len(ax.edges) != len(ay.edges) {
-			return len(ax.edges) > len(ay.edges)
+		ax, ay := atoms[order[x]], atoms[order[y]]
+		if len(ax) != len(ay) {
+			return len(ax) > len(ay)
 		}
-		return minNode[order[x]] < minNode[order[y]]
+		return ax[0].U < ay[0].U
 	})
-	if shards > len(atoms) && len(atoms) > 0 {
+	if shards > len(atoms) {
 		shards = len(atoms)
 	}
 	load := make([]int, shards)
-	binOf := make([]int, len(atoms))
+	bins := make([][]int, shards) // atom indices per bin
 	for _, ai := range order {
 		best := 0
 		for b := 1; b < shards; b++ {
@@ -393,43 +135,28 @@ func pack(g *graph.Graph, atoms []atom, isolated []int, shards int) *Plan {
 				best = b
 			}
 		}
-		binOf[ai] = best
-		load[best] += len(atoms[ai].edges)
+		bins[best] = append(bins[best], ai)
+		load[best] += len(atoms[ai])
 	}
 
-	plan := &Plan{Owner: make([]int, g.NumNodes())}
-	if len(atoms) == 0 {
-		plan.Pieces = []Piece{}
-		return plan
-	}
-	bins := make([][]int, shards) // atom indices per bin, ascending
-	for ai := range atoms {
-		bins[binOf[ai]] = append(bins[binOf[ai]], ai)
-	}
-	for _, atomIdx := range bins {
-		if len(atomIdx) == 0 {
-			continue
-		}
-		idx := len(plan.Pieces)
+	plan := &Plan{Pieces: make([]Piece, 0, shards)}
+	listed := make([]int, n) // 1 + index of the last piece listing the node
+	local := make([]int, n)  // original → piece-local id, per piece
+	for p, bin := range bins {
 		var edges []graph.Edge
-		nodeSet := map[int]bool{}
-		for _, ai := range atomIdx {
-			for _, u := range atoms[ai].owned {
-				plan.Owner[u] = idx
-				nodeSet[u] = true
-			}
-			edges = append(edges, atoms[ai].edges...)
+		var nodes []int
+		for _, ai := range bin {
+			edges = append(edges, atoms[ai]...)
 		}
 		for _, e := range edges {
-			nodeSet[e.U] = true // halo endpoints of assigned bridges
-			nodeSet[e.V] = true
-		}
-		nodes := make([]int, 0, len(nodeSet))
-		for u := range nodeSet {
-			nodes = append(nodes, u)
+			for _, u := range [2]int{e.U, e.V} {
+				if listed[u] != p+1 {
+					listed[u] = p + 1
+					nodes = append(nodes, u)
+				}
+			}
 		}
 		sort.Ints(nodes)
-		local := make(map[int]int, len(nodes))
 		for i, u := range nodes {
 			local[u] = i
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"marioh/internal/corpus"
@@ -54,10 +55,10 @@ func TestPartitionCoversEveryEdgeExactlyOnce(t *testing.T) {
 		g := randomGraph(rng, 2+rng.Intn(6), 3+rng.Intn(6))
 		for _, opts := range []Options{
 			{Shards: 1},
+			{Shards: 2},
 			{Shards: 4},
 			{Shards: 16},
-			{Shards: 4, TargetEdges: 5},
-			{Shards: 8, TargetEdges: 1},
+			{Shards: 4, DisableSplit: true},
 		} {
 			plan := Partition(g, opts)
 			seen := map[[2]int]int{}
@@ -79,33 +80,41 @@ func TestPartitionCoversEveryEdgeExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestPartitionOwnsEveryVertexExactlyOnce: the Owner map is a total
-// function into the piece list, and every owned node appears in its owning
-// piece's node list.
+// TestPartitionOwnsEveryVertexExactlyOnce: every node with an edge appears
+// in some piece, and one piece holds all of its uncut edges and all of its
+// edges toward larger nodes — the piece that owns it. In any other piece
+// it is a halo: the larger endpoint of cut edges only.
 func TestPartitionOwnsEveryVertexExactlyOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 20; trial++ {
 		g := randomGraph(rng, 2+rng.Intn(5), 3+rng.Intn(5))
-		plan := Partition(g, Options{Shards: 4, TargetEdges: 6})
-		if len(plan.Owner) != g.NumNodes() {
-			t.Fatalf("Owner covers %d nodes, graph has %d", len(plan.Owner), g.NumNodes())
+		plan := Partition(g, Options{Shards: 4})
+		owner := make([]int, g.NumNodes())
+		for u := range owner {
+			owner[u] = -1
 		}
-		for u, p := range plan.Owner {
-			if p < 0 || (len(plan.Pieces) > 0 && p >= len(plan.Pieces)) {
-				t.Fatalf("node %d owned by out-of-range piece %d", u, p)
+		appears := make([]bool, g.NumNodes())
+		for p, piece := range plan.Pieces {
+			for _, u := range piece.Nodes {
+				appears[u] = true
 			}
-			if g.Degree(u) == 0 {
-				continue // isolated nodes are owned by convention only
-			}
-			found := false
-			for _, v := range plan.Pieces[p].Nodes {
-				if v == u {
-					found = true
-					break
+			for _, e := range piece.Graph.Edges() {
+				u, v := piece.Nodes[e.U], piece.Nodes[e.V]
+				owned := []int{u}
+				if g.CountCommonNeighbors(u, v) > 0 {
+					owned = append(owned, v)
+				}
+				for _, x := range owned {
+					if owner[x] >= 0 && owner[x] != p {
+						t.Fatalf("trial %d: node %d owned by pieces %d and %d", trial, x, owner[x], p)
+					}
+					owner[x] = p
 				}
 			}
-			if !found {
-				t.Fatalf("node %d owned by piece %d but absent from its node list", u, p)
+		}
+		for u := range owner {
+			if got, want := appears[u], g.Degree(u) > 0; got != want {
+				t.Fatalf("trial %d: node %d of degree %d appears in a piece: %v", trial, u, g.Degree(u), got)
 			}
 		}
 	}
@@ -118,7 +127,7 @@ func TestPartitionNeverSplitsMaximalClique(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 15; trial++ {
 		g := randomGraph(rng, 2+rng.Intn(5), 3+rng.Intn(5))
-		plan := Partition(g, Options{Shards: 8, TargetEdges: 4})
+		plan := Partition(g, Options{Shards: 8})
 		cliques := g.MaximalCliques(2)
 		for _, q := range cliques {
 			hosts := 0
@@ -151,68 +160,57 @@ func TestPartitionNeverSplitsMaximalClique(t *testing.T) {
 	}
 }
 
-// TestPartitionSplitsOnlyBridges: when a component is split, every edge
-// missing from the piece that owns a node must be a bridge of the original
-// graph — the partitioner must never cut inside a 2-edge-connected block.
-func TestPartitionSplitsOnlyBridges(t *testing.T) {
-	// Two triangles joined by a ω=1 bridge, forced apart by a tiny target.
-	g := graph.New(6)
-	g.AddWeight(0, 1, 2)
-	g.AddWeight(0, 2, 2)
-	g.AddWeight(1, 2, 2)
-	g.AddWeight(3, 4, 2)
-	g.AddWeight(3, 5, 2)
-	g.AddWeight(4, 5, 2)
-	g.AddWeight(2, 3, 1) // the bridge
-	plan := Partition(g, Options{Shards: 2, TargetEdges: 4})
-	if len(plan.Pieces) != 2 {
-		t.Fatalf("want 2 pieces, got %d", len(plan.Pieces))
-	}
-	// The bridge must be assigned to exactly one piece (its smaller
-	// endpoint's side), and the other side must not carry it.
-	holders := 0
-	for _, piece := range plan.Pieces {
-		local := map[int]int{}
-		for i, u := range piece.Nodes {
-			local[u] = i
-		}
-		l2, ok2 := local[2]
-		l3, ok3 := local[3]
-		if ok2 && ok3 && piece.Graph.HasEdge(l2, l3) {
-			holders++
+// pieceOf returns the index of the piece holding edge (u, v), or -1.
+func pieceOf(plan *Plan, u, v int) int {
+	for p, piece := range plan.Pieces {
+		lu, okU := slices.BinarySearch(piece.Nodes, u)
+		lv, okV := slices.BinarySearch(piece.Nodes, v)
+		if okU && okV && piece.Graph.HasEdge(lu, lv) {
+			return p
 		}
 	}
-	if holders != 1 {
-		t.Fatalf("bridge held by %d pieces, want 1", holders)
-	}
-	if plan.Owner[2] == plan.Owner[3] {
-		t.Fatal("bridge endpoints should be owned by different pieces after the split")
-	}
+	return -1
 }
 
-// TestPartitionRespectsTarget: with enough bridges, no piece exceeds the
-// target by more than its largest unsplittable block.
-func TestPartitionRespectsTarget(t *testing.T) {
-	// A path of K triangles connected by bridges: every block has 3 edges.
-	const k = 12
-	g := graph.New(3 * k)
-	for i := 0; i < k; i++ {
-		b := 3 * i
-		g.AddWeight(b, b+1, 1)
-		g.AddWeight(b, b+2, 1)
-		g.AddWeight(b+1, b+2, 1)
-		if i > 0 {
-			g.AddWeight(b-1, b, 1)
+// TestPartitionCutsOnlyEdgesWithoutCommonNeighbour: two triangles are
+// joined by a bridge, by a triangle-free 4-cycle, or by edges that close
+// triangles. The partitioner cuts the joining edges in the first two cases
+// (none of them has a common neighbour, and the 4-cycle has no bridge) and
+// keeps the graph whole in the third. A cut edge is held by the piece of
+// its smaller endpoint's triangle.
+func TestPartitionCutsOnlyEdgesWithoutCommonNeighbour(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		joins  [][2]int
+		pieces int
+	}{
+		{"bridge", [][2]int{{2, 3}}, 2},
+		{"4-cycle", [][2]int{{2, 3}, {1, 4}}, 2},
+		{"triangles", [][2]int{{2, 3}, {2, 4}}, 1},
+	} {
+		g := graph.New(6)
+		g.AddWeight(0, 1, 2)
+		g.AddWeight(0, 2, 2)
+		g.AddWeight(1, 2, 2)
+		g.AddWeight(3, 4, 2)
+		g.AddWeight(3, 5, 2)
+		g.AddWeight(4, 5, 2)
+		for _, j := range tc.joins {
+			g.AddWeight(j[0], j[1], 1)
 		}
-	}
-	plan := Partition(g, Options{Shards: 4, TargetEdges: 12})
-	for i, piece := range plan.Pieces {
-		if piece.EdgeCount > 12+3 {
-			t.Fatalf("piece %d carries %d edges, exceeding target 12 beyond block slack", i, piece.EdgeCount)
+		plan := Partition(g, Options{Shards: 2})
+		if len(plan.Pieces) != tc.pieces {
+			t.Fatalf("%s: want %d pieces, got %d", tc.name, tc.pieces, len(plan.Pieces))
 		}
-	}
-	if len(plan.Pieces) < 2 {
-		t.Fatalf("expected the triangle chain to split, got %d pieces", len(plan.Pieces))
+		left, right := pieceOf(plan, 0, 1), pieceOf(plan, 3, 4)
+		for _, j := range tc.joins {
+			if got := pieceOf(plan, j[0], j[1]); got != left {
+				t.Fatalf("%s: edge %v held by piece %d, want %d (its smaller endpoint's)", tc.name, j, got, left)
+			}
+		}
+		if tc.pieces == 2 && left == right {
+			t.Fatalf("%s: both triangles in piece %d", tc.name, left)
+		}
 	}
 }
 
@@ -224,7 +222,7 @@ func TestPartitionDeterministicUnderGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := randomGraph(rng, 6, 6)
 	render := func(p *Plan) string {
-		s := fmt.Sprintf("owner=%v\n", p.Owner)
+		s := ""
 		for i, piece := range p.Pieces {
 			s += fmt.Sprintf("piece %d nodes=%v edges=%v\n", i, piece.Nodes, piece.Graph.Edges())
 		}
@@ -232,14 +230,14 @@ func TestPartitionDeterministicUnderGOMAXPROCS(t *testing.T) {
 	}
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	a := render(Partition(g, Options{Shards: 4, TargetEdges: 8}))
+	a := render(Partition(g, Options{Shards: 4}))
 	runtime.GOMAXPROCS(8)
-	b := render(Partition(g, Options{Shards: 4, TargetEdges: 8}))
+	b := render(Partition(g, Options{Shards: 4}))
 	if a != b {
 		t.Fatalf("plan differs across GOMAXPROCS:\n%s\nvs\n%s", a, b)
 	}
 	// And across repeated calls in the same setting.
-	if c := render(Partition(g, Options{Shards: 4, TargetEdges: 8})); b != c {
+	if c := render(Partition(g, Options{Shards: 4})); b != c {
 		t.Fatal("plan not reproducible across calls")
 	}
 }
@@ -266,14 +264,14 @@ func TestPackEqualWeightTieBreakByMinNode(t *testing.T) {
 	}
 	// LPT over equal weights: triangle i (min node 3i) lands in bin i%3.
 	for i := 0; i < k; i++ {
-		if got, want := plan.Owner[3*i], i%3; got != want {
+		if got, want := pieceOf(plan, 3*i, 3*i+1), i%3; got != want {
 			t.Fatalf("triangle %d (min node %d) packed into piece %d, want %d", i, 3*i, got, want)
 		}
 	}
 	// The assignment must be stable across repeated partitions and across
 	// an insertion-order-permuted rebuild of the same graph.
 	render := func(p *Plan) string {
-		s := fmt.Sprintf("owner=%v\n", p.Owner)
+		s := ""
 		for i, piece := range p.Pieces {
 			s += fmt.Sprintf("piece %d nodes=%v edges=%v\n", i, piece.Nodes, piece.Graph.Edges())
 		}
@@ -304,9 +302,13 @@ func TestPartitionDisableSplitKeepsComponentsWhole(t *testing.T) {
 	g.AddWeight(2, 3, 1)
 	g.AddWeight(3, 4, 1)
 	g.AddWeight(4, 5, 1)
-	plan := Partition(g, Options{Shards: 4, TargetEdges: 1, DisableSplit: true})
+	plan := Partition(g, Options{Shards: 4, DisableSplit: true})
 	if len(plan.Pieces) != 1 {
 		t.Fatalf("DisableSplit must keep the path whole, got %d pieces", len(plan.Pieces))
+	}
+	// Without it every edge of the triangle-free path is cut.
+	if plan := Partition(g, Options{Shards: 4}); len(plan.Pieces) != 4 {
+		t.Fatalf("the cut path must fill 4 pieces, got %d", len(plan.Pieces))
 	}
 }
 
@@ -355,8 +357,8 @@ func TestPartitionPropertiesOverCorpus(t *testing.T) {
 				g := state.g
 				for _, opts := range []Options{
 					{Shards: 1},
-					{Shards: 4, TargetEdges: 8},
-					{Shards: 16, TargetEdges: 8},
+					{Shards: 4},
+					{Shards: 16},
 				} {
 					plan := Partition(g, opts)
 
@@ -413,5 +415,64 @@ func TestPartitionPropertiesOverCorpus(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkMHH asserts that plan keeps every edge's MHH: a piece edge whose
+// endpoints share a neighbour in g has the same SumMinCommonWeight in the
+// piece as in g, and every other piece edge has no common neighbour in the
+// piece either — so filtering a piece treats each edge as filtering g does.
+func checkMHH(t *testing.T, name string, g *graph.Graph, plan *Plan) {
+	t.Helper()
+	for p, piece := range plan.Pieces {
+		for _, e := range piece.Graph.Edges() {
+			u, v := piece.Nodes[e.U], piece.Nodes[e.V]
+			if g.CountCommonNeighbors(u, v) > 0 {
+				if got, want := piece.Graph.SumMinCommonWeight(e.U, e.V), g.SumMinCommonWeight(u, v); got != want {
+					t.Fatalf("%s: piece %d edge (%d,%d): MHH %d, want %d", name, p, u, v, got, want)
+				}
+			} else if c := piece.Graph.CountCommonNeighbors(e.U, e.V); c != 0 {
+				t.Fatalf("%s: piece %d cut edge (%d,%d) has %d common neighbours", name, p, u, v, c)
+			}
+		}
+	}
+}
+
+// TestPartitionPreservesMHH checks checkMHH's invariant, the reason the cut
+// is output-exact, over random community graphs, sparse random graphs full
+// of triangle-free edges, and every corpus family before and after its
+// delta stream.
+func TestPartitionPreservesMHH(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var graphs []*graph.Graph
+	for trial := 0; trial < 10; trial++ {
+		graphs = append(graphs, randomGraph(rng, 2+rng.Intn(6), 3+rng.Intn(6)))
+		n := 20 + rng.Intn(40)
+		sparse := graph.New(n)
+		for i := 0; i < 2*n; i++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				sparse.AddWeight(u, v, 1+rng.Intn(3))
+			}
+		}
+		graphs = append(graphs, sparse)
+	}
+	for i, g := range graphs {
+		for _, shards := range []int{2, 4, 16} {
+			checkMHH(t, fmt.Sprintf("random %d shards=%d", i, shards), g, Partition(g, Options{Shards: shards}))
+		}
+	}
+	for _, f := range corpus.Families {
+		for _, state := range []struct {
+			name string
+			g    *graph.Graph
+		}{
+			{"base", f.Gen(1)},
+			{"mutated", corpusMutated(f, 1, 60)},
+		} {
+			for _, shards := range []int{2, 4, 16} {
+				name := fmt.Sprintf("%s %s shards=%d", f.Name, state.name, shards)
+				checkMHH(t, name, state.g, Partition(state.g, Options{Shards: shards}))
+			}
+		}
 	}
 }

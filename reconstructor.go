@@ -266,11 +266,6 @@ type ShardingOptions struct {
 	// into; 0 uses GOMAXPROCS. The reconstruction is byte-identical for
 	// every shard count, so this is purely a throughput knob.
 	Shards int
-	// TargetEdges is the shard size target: connected components owning
-	// more edges are split along their bridges (the only intra-component
-	// cut that preserves exactness). 0 derives the target from the edge
-	// count and shard count.
-	TargetEdges int
 	// Executor, when non-nil, runs the per-shard tasks on an external
 	// worker pool (e.g. a server job queue) instead of the built-in one,
 	// which fans them over WithParallelism workers.
@@ -281,22 +276,19 @@ type ShardingOptions struct {
 
 // WithSharding routes Reconstruct (and each target of ReconstructBatch)
 // through the shard-parallel engine: the target graph is deterministically
-// partitioned — connected components first, oversized components split
-// along low-multiplicity bridges — and the shards are reconstructed
-// concurrently, each through the same cached round engine as the default
-// path, and merged. The output is byte-identical to the unsharded
-// pipeline for any shard count (asserted by the shard-equivalence tests
-// and CI job); Progress events additionally carry the shard index. The
-// guarantee assumes component-local featurizers (see
-// WithCustomFeaturizer) and does not extend to WithMaxCliqueLimit, which
-// is applied per shard.
+// partitioned — cut at every edge whose endpoints share no neighbour,
+// which filtering removes in full before any clique is scored — and the
+// shards are reconstructed concurrently, each through the same cached
+// round engine as the default path, and merged. The output is
+// byte-identical to the unsharded pipeline for any shard count (asserted
+// by the shard-equivalence tests and CI job); Progress events
+// additionally carry the shard index. The guarantee assumes
+// component-local featurizers (see WithCustomFeaturizer) and does not
+// extend to WithMaxCliqueLimit, which is applied per shard.
 func WithSharding(o ShardingOptions) Option {
 	return func(c *config) error {
 		if o.Shards < 0 {
 			return fmt.Errorf("marioh: shard count %d must be ≥ 0", o.Shards)
-		}
-		if o.TargetEdges < 0 {
-			return fmt.Errorf("marioh: shard target %d must be ≥ 0", o.TargetEdges)
 		}
 		c.sharding = &o
 		return nil
@@ -436,9 +428,8 @@ func (r *Reconstructor) Reconstruct(ctx context.Context, g *Graph) (*Result, err
 func (r *Reconstructor) reconstruct(ctx context.Context, g *Graph, m *Model, opts core.Options) (*Result, error) {
 	if s := r.cfg.sharding; s != nil {
 		return core.ReconstructSharded(ctx, g, m, opts, core.ShardOptions{
-			Shards:      s.Shards,
-			TargetEdges: s.TargetEdges,
-			Executor:    s.Executor,
+			Shards:   s.Shards,
+			Executor: s.Executor,
 		})
 	}
 	return core.ReconstructContext(ctx, g, m, opts)

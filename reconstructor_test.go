@@ -333,7 +333,6 @@ func TestVariantsAndRegistry(t *testing.T) {
 		marioh.WithVariant("nope"),
 		marioh.WithFeaturizer("nope"),
 		marioh.WithSharding(marioh.ShardingOptions{Shards: -1}),
-		marioh.WithSharding(marioh.ShardingOptions{TargetEdges: -1}),
 		marioh.WithThetaInit(1.5),
 		marioh.WithR(-3),
 		marioh.WithAlpha(-1),
@@ -419,7 +418,7 @@ func TestWithShardingMatchesSerial(t *testing.T) {
 		t.Fatalf("serial run reports %d shards, want 0", serial.Shards)
 	}
 	for _, shards := range []int{1, 4, 16} {
-		got, res := render(newTrained(marioh.WithSharding(marioh.ShardingOptions{Shards: shards, TargetEdges: 8})))
+		got, res := render(newTrained(marioh.WithSharding(marioh.ShardingOptions{Shards: shards})))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("shards=%d: output diverges from the serial pipeline", shards)
 		}
@@ -432,7 +431,7 @@ func TestWithShardingMatchesSerial(t *testing.T) {
 	// events carry shard indices.
 	shardsSeen := map[int]bool{}
 	rb := newTrained(
-		marioh.WithSharding(marioh.ShardingOptions{Shards: 4, TargetEdges: 8}),
+		marioh.WithSharding(marioh.ShardingOptions{Shards: 4}),
 		marioh.WithParallelism(2),
 		marioh.WithProgress(func(p marioh.Progress) { shardsSeen[p.Shard] = true }),
 	)

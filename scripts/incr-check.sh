@@ -41,7 +41,7 @@ check() {
         -seed "$SEED" -out "$work/$name.golden.hg"
     for n in 1 4 16; do
         "$bin/mariohctl" apply -model "$model" -target "$work/$name.mutated.graph" \
-            -seed "$SEED" -shards "$n" -shard-target 8 -out "$work/$name.golden.shard$n.hg"
+            -seed "$SEED" -shards "$n" -out "$work/$name.golden.shard$n.hg"
         cmp "$work/$name.golden.hg" "$work/$name.golden.shard$n.hg"
     done
 

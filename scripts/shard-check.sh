@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Shard/serial equivalence matrix (run by `make shard-check` and the CI
 # shard-equivalence job): for each bundled dataset, train once, produce a
-# serial golden reconstruction, then reconstruct with -shards 1/4/16 (with
-# a tiny -shard-target so oversized components really get bridge-split)
-# and require every output to be byte-identical to the golden. The same
+# serial golden reconstruction, then reconstruct with -shards 1/4/16 (the
+# partitioner cuts every edge whose endpoints share no neighbour, so
+# components really get split) and require every output to be
+# byte-identical to the golden. The same
 # matrix then runs over scenario-corpus families (datagen -family), whose
 # shapes — dense hubs, bridge chains, overlapping cliques, island
 # archipelagos — stress the partitioner harder than the bundled datasets.
@@ -30,7 +31,7 @@ for ds in hosts pschool; do
         -seed "$SEED" -out "$work/$ds.golden.hg"
     for n in 1 4 16; do
         "$bin/mariohctl" apply -model "$work/$ds.model.json" -target "$work/$ds.target.graph" \
-            -seed "$SEED" -shards "$n" -shard-target 8 -out "$work/$ds.shard$n.hg"
+            -seed "$SEED" -shards "$n" -out "$work/$ds.shard$n.hg"
         cmp "$work/$ds.golden.hg" "$work/$ds.shard$n.hg"
         echo "   -shards $n is byte-identical to the serial golden"
     done
@@ -45,7 +46,7 @@ for fam in powerlaw-hubs bridge-chain clique-cores archipelago; do
         -seed "$SEED" -out "$work/$fam.golden.hg"
     for n in 1 4 16; do
         "$bin/mariohctl" apply -model "$work/hosts.model.json" -target "$work/$fam.target.graph" \
-            -seed "$SEED" -shards "$n" -shard-target 8 -out "$work/$fam.shard$n.hg"
+            -seed "$SEED" -shards "$n" -out "$work/$fam.shard$n.hg"
         cmp "$work/$fam.golden.hg" "$work/$fam.shard$n.hg"
         echo "   -shards $n is byte-identical to the serial golden"
     done

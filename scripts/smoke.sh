@@ -70,7 +70,7 @@ curl -fsS "$base/metrics" | grep -q 'marioh_requests_total'
 
 echo "== sharded /v1/reconstruct (shards fan onto the queue, byte-identical)"
 "$bin/mariohctl" remote-reconstruct -server "$base" -model smoke \
-    -target "$work/hosts.target.graph" -seed 1 -shards 4 -shard-target 8 -out "$work/server-shard.hg"
+    -target "$work/hosts.target.graph" -seed 1 -shards 4 -out "$work/server-shard.hg"
 cmp "$work/golden.hg" "$work/server-shard.hg"
 echo "   sharded server output is byte-identical to the serial golden run"
 curl -fsS "$base/metrics" | grep -q 'marioh_sharded_runs_total 1'
