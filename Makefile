@@ -57,7 +57,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -run 'Batch|Cancel|Progress|Parallel|Pipeline|Server|Queue|Registry|Shard|RunTasks|Session|Engine|Durability|WAL|Snapshot' ./...
+	$(GO) test -race -run 'Batch|Cancel|Progress|Parallel|Pipeline|Server|Queue|Registry|Shard|Session|Engine|Durability|WAL|Snapshot' ./...
 
 # End-to-end mariohd smoke test: boot the daemon, round-trip a
 # reconstruction against a golden CLI run, exercise graceful shutdown.

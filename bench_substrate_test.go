@@ -101,8 +101,10 @@ func BenchmarkSubcliqueScoring(b *testing.B) {
 }
 
 // BenchmarkFeaturesMarioh isolates the multiplicity-aware featurizer (the
-// WeightedDegree / ω / MHH access pattern) on the steady-state scratch
-// path used by clique scoring.
+// WeightedDegree / ω / MHH access pattern) through table-less Compute, the
+// one-off path of Model.Score: each clique is read off a pair table built
+// over it alone. The scoring path reads a round-wide table instead; see
+// BenchmarkScoreCliques.
 func BenchmarkFeaturesMarioh(b *testing.B) {
 	g := benchGraph(b).gT
 	cliques := g.MaximalCliques(2)

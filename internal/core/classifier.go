@@ -142,13 +142,14 @@ func BuildExamples(gSrc *graph.Graph, hSrc *hypergraph.Hypergraph, opts TrainOpt
 	// One shared Scratch across all examples: Compute's reusable buffers
 	// make extraction allocation-free per call, so only the retained copy
 	// of each vector is allocated (the Features fallback would rebuild
-	// O(NumNodes) pair-stat scratch for every single example). gSrc does
-	// not change here, so every example reads its pairs off one table.
+	// O(NumNodes) pair-table arrays for every single example). gSrc does
+	// not change here, so every example reads its pairs off one table
+	// over all of gSrc, the Scratch's own.
 	var sc features.Scratch
 	if features.UsesPairTable(feat) {
-		var t graph.PairTable
+		t := sc.Table()
 		t.Build(gSrc, nil)
-		sc.UseTable(&t)
+		sc.UseTable(t)
 	}
 	extract := func(q []int, maximal bool) []float64 {
 		return append([]float64(nil), features.Compute(feat, &sc, gSrc, q, maximal)...)
@@ -209,21 +210,21 @@ func (m *Model) Score(g *graph.Graph, q []int, maximal bool) float64 {
 }
 
 // scorers recycles Score's buffers. A fresh scorer grows its pair
-// statistics scratch to the graph's node count, three arrays per call.
+// table's node-indexed arrays to the graph's node count.
 var scorers = sync.Pool{New: func() any { return new(scorer) }}
 
 // scorer bundles the per-worker reusable buffers of the scoring hot path:
-// feature staging, the standardized vector, and the MLP activations, plus
-// Phase 2's parent clique and subset sampler, and a pair table with the
-// buffer of the nodes it covers (see roundScratch for who builds it).
-// With one scorer per worker, steady-state clique scoring performs zero
-// heap allocations. A scorer must not be shared between goroutines.
+// feature staging and the worker's pair table (feat.Table; see
+// roundScratch for who builds it over what), the MLP activations, Phase
+// 2's parent clique and subset sampler, and the buffer of the nodes
+// Phase 2's table covers. With one scorer per worker, steady-state clique
+// scoring performs zero heap allocations. A scorer must not be shared
+// between goroutines.
 type scorer struct {
 	feat   features.Scratch
 	fwd    mlp.Scratch
 	parent features.Parent
 	perm   PermSampler
-	table  graph.PairTable
 	cover  []int
 }
 

@@ -181,7 +181,7 @@ func reconstructGraph(ctx context.Context, g *graph.Graph, m *Model, opts Option
 	total := 0
 	if !opts.DisableFiltering {
 		t0 := time.Now() //lint:randsource stage timing recorded in Result.Times, never in reconstruction output
-		res.FilteredSize2 = filter(work, rec, &rs.workers(1)[0].table)
+		res.FilteredSize2 = filter(work, rec, rs.workers(1)[0].feat.Table())
 		res.Times.Filtering = time.Since(t0)
 		total += res.FilteredSize2
 		if opts.Progress != nil {

@@ -14,7 +14,7 @@
 // computed once instead of once per clique that holds it.
 //
 // Determinism: a clique's score depends only on the graph and the clique
-// (a scorer is pure scratch, and the table yields the sweep's integers),
+// (a scorer is pure scratch, and every table yields the same integers),
 // and a seed's sub-stream is the same whoever enumerates it, so joining
 // the buckets in seed order yields the serial enumeration stream, scored,
 // at every worker count. The MaxCliqueLimit cut is therefore a plain
@@ -74,11 +74,11 @@ func (a *nodeArena) alloc(n int) []int {
 
 // roundScratch is the worker state of one reconstruction's rounds: one
 // scorer per worker index. It lives for the whole reconstruction, so the
-// node-indexed arrays of the scorers' pair tables and scratches are
-// allocated once per run rather than once per round. A round uses it one
-// step at a time — the loop's workers, then the component search's —
-// never from two steps at once, so the table the loop's workers share
-// can be its first worker's, which that worker rebuilds for Phase 2.
+// node-indexed arrays of the scorers' pair tables are allocated once per
+// run rather than once per round. A round uses it one step at a time —
+// the filter, the loop's workers, then the component search's — never
+// from two steps at once, so the table the filter and the loop's workers
+// read can be the first worker's, which that worker rebuilds for Phase 2.
 type roundScratch struct {
 	scorers []*scorer
 }
@@ -178,7 +178,7 @@ func (l *seedLoop) run(n, workers, known int) ([]scoredClique, bool) {
 	scs := l.rs.workers(max(min(workers, n), 1))
 	var table *graph.PairTable
 	if n > 0 && l.ctx.Err() == nil && features.UsesPairTable(l.m.Feat) {
-		table = &scs[0].table
+		table = scs[0].feat.Table()
 		table.Build(l.g, l.cover)
 	}
 	for _, sc := range scs {

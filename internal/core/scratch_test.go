@@ -103,11 +103,11 @@ func phase2Fixture(t *testing.T, feat features.Featurizer) (g *graph.Graph, m *M
 }
 
 // TestExploreSubcliquesMatchesPerDrawScoring: Phase 2's draws, scored off
-// one read of each parent's pairs — from a sweep, or off the component's
-// pair table as exploreParents builds it — must be the sub-cliques Sample
-// draws from the same stream, with the scores a full Compute of each
-// gives on the sweep path, bit for bit, and must leave the stream where
-// per-draw sampling leaves it.
+// one read of each parent's pairs — off a table over the parent alone, or
+// off the component's pair table as exploreParents builds it — must be
+// the sub-cliques Sample draws from the same stream, with the scores a
+// full Compute of each gives with no table attached, bit for bit, and
+// must leave the stream where per-draw sampling leaves it.
 func TestExploreSubcliquesMatchesPerDrawScoring(t *testing.T) {
 	for _, name := range []string{"marioh", "marioh-nomhh", "shyre-count", "shyre-motif"} {
 		feat, _ := features.ByName(name)
@@ -158,8 +158,8 @@ func checkDraws(t *testing.T, name string, g *graph.Graph, m *Model, parents [][
 }
 
 // TestPhase2AllocationsBounded: with a warm scorer, Phase 2 allocates one
-// node slice per draw that scores above θ and nothing for the rest — on
-// the sweep path and on the table path, whose table rebuilds into the
+// node slice per draw that scores above θ and nothing for the rest — with
+// a table per parent and with one per component, each rebuilt into the
 // warm arrays of the previous build.
 func TestPhase2AllocationsBounded(t *testing.T) {
 	g, m, parents := phase2Fixture(t, features.Marioh{})
@@ -258,9 +258,9 @@ func TestScoreScratchMatchesScore(t *testing.T) {
 }
 
 // TestScoreCliquesAllocationFree: the steady-state scoring pass must not
-// allocate per clique, on the sweep path or reading pairs off a warm
-// table that is rebuilt every round, as the enumerate-and-score loop
-// rebuilds it.
+// allocate per clique, with no table attached (a table per clique) or
+// reading pairs off a warm table that is rebuilt every round, as the
+// enumerate-and-score loop rebuilds it.
 func TestScoreCliquesAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	h := randomHypergraph(rng, 40, 120)
@@ -274,8 +274,9 @@ func TestScoreCliquesAllocationFree(t *testing.T) {
 		var sc scorer
 		round := func() {
 			if table {
-				sc.table.Build(g, nil)
-				sc.feat.UseTable(&sc.table)
+				t := sc.feat.Table()
+				t.Build(g, nil)
+				sc.feat.UseTable(t)
 			}
 			for _, q := range cliques {
 				m.scoreScratch(g, q, true, &sc)
@@ -291,7 +292,7 @@ func TestScoreCliquesAllocationFree(t *testing.T) {
 
 // TestScoreCliquesScratchParallelMatchesSequential: ScoreCliques past the
 // fan-out point, its workers reading one shared pair table, must
-// reproduce the sequential sweep's scores exactly.
+// reproduce the scores of sequential table-less scoring exactly.
 func TestScoreCliquesScratchParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	h := randomHypergraph(rng, 30, 80)

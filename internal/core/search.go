@@ -306,7 +306,7 @@ func searchComponent(g *graph.Graph, m *Model, opts SearchOptions, compKey int, 
 // draws, detaching it before it returns. That is exact because Phase 1
 // is over and Phase 2 scores all of a component's draws before it
 // consumes an edge: pairs Phase 1 consumed are non-edges of the table's
-// graph, which the table computes as the sweep does. ctx is polled every
+// graph, which it reads through the per-pair merges. ctx is polled every
 // 1024 parents; ok is false after cancellation, and subs must be dropped.
 func exploreParents(ctx context.Context, g *graph.Graph, m *Model, parents []scoredClique, theta float64, rng *sampleRNG, sc *scorer, subs []scoredClique) (_ []scoredClique, ok bool) {
 	if features.UsesPairTable(m.Feat) {
@@ -314,8 +314,9 @@ func exploreParents(ctx context.Context, g *graph.Graph, m *Model, parents []sco
 		for _, c := range parents {
 			sc.cover = append(sc.cover, c.nodes...)
 		}
-		sc.table.Build(g, sc.cover)
-		sc.feat.UseTable(&sc.table)
+		t := sc.feat.Table()
+		t.Build(g, sc.cover)
+		sc.feat.UseTable(t)
 		defer sc.feat.UseTable(nil)
 	}
 	for i, c := range parents {
@@ -331,10 +332,10 @@ func exploreParents(ctx context.Context, g *graph.Graph, m *Model, parents []sco
 // k-subset per size k ∈ [2, |q|−1] from rng, each scored as non-maximal;
 // those scoring above theta are appended to subs. Every draw's features
 // are read off q's pairs, read once (features.ComputeSub) off sc's
-// attached table or from one sweep, and a draw gets its own node slice
-// only when it scores above theta. q must be sorted — enumeration emits
-// sorted cliques and the subgraph remap preserves order — so that q at
-// sorted positions is the sorted subset Sample would return.
+// attached table or off one built over q, and a draw gets its own node
+// slice only when it scores above theta. q must be sorted — enumeration
+// emits sorted cliques and the subgraph remap preserves order — so that
+// q at sorted positions is the sorted subset Sample would return.
 func exploreSubcliques(g *graph.Graph, m *Model, q []int, theta float64, rng *sampleRNG, sc *scorer, subs []scoredClique) []scoredClique {
 	sc.parent.Reset(q)
 	for k := 2; k <= len(q)-1; k++ {

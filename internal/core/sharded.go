@@ -14,14 +14,9 @@ import (
 type ShardOptions struct {
 	// Shards is the shard count handed to the partitioner; 0 resolves to
 	// GOMAXPROCS. The output is byte-identical for every shard count (see
-	// ReconstructSharded), so this is purely a throughput knob.
+	// ReconstructSharded), so this is purely a throughput knob. The shards
+	// fan out over Options.Parallelism workers.
 	Shards int
-	// Executor, when non-nil, runs the per-shard tasks instead of the
-	// built-in Fanout over Options.Parallelism workers — the hook external
-	// schedulers (e.g. the mariohd job queue) use to fan shards onto their
-	// own workers. It must execute every task exactly once, on any
-	// goroutines it likes, and return only when all of them finished.
-	Executor func(tasks []func())
 }
 
 // ReconstructPiece runs the round engine on one piece of a larger graph:
@@ -70,23 +65,22 @@ func ReconstructSharded(ctx context.Context, g *graph.Graph, m *Model, opts Opti
 		return res, err
 	}
 	results, err := RunPieces(ctx, len(plan.Pieces), func(i int) shard.Piece { return plan.Pieces[i] },
-		m, opts, opts.Parallelism, so.Executor, func(p *Progress, i int) { p.Shard = i })
+		m, opts, opts.Parallelism, func(p *Progress, i int) { p.Shard = i })
 	merged := MergeResults(g.NumNodes(), results)
 	merged.Shards = len(plan.Pieces)
 	return merged, err
 }
 
 // RunPieces is the piece runner shared by shards and session applies: it
-// reconstructs pieces 0..n−1 through the round engine, on exec when it is
-// non-nil and otherwise on a Fanout over workers (≤ 0 = GOMAXPROCS), and
-// relabels each result to original node ids through the piece's Nodes.
-// piece(i) returns piece i; it runs on the worker that reconstructs the
-// piece, so building a piece's subgraph there fans out too. label stamps
-// piece i's progress events, which are delivered one at a time. The
-// first piece to fail cancels the pieces still to run; results[i] is nil
-// for every piece that did not finish, and err is the first error, or
-// else ctx's.
-func RunPieces(ctx context.Context, n int, piece func(i int) shard.Piece, m *Model, opts Options, workers int, exec func(tasks []func()), label func(p *Progress, i int)) (results []*Result, err error) {
+// reconstructs pieces 0..n−1 through the round engine on a Fanout over
+// workers (≤ 0 = GOMAXPROCS), and relabels each result to original node
+// ids through the piece's Nodes. piece(i) returns piece i; it runs on the
+// worker that reconstructs the piece, so building a piece's subgraph
+// there fans out too. label stamps piece i's progress events, which are
+// delivered one at a time. The first piece to fail cancels the pieces
+// still to run; results[i] is nil for every piece that did not finish,
+// and err is the first error, or else ctx's.
+func RunPieces(ctx context.Context, n int, piece func(i int) shard.Piece, m *Model, opts Options, workers int, label func(p *Progress, i int)) (results []*Result, err error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var mu sync.Mutex // guards err and the delivery of progress events
@@ -126,15 +120,7 @@ func RunPieces(ctx context.Context, n int, piece func(i int) shard.Piece, m *Mod
 	}
 
 	results = make([]*Result, n)
-	if exec != nil {
-		tasks := make([]func(), n)
-		for i := range tasks {
-			tasks[i] = func() { run(i) }
-		}
-		exec(tasks)
-	} else {
-		Fanout{Workers: workers}.Run(runCtx, n, func(_, i int) { run(i) })
-	}
+	Fanout{Workers: workers}.Run(runCtx, n, func(_, i int) { run(i) })
 	if err == nil {
 		err = ctx.Err()
 	}

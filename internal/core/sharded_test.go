@@ -206,33 +206,3 @@ func TestShardedProgressAndCancellation(t *testing.T) {
 		t.Fatal("cancelled sharded run must return an error")
 	}
 }
-
-// TestShardedExecutorHook: a custom executor receives every task exactly
-// once and the run still matches the built-in pool's output.
-func TestShardedExecutorHook(t *testing.T) {
-	g, m := multiComponentTarget(t)
-	opts := Options{Seed: 7}
-	want, err := ReconstructSharded(context.Background(), g, m, opts, ShardOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ran := 0
-	res, err := ReconstructSharded(context.Background(), g, m, opts, ShardOptions{
-		Shards: 4,
-		Executor: func(tasks []func()) {
-			for _, fn := range tasks {
-				ran++
-				fn()
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran != res.Shards {
-		t.Fatalf("executor ran %d tasks for %d shards", ran, res.Shards)
-	}
-	if !want.Hypergraph.Equal(res.Hypergraph) {
-		t.Fatal("executor-driven run diverges from built-in pool")
-	}
-}

@@ -16,15 +16,16 @@
 // heap allocations. Custom featurizers that only implement Featurizer keep
 // working through the same entry point at the cost of an allocation.
 //
-// Marioh reads two statistics per clique pair, ω and MHH. By default it
-// computes them with one graph.CliquePairStats sweep per clique. A
-// Scratch with a graph.PairTable attached (UseTable) reads them off the
-// table instead, so a caller that scores many cliques of one unchanged
+// Marioh reads two statistics per clique pair, ω and MHH, always off a
+// graph.PairTable. A Scratch with a table attached (UseTable) reads them
+// off that table, so a caller that scores many cliques of one unchanged
 // graph — a round of the search, training-example extraction — computes
-// each edge's MHH once; UsesPairTable tells whether a featurizer reads
-// them at all. ComputeSub scores sub-cliques of one parent clique: Marioh
-// reads their pairs off the parent's, and every other featurizer gets
-// Compute on the built sub-clique. Every path gives Compute's values.
+// each edge's MHH once; without one, the Scratch builds its own table
+// over the clique for that one read. UsesPairTable tells whether a
+// featurizer reads them at all. ComputeSub scores sub-cliques of one
+// parent clique: Marioh reads their pairs off the parent's, and every
+// other featurizer gets Compute on the built sub-clique. Every path gives
+// Compute's values.
 package features
 
 import (
@@ -66,24 +67,40 @@ type AppendFeaturizer interface {
 type Scratch struct {
 	node, edge1, edge2, edge3 []float64 // value-family staging
 	out                       []float64 // Compute's result buffer
-	pair                      graph.PairScratch
+	omega, mhh                []int     // pairStats' result buffers
+	own                       graph.PairTable
 	table                     *graph.PairTable // see UseTable
 }
 
+// Table returns s's own pair table, for a caller to Build over the graph
+// it is about to score and attach with UseTable, so that one worker keeps
+// one table's node arrays. A read of a clique of any other graph than the
+// attached table's rebuilds it over that clique, detaching it first if it
+// is the attached one.
+func (s *Scratch) Table() *graph.PairTable { return &s.own }
+
 // UseTable makes s read pair statistics off t for cliques of t's graph
-// until the next UseTable; nil returns s to one sweep per clique. Cliques
-// of any other graph are still swept. t may be shared by several
-// Scratches, but no edge incident to a node it covers may change while
-// one of them uses it.
+// until the next UseTable; nil detaches it. A clique of any other graph
+// is read off s's own table, built over that clique for that one read.
+// t may be shared by several Scratches, but no edge incident to a node
+// it covers may change while one of them uses it.
 func (s *Scratch) UseTable(t *graph.PairTable) { s.table = t }
 
-// pairStats returns ω and MHH of every pair of q in CliquePairStats
-// order, off s's table when it was built over g.
+// pairStats returns ω and MHH of every pair of q in AppendPairs order,
+// off s's attached table when it was built over g, and otherwise off s's
+// own table built over q alone, which is rebuilt on every such read
+// because g may have changed since the last one.
 func (s *Scratch) pairStats(g *graph.Graph, q []int) (omega, mhh []int) {
-	if s.table != nil && s.table.Graph() == g {
-		return s.table.CliquePairStats(q, &s.pair)
+	t := s.table
+	if t == nil || t.Graph() != g {
+		if t == &s.own {
+			s.table = nil
+		}
+		t = &s.own
+		t.Build(g, q)
 	}
-	return g.CliquePairStats(q, &s.pair)
+	s.omega, s.mhh = t.AppendPairs(s.omega[:0], s.mhh[:0], q)
+	return s.omega, s.mhh
 }
 
 // Compute evaluates f on the clique. When f supports the allocation-free
@@ -100,12 +117,12 @@ func Compute(f Featurizer, s *Scratch, g *graph.Graph, clique []int, maximal boo
 
 // Parent is a clique whose sub-cliques ComputeSub scores. Featurizers
 // that support it read the parent's pair statistics once — off the
-// Scratch's table, or from one sweep — on the first ComputeSub call that
-// needs them, and read every sub-clique's pairs off that copy: ω(u,v)
-// and MHH(u,v) depend only on the pair and the graph, not on the clique
-// they are read through. Neither the parent nor the graph may change
-// between Reset and the last ComputeSub on it. The zero value is ready
-// to use; one Parent per worker.
+// Scratch's attached table, or off one built over the parent — on the
+// first ComputeSub call that needs them, and read every sub-clique's
+// pairs off that copy: ω(u,v) and MHH(u,v) depend only on the pair and
+// the graph, not on the clique they are read through. Neither the parent
+// nor the graph may change between Reset and the last ComputeSub on it.
+// The zero value is ready to use; one Parent per worker.
 type Parent struct {
 	q            []int
 	read         bool
@@ -133,8 +150,8 @@ func (p *Parent) subclique(pos []int) []int {
 
 // pairs returns the ω and MHH tables of the sub-clique at pos, gathered
 // from the parent's, which are read on first use. The parent's are
-// copied out of s.pair so that other users of s between two ComputeSub
-// calls cannot overwrite them.
+// copied out of s's buffers so that other users of s between two
+// ComputeSub calls cannot overwrite them.
 func (p *Parent) pairs(g *graph.Graph, s *Scratch, pos []int) (omega, mhh []int) {
 	if !p.read {
 		w, m := s.pairStats(g, p.q)
@@ -256,7 +273,7 @@ func (m Marioh) appendSubclique(dst []float64, s *Scratch, g *graph.Graph, p *Pa
 }
 
 // appendMarioh appends the 23 Marioh dimensions of clique q, given its
-// pair statistics in CliquePairStats order.
+// pair statistics in AppendPairs order.
 func appendMarioh(dst []float64, s *Scratch, g *graph.Graph, q []int, pairW, pairMHH []int, maximal bool) []float64 {
 	nodeVals := stage(&s.node, len(q))
 	sumWDeg := 0.0

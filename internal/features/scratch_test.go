@@ -11,7 +11,8 @@ import (
 // TestAppendFeaturesMatchesFeatures: for every built-in featurizer the
 // allocation-free Compute path must return exactly the vector Features
 // returns, including when the scratch is reused across cliques of
-// different sizes, and when it reads pairs off a graph.PairTable.
+// different sizes, and when it reads pairs off an attached
+// graph.PairTable over the whole graph.
 func TestAppendFeaturesMatchesFeatures(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := graph.New(25)
@@ -59,7 +60,8 @@ func TestAppendFeaturesMatchesFeatures(t *testing.T) {
 
 // TestComputeAllocationFree: after warm-up, neither Compute nor the
 // sub-clique path through a Parent may allocate for the built-in
-// featurizers.
+// featurizers, on a Scratch with no table attached, which rebuilds its
+// own table over every clique it reads.
 func TestComputeAllocationFree(t *testing.T) {
 	g := graph.New(12)
 	for i := 0; i < 12; i++ {
@@ -108,5 +110,49 @@ func TestComputeFallsBackForPlainFeaturizers(t *testing.T) {
 	got := Compute(plainFeat{}, &s, g, []int{0, 1}, true)
 	if !reflect.DeepEqual(got, []float64{2, 1}) {
 		t.Fatalf("fallback Compute = %v", got)
+	}
+}
+
+// TestOneOffTableIsRebuiltPerRead: a Scratch with no table attached for a
+// clique's graph reads the clique off a table built for that read alone,
+// so after the clique's edges change, a second read on the same Scratch
+// equals a fresh Scratch's. The same holds after the Scratch's own table
+// was attached for another graph: the one-off read must not leave it
+// attached over the clique.
+func TestOneOffTableIsRebuiltPerRead(t *testing.T) {
+	build := func() *graph.Graph {
+		g := graph.New(8)
+		for i := 0; i < 8; i++ {
+			for j := i + 1; j < 8; j++ {
+				g.AddWeight(i, j, 1+(i*j)%3)
+			}
+		}
+		return g
+	}
+	q := []int{1, 2, 4, 6}
+	for _, attachOther := range []bool{false, true} {
+		g := build()
+		var s Scratch
+		if attachOther {
+			other := build()
+			s.Table().Build(other, nil)
+			s.UseTable(s.Table())
+		}
+		first := append([]float64(nil), Compute(Marioh{}, &s, g, q, true)...)
+		// Change pairs inside the clique and a common neighbour's edges,
+		// so both ω and MHH of the clique's pairs move.
+		g.AddWeight(1, 2, 2)
+		g.AddWeight(4, 6, 1)
+		g.AddWeight(1, 0, 3)
+		g.AddWeight(2, 0, 3)
+		got := Compute(Marioh{}, &s, g, q, true)
+		var fresh Scratch
+		want := Compute(Marioh{}, &fresh, g, q, true)
+		if reflect.DeepEqual(first, want) {
+			t.Fatal("weak fixture: the edge changes did not move the features")
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("attachOther=%v: second read %v, a fresh Scratch gives %v", attachOther, got, want)
+		}
 	}
 }

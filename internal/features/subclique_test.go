@@ -67,10 +67,10 @@ func subsets(n int, fn func(pos []int)) {
 
 // TestComputeSubMatchesCompute: for every built-in featurizer and a plain
 // one, scoring a sub-clique through its parent must give, bit for bit,
-// what Compute's sweep gives on the built sub-clique — on a residual
-// graph where some of the parent's pairs are gone, and with the parent's
-// pairs read off a graph.PairTable over the parents, as Phase 2 builds
-// one after Phase 1.
+// what Compute gives on the built sub-clique — on a residual graph where
+// some of the parent's pairs are gone, with the parent's pairs read off a
+// table built over the parent alone, and off a graph.PairTable over all
+// the parents, as Phase 2 builds one after Phase 1.
 func TestComputeSubMatchesCompute(t *testing.T) {
 	g, cliques := residualGraph(t, 23)
 	var cover []int
@@ -80,7 +80,7 @@ func TestComputeSubMatchesCompute(t *testing.T) {
 	var tab graph.PairTable
 	tab.Build(g, cover)
 	featurizers := []Featurizer{Marioh{}, MariohNoMHH{}, ShyreCount{}, ShyreMotif{}, plainMarioh{}}
-	zeroPairs, swept := 0, 0
+	zeroPairs, oneOff := 0, 0
 	for _, f := range featurizers {
 		for _, table := range []*graph.PairTable{nil, &tab} {
 			var s, ref Scratch
@@ -114,7 +114,7 @@ func TestComputeSubMatchesCompute(t *testing.T) {
 					}
 				})
 				if _, ok := f.(Marioh); ok && table == nil && len(q) >= 4 {
-					swept++
+					oneOff++
 					for i := 0; i < len(q); i++ {
 						for j := i + 1; j < len(q); j++ {
 							if !g.HasEdge(q[i], q[j]) {
@@ -126,7 +126,7 @@ func TestComputeSubMatchesCompute(t *testing.T) {
 			}
 		}
 	}
-	if swept < 10 || zeroPairs == 0 {
-		t.Fatalf("weak fixture: %d swept parents, %d consumed pairs among them", swept, zeroPairs)
+	if oneOff < 10 || zeroPairs == 0 {
+		t.Fatalf("weak fixture: %d parents read without a table, %d consumed pairs among them", oneOff, zeroPairs)
 	}
 }

@@ -214,56 +214,6 @@ func TestEnsureNodesWidensBitsetRows(t *testing.T) {
 	}
 }
 
-// TestCliquePairStatsMatchesPairwise: the one-sweep pair statistics must
-// equal the per-pair Weight / SumMinCommonWeight primitives on random
-// graphs, for maximal cliques and for arbitrary (non-clique) node sets,
-// at the positions PairIndex names.
-func TestCliquePairStatsMatchesPairwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	var ps PairScratch
-	for trial := 0; trial < 30; trial++ {
-		n := 10 + rng.Intn(30)
-		g := New(n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if rng.Float64() < 0.3 {
-					g.AddWeight(i, j, 1+rng.Intn(4))
-				}
-			}
-		}
-		sets := g.MaximalCliques(2)
-		// Arbitrary node subsets exercise the ω=0 (non-edge) path.
-		for k := 0; k < 5; k++ {
-			size := 2 + rng.Intn(5)
-			set := rng.Perm(n)[:size]
-			sets = append(sets, set)
-		}
-		for _, q := range sets {
-			omega, mhh := g.CliquePairStats(q, &ps)
-			p := 0
-			for i := 0; i < len(q); i++ {
-				for j := i + 1; j < len(q); j++ {
-					if got := PairIndex(len(q), i, j); got != p {
-						t.Fatalf("PairIndex(%d, %d, %d) = %d, want %d", len(q), i, j, got, p)
-					}
-					if want := g.Weight(q[i], q[j]); omega[p] != want {
-						t.Fatalf("trial %d q=%v pair (%d,%d): ω %d, want %d",
-							trial, q, q[i], q[j], omega[p], want)
-					}
-					if want := g.SumMinCommonWeight(q[i], q[j]); mhh[p] != want {
-						t.Fatalf("trial %d q=%v pair (%d,%d): MHH %d, want %d",
-							trial, q, q[i], q[j], mhh[p], want)
-					}
-					p++
-				}
-			}
-			if p != len(omega) || p != len(mhh) {
-				t.Fatalf("pair count %d, got %d/%d", p, len(omega), len(mhh))
-			}
-		}
-	}
-}
-
 // TestMaximalCliquesWithHub exercises the dense-row path of the
 // Bron–Kerbosch seed construction (a node above the bitset threshold inside
 // a clique neighborhood).

@@ -29,14 +29,15 @@
 // # Pair statistics
 //
 // MARIOH's classifier and its filter read two integers per node pair: ω
-// and the MHH bound SumMinCommonWeight. CliquePairStats computes both for
-// every pair of one clique in a single sweep over the members' neighbor
-// lists. A PairTable computes MHH for every edge among a set of covered
-// nodes in one pass, in rows parallel to the adjacency arrays, so a
-// caller that reads many cliques of an unchanged graph — a search round,
-// training-example extraction, the filter — computes each edge's MHH once
-// and reads it with one binary search. Both yield SumMinCommonWeight's
-// integers.
+// and the MHH bound SumMinCommonWeight. A PairTable computes MHH for
+// every edge among a set of covered nodes in one pass, in rows parallel
+// to the adjacency arrays, and reads a pair's ω and MHH with one binary
+// search, so a caller that reads many cliques of an unchanged graph — a
+// search round, training-example extraction, the filter — computes each
+// edge's MHH once. It is the one kernel for a clique's pairs: a one-off
+// read builds a table over the clique alone. Pairs it does not hold fall
+// back to Weight and the SumMinCommonWeight merge, which are also the
+// definition the table is tested against.
 package graph
 
 import (

@@ -6,10 +6,10 @@ import "math"
 // {u, v} among a set of covered nodes of one graph, in rows parallel to
 // the adjacency arrays: the row of a covered node u has one entry per
 // neighbor, at that neighbor's position in u's sorted neighbor list.
-// Build fills it in one pass; CliquePairStats and Pair then read a
-// pair's ω and MHH with one binary search instead of a sweep over the
-// members' neighbor lists, so a round that scores many cliques sharing
-// pairs computes each edge's MHH once.
+// Build fills it in one pass; Pair and AppendPairs then read a pair's ω
+// and MHH with one binary search, so a round that scores many cliques
+// sharing pairs computes each edge's MHH once, and a table built over one
+// clique's nodes serves a one-off read of that clique.
 //
 // A table stays exact while no edge incident to a covered node changes;
 // edges elsewhere in the graph may change freely. Readers may share a
@@ -127,8 +127,7 @@ func (t *PairTable) covers(u int) bool {
 // covered nodes is read off its row. Any other pair — one that is not an
 // edge (ω = 0, for instance a pair consumed after its clique was
 // enumerated) or one with an uncovered endpoint — gets Weight and the
-// SumMinCommonWeight merge, so the result always equals what
-// CliquePairStats computes for the pair.
+// SumMinCommonWeight merge, so the result always equals those two.
 func (t *PairTable) Pair(u, v int) (omega, mhh int) {
 	g := t.g
 	if t.covers(u) && t.covers(v) {
@@ -145,23 +144,22 @@ func (t *PairTable) Pair(u, v int) (omega, mhh int) {
 	return g.Weight(u, v), g.SumMinCommonWeight(u, v)
 }
 
-// CliquePairStats returns exactly what t's graph's CliquePairStats
-// returns for q — ω and MHH of every pair, in the same order — read off
-// the table. The slices are owned by s and valid until its next use.
-func (t *PairTable) CliquePairStats(q []int, s *PairScratch) (omega, mhh []int) {
-	m := len(q)
-	nPairs := m * (m - 1) / 2
-	if cap(s.omega) < nPairs {
-		s.omega = make([]int, 0, nPairs)
-		s.mhh = make([]int, 0, nPairs)
-	}
-	s.omega, s.mhh = s.omega[:0], s.mhh[:0]
+// AppendPairs appends ω and MHH of every pair (q[i], q[j]), i < j, of q
+// to omega and mhh, in the order (0,1), (0,2), …, (1,2), … that PairIndex
+// numbers, and returns the extended slices.
+func (t *PairTable) AppendPairs(omega, mhh []int, q []int) ([]int, []int) {
 	for i, u := range q {
 		for _, v := range q[i+1:] {
 			w, h := t.Pair(u, v)
-			s.omega = append(s.omega, w)
-			s.mhh = append(s.mhh, h)
+			omega = append(omega, w)
+			mhh = append(mhh, h)
 		}
 	}
-	return s.omega, s.mhh
+	return omega, mhh
+}
+
+// PairIndex returns the position of pair (i, j), 0 ≤ i < j < m, in the
+// pair order of AppendPairs for an m-node set.
+func PairIndex(m, i, j int) int {
+	return i*(2*m-i-1)/2 + j - i - 1
 }

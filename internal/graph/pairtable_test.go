@@ -54,32 +54,74 @@ func cliquesWithin(g *Graph, rng *rand.Rand, lo, hi int) [][]int {
 }
 
 // checkPairTable compares the table's reading of every set against the
-// sweep, element by element.
+// per-pair Weight and SumMinCommonWeight merges, element by element, at
+// the positions PairIndex names.
 func checkPairTable(t *testing.T, what string, g *Graph, tab *PairTable, sets [][]int) {
 	t.Helper()
-	var ps, ref PairScratch
+	var omega, mhh []int
 	for _, q := range sets {
-		omega, mhh := tab.CliquePairStats(q, &ps)
-		wantW, wantM := g.CliquePairStats(q, &ref)
-		if len(omega) != len(wantW) || len(mhh) != len(wantM) {
-			t.Fatalf("%s: q=%v: %d/%d pairs, want %d", what, q, len(omega), len(mhh), len(wantW))
-		}
-		for p := range wantW {
-			if omega[p] != wantW[p] || mhh[p] != wantM[p] {
-				t.Fatalf("%s: q=%v pair %d: (ω %d, MHH %d), sweep gives (%d, %d)",
-					what, q, p, omega[p], mhh[p], wantW[p], wantM[p])
+		omega, mhh = tab.AppendPairs(omega[:0], mhh[:0], q)
+		p := 0
+		for i := 0; i < len(q); i++ {
+			for j := i + 1; j < len(q); j++ {
+				if got := PairIndex(len(q), i, j); got != p {
+					t.Fatalf("PairIndex(%d, %d, %d) = %d, want %d", len(q), i, j, got, p)
+				}
+				wantW, wantM := g.Weight(q[i], q[j]), g.SumMinCommonWeight(q[i], q[j])
+				if p >= len(omega) || p >= len(mhh) {
+					t.Fatalf("%s: q=%v: %d/%d pairs, want more", what, q, len(omega), len(mhh))
+				}
+				if omega[p] != wantW || mhh[p] != wantM {
+					t.Fatalf("%s: q=%v pair (%d,%d): (ω %d, MHH %d), the merges give (%d, %d)",
+						what, q, q[i], q[j], omega[p], mhh[p], wantW, wantM)
+				}
+				p++
 			}
+		}
+		if p != len(omega) || p != len(mhh) {
+			t.Fatalf("%s: q=%v: %d/%d pairs, want %d", what, q, len(omega), len(mhh), p)
 		}
 	}
 }
 
-// TestPairTableMatchesCliquePairStats: a table's reading of a node set
-// is the sweep's, for every covered set the round engine builds over —
-// every node, a union of components, the union of a few cliques — and
-// stays exact while edges change outside the covered nodes, for cliques
-// whose pairs were consumed before the build, across rebuilds of one
-// table on other node sets and a larger graph, and for MHH sums past
-// int32.
+// TestCliquePairStatsMatchesPairwise: a clique's pair statistics, ω and
+// the MHH bound of every pair read off a table, equal the per-pair Weight
+// and SumMinCommonWeight merges on small random graphs, for maximal cliques
+// and for arbitrary node sets (ω = 0 pairs), at the positions PairIndex
+// names, whether the table covers every node or the one set alone.
+func TestCliquePairStatsMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var tab PairTable
+	for trial := 0; trial < 30; trial++ {
+		n := 10 + rng.Intn(30)
+		g := New(n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < 0.3 {
+					g.AddWeight(i, j, 1+rng.Intn(4))
+				}
+			}
+		}
+		sets := g.MaximalCliques(2)
+		for k := 0; k < 5; k++ {
+			sets = append(sets, rng.Perm(n)[:2+rng.Intn(5)])
+		}
+		tab.Build(g, nil)
+		checkPairTable(t, "small graph", g, &tab, sets)
+		for _, q := range sets {
+			tab.Build(g, q)
+			checkPairTable(t, "one set alone", g, &tab, [][]int{q})
+		}
+	}
+}
+
+// TestPairTableMatchesCliquePairStats: a table's reading of a node set is
+// the clique pair statistics the per-pair merges give, for every covered
+// set the round engine builds over — every node, a union of components,
+// the union of a few cliques — and stays exact while edges change outside
+// the covered nodes, for cliques whose pairs were consumed before the
+// build, across rebuilds of one table on other node sets and a larger
+// graph, and for MHH sums past int32.
 func TestPairTableMatchesCliquePairStats(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))

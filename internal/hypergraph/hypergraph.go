@@ -196,7 +196,8 @@ func (h *Hypergraph) Reduced() *Hypergraph {
 }
 
 // Project performs clique expansion, producing the weighted projected graph
-// G = (V, E_G, ω) with ω(u,v) = Σ_e M(e) · 1({u,v} ⊆ e).
+// G = (V, E_G, ω) with ω(u,v) = Σ_e M(e) · 1({u,v} ⊆ e). It panics when a
+// pair's weight would pass int32, which Read rejects as malformed input.
 func (h *Hypergraph) Project() *graph.Graph {
 	g := graph.New(h.numNodes)
 	h.Each(func(nodes []int, mult int) {

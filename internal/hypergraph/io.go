@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -57,11 +58,13 @@ func (h *Hypergraph) Write(w io.Writer) error {
 }
 
 // Read parses the format produced by Write. Blank lines and lines starting
-// with "%" are skipped. A multiplicity below 1, a negative node id, or a
-// hyperedge of fewer than 2 distinct nodes fails with an error naming the
-// line.
+// with "%" are skipped. A multiplicity below 1, a negative node id, a
+// hyperedge of fewer than 2 distinct nodes, or a hyperedge that makes a
+// pair's projected weight overflow int32 (see Project) fails with an
+// error naming the line.
 func Read(r io.Reader) (*Hypergraph, error) {
 	h := New(0)
+	var weights pairWeights
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineNo := 0
@@ -98,10 +101,52 @@ func Read(r io.Reader) (*Hypergraph, error) {
 		if slices.Min(nodes) == slices.Max(nodes) {
 			return nil, fmt.Errorf("hypergraph: line %d: hyperedge needs at least 2 distinct nodes", lineNo)
 		}
+		if pair, over := weights.add(h, nodes, mult); over {
+			return nil, fmt.Errorf("hypergraph: line %d: projected weight of {%d, %d} overflows int32", lineNo, pair[0], pair[1])
+		}
 		h.AddMult(nodes, mult)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return h, nil
+}
+
+// pairWeights checks, hyperedge by hyperedge, that no pair's projected
+// weight ω(u, v) = Σ M(e) over the hyperedges e holding both passes
+// int32, the width Project stores. ω(u, v) is at most the total
+// multiplicity, so no pair can overflow while that total stays at or
+// below math.MaxInt32, and until then add costs one comparison. Past it,
+// the exact per-pair sums are kept in a map, seeded from every hyperedge
+// so far. The zero value is ready to use.
+type pairWeights struct {
+	w map[[2]int]int // nil until the total would pass math.MaxInt32
+}
+
+// add accounts for mult occurrences of nodes, which are about to be added
+// to h, and reports the first pair whose weight would overflow.
+func (p *pairWeights) add(h *Hypergraph, nodes []int, mult int) (pair [2]int, over bool) {
+	if p.w == nil {
+		if mult <= math.MaxInt32-h.NumTotal() {
+			return pair, false
+		}
+		p.w = make(map[[2]int]int)
+		h.Each(func(e []int, m int) { p.addEdge(e, m) })
+	}
+	return p.addEdge(canonical(nodes), mult)
+}
+
+// addEdge adds mult to the weight of every pair of the sorted, distinct
+// nodes, stopping at the first pair it would push past math.MaxInt32.
+func (p *pairWeights) addEdge(nodes []int, mult int) (pair [2]int, over bool) {
+	for i, a := range nodes {
+		for _, b := range nodes[i+1:] {
+			k := [2]int{a, b}
+			if p.w[k] > math.MaxInt32-mult {
+				return k, true
+			}
+			p.w[k] += mult
+		}
+	}
+	return pair, false
 }

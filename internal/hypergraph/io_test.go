@@ -54,10 +54,22 @@ func TestReadErrors(t *testing.T) {
 		{"0 1 2\n0 1 # 0", "line 2"}, // zero multiplicity
 		{"0 1 # -3", "line 1"},       // negative multiplicity
 		{"0 1\n-1 2", "line 2"},      // negative node id
+		// Projected weights past int32: one line, then two whose shared
+		// pair {0,1} sums past it on the second.
+		{"0 1 # 3000000000", "line 1"},
+		{"0 1 # 2000000000\n0 1 2 # 2000000000", "line 2"},
 	} {
 		_, err := Read(strings.NewReader(tc.in))
 		if err == nil || !strings.Contains(err.Error(), tc.line) {
 			t.Fatalf("input %q: got %v, want an error naming %s", tc.in, err, tc.line)
 		}
+	}
+	// A total past int32 whose pairs all stay within it is accepted.
+	h, err := Read(strings.NewReader("0 1 # 2000000000\n2 3 # 2000000000\n1 2 # 147483647"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := h.Project().Weight(1, 2); w != 147483647 {
+		t.Fatalf("ω(1,2) = %d, want 147483647", w)
 	}
 }

@@ -141,7 +141,7 @@ func (e *Engine) Apply(ctx context.Context, ops []graph.DeltaOp) (*core.Result, 
 		return shard.Piece{Graph: sub, Nodes: back}
 	}
 	dirtyCount := len(dirty)
-	fresh, firstErr := core.RunPieces(ctx, len(dirty), piece, e.model, e.opts, e.workers, nil,
+	fresh, firstErr := core.RunPieces(ctx, len(dirty), piece, e.model, e.opts, e.workers,
 		func(p *core.Progress, _ int) { p.Dirty = dirtyCount })
 
 	// Install the refreshed components, then drop cache entries no live

@@ -35,8 +35,9 @@ type OptionSpec struct {
 	NegRatio    float64  `json:"negative_ratio,omitempty"`
 	Parallelism int      `json:"parallelism,omitempty"`
 	// Shards routes reconstruction through the shard-parallel engine
-	// (0 = serial; output is byte-identical either way). The server fans
-	// the shards onto its job queue's worker pool.
+	// (0 = serial; output is byte-identical either way). The shards fan
+	// out over the request's Parallelism. Session requests ignore it:
+	// sessions never shard.
 	Shards int `json:"shards,omitempty"`
 }
 

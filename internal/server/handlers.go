@@ -105,18 +105,13 @@ func reconstructResult(res *marioh.Result) (ReconstructResult, error) {
 	}, nil
 }
 
-// shardingOptions turns a request's shard fields into the WithSharding
-// option, fanning the per-shard tasks onto the job queue so one request
-// saturates the whole worker pool (idle workers steal shards; the job's
-// own goroutine runs shards whenever no worker is free).
-func (s *Server) shardingOptions(spec OptionSpec) []marioh.Option {
+// shardingOptions turns a request's shard count into the WithSharding
+// option; the request fans its shards over its own parallelism.
+func shardingOptions(spec OptionSpec) []marioh.Option {
 	if spec.Shards == 0 {
 		return nil
 	}
-	return []marioh.Option{marioh.WithSharding(marioh.ShardingOptions{
-		Shards:   spec.Shards,
-		Executor: s.queue.RunTasks,
-	})}
+	return []marioh.Option{marioh.WithSharding(marioh.ShardingOptions{Shards: spec.Shards})}
 }
 
 // handleTrain implements POST /v1/train: always asynchronous, answering
@@ -230,7 +225,7 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errStatus(err), err)
 		return
 	}
-	opts = append(opts, s.shardingOptions(req.Options)...)
+	opts = append(opts, shardingOptions(req.Options)...)
 
 	async := g.NumEdges() > s.cfg.SyncEdgeLimit
 	if req.Async != nil {
@@ -382,7 +377,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	opts = append(opts, s.shardingOptions(req.Options)...)
+	opts = append(opts, shardingOptions(req.Options)...)
 	var queued int64
 	for _, t := range req.Targets {
 		queued += int64(len(t))

@@ -263,8 +263,7 @@ func (j *Job) execute(ctx context.Context) {
 // Drain performs graceful shutdown — stop accepting, finish everything
 // already accepted, then return.
 type Queue struct {
-	jobs  chan *Job
-	tasks chan queueTask
+	jobs chan *Job
 
 	// budget, when set (before any traffic), meters retained job results
 	// under budgetPoolResults; onEvict observes each result eviction.
@@ -337,7 +336,6 @@ func NewQueue(root context.Context, workers, depth, history int) *Queue {
 	rootCtx, rootCancel := context.WithCancel(root)
 	q := &Queue{
 		jobs:       make(chan *Job, depth),
-		tasks:      make(chan queueTask),
 		byID:       map[string]*Job{},
 		history:    history,
 		cancels:    map[string]context.CancelFunc{},
@@ -353,56 +351,17 @@ func NewQueue(root context.Context, workers, depth, history int) *Queue {
 
 func (q *Queue) work() {
 	defer q.wg.Done()
-	for {
-		// Workers service two lanes: whole jobs, and the sub-job shard
-		// tasks running jobs fan out through RunTasks. An idle worker
-		// steals whichever arrives first.
-		select {
-		case job, ok := <-q.jobs:
-			if !ok {
-				return
-			}
-			ctx, cancel := context.WithCancel(q.root)
-			q.mu.Lock()
-			q.cancels[job.ID] = cancel
-			q.mu.Unlock()
-			job.execute(ctx)
-			cancel()
-			q.mu.Lock()
-			delete(q.cancels, job.ID)
-			q.mu.Unlock()
-		case t := <-q.tasks:
-			t.fn()
-			t.done()
-		}
+	for job := range q.jobs {
+		ctx, cancel := context.WithCancel(q.root)
+		q.mu.Lock()
+		q.cancels[job.ID] = cancel
+		q.mu.Unlock()
+		job.execute(ctx)
+		cancel()
+		q.mu.Lock()
+		delete(q.cancels, job.ID)
+		q.mu.Unlock()
 	}
-}
-
-// queueTask is one stolen unit of intra-job work (e.g. one shard of a
-// sharded reconstruction).
-type queueTask struct {
-	fn   func()
-	done func()
-}
-
-// RunTasks executes every fn, letting idle queue workers steal tasks so
-// one job can saturate the whole pool. The calling goroutine always makes
-// progress by running tasks itself whenever no worker is free to take one,
-// so fan-out can never deadlock the pool — even with a single worker, and
-// even while the queue is draining.
-func (q *Queue) RunTasks(fns []func()) {
-	var wg sync.WaitGroup
-	for _, fn := range fns {
-		wg.Add(1)
-		t := queueTask{fn: fn, done: wg.Done}
-		select {
-		case q.tasks <- t:
-		default:
-			t.fn()
-			t.done()
-		}
-	}
-	wg.Wait()
 }
 
 // JobMeta is the admission accounting attached to a job at registration:

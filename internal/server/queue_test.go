@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -352,56 +351,5 @@ func TestQueueIDsAreSequential(t *testing.T) {
 	}
 	if err := q.Drain(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestQueueRunTasksStealing: RunTasks executes every task exactly once,
-// whether stolen by idle workers or run inline by the caller, and never
-// deadlocks — even when invoked from inside a job occupying the only
-// worker, and even after the queue started draining.
-func TestQueueRunTasksStealing(t *testing.T) {
-	q := NewQueue(context.Background(), 1, 4, 16)
-	var ran int64
-	job, err := q.Submit(JobReconstruct, func(ctx context.Context, job *Job) (any, error) {
-		tasks := make([]func(), 32)
-		for i := range tasks {
-			tasks[i] = func() { atomic.AddInt64(&ran, 1) }
-		}
-		q.RunTasks(tasks) // the lone worker is busy running us: all inline
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-job.Done()
-	if got := atomic.LoadInt64(&ran); got != 32 {
-		t.Fatalf("ran %d tasks, want 32", got)
-	}
-
-	// Multi-worker: a concurrent RunTasks drains with help from the pool.
-	q2 := NewQueue(context.Background(), 4, 4, 16)
-	var ran2 int64
-	tasks := make([]func(), 64)
-	for i := range tasks {
-		tasks[i] = func() { time.Sleep(time.Millisecond); atomic.AddInt64(&ran2, 1) }
-	}
-	q2.RunTasks(tasks)
-	if got := atomic.LoadInt64(&ran2); got != 64 {
-		t.Fatalf("ran %d tasks, want 64", got)
-	}
-
-	drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := q.Drain(drainCtx); err != nil {
-		t.Fatal(err)
-	}
-	if err := q2.Drain(drainCtx); err != nil {
-		t.Fatal(err)
-	}
-	// After draining the workers are gone; RunTasks must still complete.
-	var ran3 int64
-	q2.RunTasks([]func(){func() { atomic.AddInt64(&ran3, 1) }})
-	if ran3 != 1 {
-		t.Fatal("post-drain RunTasks did not run inline")
 	}
 }

@@ -494,8 +494,9 @@ func TestServerValidationAndNotFound(t *testing.T) {
 
 // TestServerMalformedGraphTextIsBadRequest: graph and hypergraph texts
 // the readers reject — a self-loop, a negative node id, an overflowing
-// weight, a one-node hyperedge, a zero multiplicity — are the client's
-// fault and answer 400 bad_request, not a recovered panic's 500.
+// weight, a one-node hyperedge, a zero multiplicity, a training source
+// whose projection overflows int32 — are the client's fault and answer
+// 400 bad_request, not a failed job or a recovered panic's 500.
 func TestServerMalformedGraphTextIsBadRequest(t *testing.T) {
 	_, c := newTestServer(t, nil)
 	trainOn(t, c, testSource(t), "m", OptionSpec{Seed: 1, Epochs: 5})
@@ -517,7 +518,8 @@ func TestServerMalformedGraphTextIsBadRequest(t *testing.T) {
 	for _, target := range []string{"0 0 1", "-1 3 1", "0 1 2000000000\n0 1 2000000000"} {
 		post("/v1/reconstruct", ReconstructRequest{Model: "m", Target: target})
 	}
-	for _, source := range []string{"1 1 # 1", "0 1 # 0", "-1 2"} {
+	for _, source := range []string{"1 1 # 1", "0 1 # 0", "-1 2",
+		"0 1 # 3000000000", "0 1 # 2000000000\n0 1 2 # 2000000000"} {
 		post("/v1/train", TrainRequest{Source: source})
 	}
 }

@@ -425,7 +425,6 @@ func (s *Server) sessionReconstructor(ss *serverSession, m *marioh.Model) (*mari
 	if err != nil {
 		return nil, err
 	}
-	opts = append(opts, s.shardingOptions(ss.spec)...)
 	opts = append(opts, marioh.WithModel(m), marioh.WithProgress(ss.publish))
 	return marioh.New(opts...)
 }

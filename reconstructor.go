@@ -264,14 +264,9 @@ func WithProgress(fn ProgressFunc) Option {
 type ShardingOptions struct {
 	// Shards is the number of shards the target graph is partitioned
 	// into; 0 uses GOMAXPROCS. The reconstruction is byte-identical for
-	// every shard count, so this is purely a throughput knob.
+	// every shard count, so this is purely a throughput knob. The shards
+	// fan out over WithParallelism workers.
 	Shards int
-	// Executor, when non-nil, runs the per-shard tasks on an external
-	// worker pool (e.g. a server job queue) instead of the built-in one,
-	// which fans them over WithParallelism workers.
-	// It must execute every task exactly once and return only when all
-	// of them finished.
-	Executor func(tasks []func())
 }
 
 // WithSharding routes Reconstruct (and each target of ReconstructBatch)
@@ -427,10 +422,7 @@ func (r *Reconstructor) Reconstruct(ctx context.Context, g *Graph) (*Result, err
 // orchestrator, per the configured sharding options.
 func (r *Reconstructor) reconstruct(ctx context.Context, g *Graph, m *Model, opts core.Options) (*Result, error) {
 	if s := r.cfg.sharding; s != nil {
-		return core.ReconstructSharded(ctx, g, m, opts, core.ShardOptions{
-			Shards:   s.Shards,
-			Executor: s.Executor,
-		})
+		return core.ReconstructSharded(ctx, g, m, opts, core.ShardOptions{Shards: s.Shards})
 	}
 	return core.ReconstructContext(ctx, g, m, opts)
 }

@@ -7,8 +7,9 @@
 #   3. boot mariohd on a random port, poll /healthz
 #   4. push the model and reconstruct the same target through the server;
 #      the output must be byte-identical to the golden run
-#   5. reconstruct again with -shards 4 (fanning shards onto the server's
-#      job queue): still byte-identical, and the shard counters move
+#   5. reconstruct again with -shards 4 (the request fans its shards over
+#      its own parallelism): still byte-identical, and the shard counters
+#      move
 #   6. replay a delta stream through a durable server-side session, then
 #      kill -9 the daemon, restart it over the same -data-dir, resume the
 #      session and require byte-identical output (WAL crash recovery)
@@ -68,7 +69,7 @@ echo "   server output is byte-identical to the CLI golden run"
 
 curl -fsS "$base/metrics" | grep -q 'marioh_requests_total'
 
-echo "== sharded /v1/reconstruct (shards fan onto the queue, byte-identical)"
+echo "== sharded /v1/reconstruct (byte-identical)"
 "$bin/mariohctl" remote-reconstruct -server "$base" -model smoke \
     -target "$work/hosts.target.graph" -seed 1 -shards 4 -out "$work/server-shard.hg"
 cmp "$work/golden.hg" "$work/server-shard.hg"
