@@ -99,6 +99,9 @@ func cmdSession(ctx context.Context, args []string) error {
 	if *sessionID != "" && *base == "" {
 		return usageError{msg: "session: -session resumes a remote session; it needs -server"}
 	}
+	if *sf.shards != 0 {
+		return usageError{msg: "session: -shards does not apply; sessions recompute per component and never shard"}
+	}
 
 	var ops []marioh.DeltaOp
 	if *deltaPath != "" {
@@ -116,7 +119,6 @@ func cmdSession(ctx context.Context, args []string) error {
 			ThetaInit: sf.theta,
 			R:         sf.ratio,
 			Alpha:     sf.alpha,
-			Shards:    *sf.shards,
 		}
 		return remoteSession(ctx, remoteClient(*base, *tenant), *modelPath, *graphPath, *sessionID, spec, batches, *out, *keep)
 	}

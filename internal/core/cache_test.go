@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"marioh/internal/corpus"
@@ -15,8 +18,11 @@ import (
 // uncachedReconstruct is the tests' oracle for the round engine: the
 // cache-free round loop, written out test-side — Filter, then one
 // BidirectionalSearch without a cache per round, on reconstructGraph's θ
-// schedule and stall rule. It returns the reconstruction's bytes.
-func uncachedReconstruct(t *testing.T, g *graph.Graph, m *Model, opts Options) []byte {
+// schedule and stall rule. It returns the reconstruction's bytes and the
+// largest number of maximal cliques (graph.MaximalCliques, min size 2)
+// that any component of the residual graph holds at the start of any
+// round: the smallest clique budget the run passes.
+func uncachedReconstruct(t *testing.T, g *graph.Graph, m *Model, opts Options) ([]byte, int) {
 	t.Helper()
 	opts.defaults()
 	work := g.Clone()
@@ -25,12 +31,18 @@ func uncachedReconstruct(t *testing.T, g *graph.Graph, m *Model, opts Options) [
 		Filter(work, rec)
 	}
 	theta := opts.ThetaInit
+	most := 0
 	for round := 0; round < opts.MaxRounds && work.NumEdges() > 0; round++ {
+		key := componentKeys(work, nil)
+		counts := map[int]int{}
+		for _, q := range work.MaximalCliques(2) {
+			counts[key[q[0]]]++
+			most = max(most, counts[key[q[0]]])
+		}
 		BidirectionalSearch(work, m, SearchOptions{
 			Theta:             theta,
 			R:                 opts.R,
 			DisableSubcliques: opts.DisableBidirectional,
-			MaxCliqueLimit:    opts.MaxCliqueLimit,
 			Round:             round,
 			Seed:              opts.Seed,
 			Parallelism:       opts.Parallelism,
@@ -38,7 +50,7 @@ func uncachedReconstruct(t *testing.T, g *graph.Graph, m *Model, opts Options) [
 		}, rec)
 		theta = max(theta-opts.Alpha*opts.ThetaInit, 0)
 	}
-	return renderHG(t, rec)
+	return renderHG(t, rec), most
 }
 
 // cacheInput is one reconstruction input of the round-cache tests.
@@ -65,18 +77,16 @@ func cacheTestInputs(t *testing.T) []cacheInput {
 // TestRoundCacheMatchesUncached: the cached round engine behind every
 // entry point — ReconstructContext, ReconstructPiece and
 // ReconstructSharded — returns the cache-free oracle's bytes at every
-// parallelism, over eu and every corpus family, and so does
-// ReconstructContext under a MaxCliqueLimit, whose budget the cache must
-// apply exactly. The run must also show the cache at work: on some input
-// the cached engine scores fewer maximal cliques than the oracle, so some
-// round reused a component's cliques.
+// parallelism, over eu and every corpus family. The run must also show
+// the cache at work: on some input the cached engine scores fewer maximal
+// cliques than the oracle, so some round reused a component's cliques.
 func TestRoundCacheMatchesUncached(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	ctx := context.Background()
 	reused := false
 	for _, in := range cacheTestInputs(t) {
 		oracleCount := newCountingFeaturizer()
-		want := uncachedReconstruct(t, in.g, withFeaturizer(in.m, oracleCount), Options{Seed: 1, Parallelism: 1})
+		want, _ := uncachedReconstruct(t, in.g, withFeaturizer(in.m, oracleCount), Options{Seed: 1, Parallelism: 1})
 		cachedCount := newCountingFeaturizer()
 		for _, par := range []int{1, 2, 8} {
 			opts := Options{Seed: 1, Parallelism: par}
@@ -109,33 +119,22 @@ func TestRoundCacheMatchesUncached(t *testing.T) {
 		if cachedCount.calls.Load() < oracleCount.calls.Load() {
 			reused = true
 		}
-		for _, limit := range []int{3, 20, 100, 400} {
-			for _, par := range []int{1, 2} {
-				opts := Options{Seed: 1, MaxCliqueLimit: limit, Parallelism: par}
-				res, err := ReconstructContext(ctx, in.g, in.m, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(renderHG(t, res.Hypergraph), uncachedReconstruct(t, in.g, in.m, opts)) {
-					t.Errorf("%s: MaxCliqueLimit=%d Parallelism=%d: ReconstructContext diverged from the oracle", in.name, limit, par)
-				}
-			}
-		}
 	}
 	if !reused {
 		t.Fatal("the cache served no component on any input, so the test does not exercise reuse")
 	}
 }
 
-// TestRoundCacheBudgetIsExact pins the clique budget of a cached round
-// against the cache-free round, where a cut shows in the output: at θ = 2
-// nothing is accepted and the stall dump consumes exactly the components
-// the round enumerated. Ten triangles are cached by a first round; then
-// four pendant edges change the first triangle, dropping its entry, to
-// five cliques, fourteen in all. Limits 11–14 cut the cache-free stream
-// (its last cliques are triangles), so the cached round must notice that
-// the dirty cliques use up what the cached ones leave of the budget and
-// redo the round cold; limits above 14 keep everything.
+// TestRoundCacheBudgetIsExact: one round under a clique budget answers
+// the same with the round cache as without it. Ten triangles fill the
+// cache in a first round; then component 0 changes (losing its entry, as
+// one that accepted something does) to hold 5 maximal cliques, while the
+// nine cached components hold one each. Cached components count as within
+// the budget and the budget is per component, so a budget of 5 or more
+// dumps the same hyperedges and leaves the same residual graph as the
+// cache-free round, though the round holds 14 cliques, and a smaller one
+// fails both rounds with ErrCliqueBudget, naming the budget and the
+// round, and leaves the graph and the reconstruction untouched.
 func TestRoundCacheBudgetIsExact(t *testing.T) {
 	h := bridgeChain(3)
 	m := Train(h.Project(), h, TrainOptions{Seed: 1, Epochs: 2})
@@ -147,33 +146,88 @@ func TestRoundCacheBudgetIsExact(t *testing.T) {
 		base.AddWeight(a+1, a+2, 1)
 	}
 	ctx := context.Background()
-	for _, limit := range []int{11, 12, 13, 14, 15, 20} {
-		round := func(g *graph.Graph, cache *roundCache, stall bool) []byte {
+	for _, budget := range []int{1, 4, 5, 6, 14, 20} {
+		round := func(g *graph.Graph, cache *roundCache, index int, stall bool) ([]byte, error) {
 			rec := hypergraph.New(g.NumNodes())
-			BidirectionalSearch(g, m, SearchOptions{Ctx: ctx, Theta: 2, R: 40, MaxCliqueLimit: limit,
-				Seed: 1, Parallelism: 1, StallDump: stall, cache: cache}, rec)
+			_, err := search(g, m, SearchOptions{Ctx: ctx, Theta: 2, R: 40, Round: index,
+				Seed: 1, Parallelism: 1, StallDump: stall, budget: budget, cache: cache}, rec)
 			var buf bytes.Buffer
 			if err := g.Write(&buf); err != nil {
 				t.Fatal(err)
 			}
-			return append(renderHG(t, rec), buf.Bytes()...)
+			return append(renderHG(t, rec), buf.Bytes()...), err
 		}
 		cached, uncached := base.Clone(), base.Clone()
 		cache := new(roundCache)
-		round(cached, cache, false)
-		if len(cache.comps) != 10 {
-			t.Fatalf("limit %d: the first round cached %d components, want all 10", limit, len(cache.comps))
+		if _, err := round(cached, cache, 0, false); err != nil {
+			t.Fatalf("budget %d: first round: %v", budget, err)
 		}
-		// A changed component loses its cache entry, as one that accepted
-		// something does.
+		if len(cache.comps) != 10 {
+			t.Fatalf("budget %d: the first round cached %d components, want all 10", budget, len(cache.comps))
+		}
 		delete(cache.comps, 0)
 		for _, g := range []*graph.Graph{cached, uncached} {
 			for s := 30; s < 34; s++ {
 				g.AddWeight(0, s, 1)
 			}
 		}
-		if got, want := round(cached, cache, true), round(uncached, nil, true); !bytes.Equal(got, want) {
-			t.Errorf("limit %d: the cached round dumped other components than the cache-free round", limit)
+		var before bytes.Buffer
+		if err := cached.Write(&before); err != nil {
+			t.Fatal(err)
+		}
+		untouched := append(renderHG(t, hypergraph.New(34)), before.Bytes()...)
+		got, gotErr := round(cached, cache, 1, true)
+		want, wantErr := round(uncached, nil, 1, true)
+		if !bytes.Equal(got, want) {
+			t.Errorf("budget %d: the cached round dumped other components than the cache-free round", budget)
+		}
+		if budget < 5 {
+			msg := fmt.Sprintf("more than %d maximal cliques in round 2", budget)
+			for _, err := range []error{gotErr, wantErr} {
+				if !errors.Is(err, ErrCliqueBudget) || !strings.Contains(err.Error(), msg) {
+					t.Errorf("budget %d: err = %v, want ErrCliqueBudget naming %q", budget, err, msg)
+				}
+			}
+			if !bytes.Equal(got, untouched) {
+				t.Errorf("budget %d: the failed round changed the graph or recorded hyperedges", budget)
+			}
+		} else if gotErr != nil || wantErr != nil {
+			t.Errorf("budget %d: cached round: %v, cache-free round: %v, want both to pass", budget, gotErr, wantErr)
+		} else if bytes.Equal(got, untouched) {
+			t.Errorf("budget %d: the stalled round dumped nothing", budget)
+		}
+	}
+}
+
+// TestParallelCliqueBudgetMatchesOracle pins the clique budget to its
+// definition: with M the largest maximal-clique count the oracle sees in
+// any component at the start of any round, a budget of M returns the
+// oracle's bytes and M−1 fails with ErrCliqueBudget, naming the budget,
+// at every parallelism, over eu and every corpus family. Cached rounds
+// are in play (TestRoundCacheMatchesUncached shows the cache serving
+// these inputs), so a cached component must count as within the budget.
+// A budget of 0 means none, so M−1 is skipped where M is 1.
+func TestParallelCliqueBudgetMatchesOracle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ctx := context.Background()
+	for _, in := range cacheTestInputs(t) {
+		want, most := uncachedReconstruct(t, in.g, in.m, Options{Seed: 1, Parallelism: 1})
+		t.Logf("%s: M = %d", in.name, most)
+		for _, par := range []int{1, 2, 8} {
+			res, err := ReconstructContext(ctx, in.g, in.m, Options{Seed: 1, Parallelism: par, MaxCliqueLimit: most})
+			if err != nil {
+				t.Fatalf("%s: budget %d (M) at Parallelism=%d: %v", in.name, most, par, err)
+			}
+			if !bytes.Equal(renderHG(t, res.Hypergraph), want) {
+				t.Errorf("%s: budget %d (M) at Parallelism=%d diverged from the unlimited oracle", in.name, most, par)
+			}
+			if most == 1 {
+				continue
+			}
+			_, err = ReconstructContext(ctx, in.g, in.m, Options{Seed: 1, Parallelism: par, MaxCliqueLimit: most - 1})
+			if !errors.Is(err, ErrCliqueBudget) || !strings.Contains(err.Error(), fmt.Sprintf("more than %d maximal cliques", most-1)) {
+				t.Errorf("%s: budget %d (M−1) at Parallelism=%d: err = %v, want ErrCliqueBudget naming the budget", in.name, most-1, par, err)
+			}
 		}
 	}
 }

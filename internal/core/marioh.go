@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"marioh/internal/graph"
@@ -35,9 +36,12 @@ type Options struct {
 	DisableBidirectional bool
 	// MaxRounds bounds the outer loop as a safety valve. Default 10000.
 	MaxRounds int
-	// MaxCliqueLimit caps per-round maximal-clique enumeration; ≤ 0 means
-	// unlimited. The cap is exact on ReconstructContext; shards and
-	// session applies apply it per piece (see ReconstructSharded).
+	// MaxCliqueLimit bounds the maximal cliques of each connected
+	// component of the residual graph in each round; ≤ 0 means no budget.
+	// A component past it fails the run with ErrCliqueBudget. The count
+	// depends only on the component, so every entry point and every
+	// Parallelism fails on the same inputs, and a run that succeeds
+	// returns the unlimited run's bytes.
 	MaxCliqueLimit int
 	Seed           int64
 	// Parallelism bounds the worker fan-out inside each round: the
@@ -51,6 +55,12 @@ type Options struct {
 	// the reconstruction goroutine.
 	Progress ProgressFunc
 }
+
+// ErrCliqueBudget is the error a run fails with when a connected
+// component of its residual graph has more maximal cliques in a round
+// than Options.MaxCliqueLimit allows. The errors that wrap it name the
+// round, counted from 1 as Progress counts them, and the budget.
+var ErrCliqueBudget = errors.New("core: clique budget exceeded")
 
 // resolveNonNeg implements the Options sentinel for non-negative float
 // parameters: 0 means "default", negative means "exactly 0".
@@ -143,7 +153,9 @@ func Reconstruct(g *graph.Graph, m *Model, opts Options) *Result {
 // ReconstructContext is Reconstruct with cancellation: ctx is checked
 // between rounds and inside the bidirectional search, so long runs stop
 // promptly when the context is cancelled. On cancellation it returns the
-// partial reconstruction built so far together with ctx.Err().
+// partial reconstruction built so far together with ctx.Err(), and on a
+// component past Options.MaxCliqueLimit the rounds before it together
+// with an error wrapping ErrCliqueBudget.
 //
 // It runs the library's one round engine (see reconstructGraph), whose
 // round cache reuses the cliques and scores of the components a round left
@@ -200,12 +212,11 @@ func reconstructGraph(ctx context.Context, g *graph.Graph, m *Model, opts Option
 			return res, err
 		}
 		res.Times.Rounds++
-		accepted := BidirectionalSearch(work, m, SearchOptions{
+		accepted, err := search(work, m, SearchOptions{
 			Ctx:               ctx,
 			Theta:             theta,
 			R:                 opts.R,
 			DisableSubcliques: opts.DisableBidirectional,
-			MaxCliqueLimit:    opts.MaxCliqueLimit,
 			Round:             round,
 			Seed:              opts.Seed,
 			OrigID:            origID,
@@ -217,9 +228,13 @@ func reconstructGraph(ctx context.Context, g *graph.Graph, m *Model, opts Option
 			// this only happens when scores underflow to exactly 0 — any
 			// positive score is accepted — so real models never hit it.
 			StallDump: theta == 0 || opts.Alpha == 0,
+			budget:    opts.MaxCliqueLimit,
 			cache:     cache,
 			scratch:   rs,
 		}, rec)
+		if err != nil {
+			return res, err
+		}
 		total += accepted
 		if opts.Progress != nil {
 			opts.Progress(Progress{

@@ -25,9 +25,12 @@ func forceFanout(t testing.TB) {
 	t.Cleanup(func() { fanoutAt = fanoutCliques })
 }
 
-// countingFeaturizer is features.Marioh that counts its maximal-clique
-// feature calls and records the worker scratches that made them: each
-// loop worker owns one scorer, so distinct scratches are distinct workers.
+// countingFeaturizer is features.Marioh that counts the cliques it
+// scores through Compute — every maximal clique the loop scores — and
+// records the worker scratches that scored them: each loop worker owns
+// one scorer, so distinct scratches are distinct workers. Phase 2's
+// sub-cliques go through Marioh's own sub-clique path and are not
+// counted.
 type countingFeaturizer struct {
 	features.Marioh
 	calls *atomic.Int64
@@ -70,7 +73,7 @@ func TestScoreFanoutHonorsParallelism(t *testing.T) {
 	forceFanout(t)
 	m, g := pipelineTestSetup(t)
 	f := newCountingFeaturizer()
-	scored, _ := enumerateScored(context.Background(), g, withFeaturizer(m, f), nil, 0, 1, nil)
+	scored, _ := enumerateScored(context.Background(), g, withFeaturizer(m, f), nil, nil, 0, 1, nil)
 	if len(scored) < fanoutCliques {
 		t.Fatalf("only %d cliques; the round must exceed the default fan-out point", len(scored))
 	}
@@ -119,11 +122,14 @@ type namedGraph struct {
 }
 
 // TestPipelineEnumerateScoredMatchesSerial: with the fan-out forced at the
-// first clique, the loop's output at every worker count and limit is the
-// serial EachMaximalClique stream's prefix, in order, with scores that
-// bit-match serial scoring. (A cached round's restriction to its dirty
-// components is pinned by graph's TestCliqueSeederWithinMatchesFilteredStream
-// and end to end by TestRoundCacheMatchesUncached.)
+// first clique, the loop's output at every worker count is the serial
+// EachMaximalClique stream, in order, with scores that bit-match serial
+// scoring — also under a budget equal to the largest component's clique
+// count, while one clique less fails the round (archipelago has many
+// components, so the count must be per component). (A cached round's
+// restriction to its dirty components is pinned by graph's
+// TestCliqueSeederWithinMatchesFilteredStream and end to end by
+// TestRoundCacheMatchesUncached.)
 func TestPipelineEnumerateScoredMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	forceFanout(t)
@@ -134,6 +140,7 @@ func TestPipelineEnumerateScoredMatchesSerial(t *testing.T) {
 		{"dense", randomTestGraph(28, 0.5, 3)},
 		{"empty", graph.New(10)},
 		{"singleton", graph.New(1)},
+		{"archipelago", corpus.MustByName("archipelago").Gen(1)},
 		{"eu", eu},
 	}
 	for _, tc := range graphs {
@@ -147,22 +154,28 @@ func TestPipelineEnumerateScoredMatchesSerial(t *testing.T) {
 		for i, q := range stream {
 			scores[i] = m.scoreScratch(tc.g, q, true, &sc)
 		}
-		for _, limit := range []int{0, 1, 2, 7, len(stream), len(stream) + 10} {
-			want := len(stream)
-			if limit > 0 && limit < want {
-				want = limit
-			}
+		key := componentKeys(tc.g, nil)
+		counts, most := map[int]int{}, 0
+		for _, q := range stream {
+			counts[key[q[0]]]++
+			most = max(most, counts[key[q[0]]])
+		}
+		for _, budget := range []int{0, most, most - 1} {
+			wantOver := budget > 0 && budget < most
 			for _, workers := range []int{1, 2, 3, 8, 64} {
-				got, truncated := enumerateScored(context.Background(), tc.g, m, nil, limit, workers, nil)
-				if len(got) != want {
-					t.Fatalf("%s: limit=%d workers=%d: %d cliques, want %d", tc.name, limit, workers, len(got), want)
+				got, over := enumerateScored(context.Background(), tc.g, m, nil, key, budget, workers, nil)
+				if over != wantOver {
+					t.Fatalf("%s: budget=%d workers=%d: over=%v, want %v (largest component: %d cliques)", tc.name, budget, workers, over, wantOver, most)
 				}
-				if wantTrunc := limit > 0 && len(stream) >= limit; truncated != wantTrunc {
-					t.Fatalf("%s: limit=%d workers=%d: truncated=%v, want %v", tc.name, limit, workers, truncated, wantTrunc)
+				if over {
+					continue
+				}
+				if len(got) != len(stream) {
+					t.Fatalf("%s: budget=%d workers=%d: %d cliques, want %d", tc.name, budget, workers, len(got), len(stream))
 				}
 				for i := range got {
 					if !slices.Equal(got[i].nodes, stream[i]) || got[i].score != scores[i] {
-						t.Fatalf("%s: limit=%d workers=%d: clique %d diverged from the serial stream", tc.name, limit, workers, i)
+						t.Fatalf("%s: budget=%d workers=%d: clique %d diverged from the serial stream", tc.name, budget, workers, i)
 					}
 				}
 			}
@@ -170,29 +183,65 @@ func TestPipelineEnumerateScoredMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPipelineLimitBoundsEnumeration: a limit stop enumerates at most
-// (workers+1)·limit cliques, however many productive seeds the graph has
-// and however many cliques one seed holds. powerlaw-hubs is the corpus's
-// densest family (406 maximal cliques over 200 seeds); in the dense
-// random graph a single seed holds more cliques than any limit here.
+// moonMoser is the Moon–Moser graph on 3k nodes: k independent triples,
+// every pair of nodes from different triples joined with weight 1. It is
+// one component with 3^k maximal cliques, one node from each triple.
+func moonMoser(k int) *graph.Graph {
+	g := graph.New(3 * k)
+	for u := 0; u < 3*k; u++ {
+		for v := u + 1; v < 3*k; v++ {
+			if u/3 != v/3 {
+				g.AddWeight(u, v, 1)
+			}
+		}
+	}
+	return g
+}
+
+// TestPipelineLimitBoundsEnumeration: on a graph of one component with
+// more maximal cliques than the budget, the loop fails the round having
+// scored at most (workers+1)·(budget+1) cliques, however many productive
+// seeds the graph has and however many cliques one seed holds. The
+// Moon–Moser graph on 36 nodes has 3^12 = 531,441 maximal cliques, 3^11
+// of them under its first seed; powerlaw-hubs' largest component and the
+// dense random graph hold many seeds of a few cliques each.
 func TestPipelineLimitBoundsEnumeration(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	forceFanout(t)
 	m, _ := pipelineTestSetup(t)
-	fam, ok := corpus.ByName("powerlaw-hubs")
-	if !ok {
-		t.Fatal("corpus family powerlaw-hubs missing")
+	largest := func(g *graph.Graph) *graph.Graph {
+		var big []int
+		for _, c := range g.ConnectedComponents() {
+			if len(c) > len(big) {
+				big = c
+			}
+		}
+		sub, _ := g.Subgraph(big)
+		return sub
 	}
-	for _, tc := range []namedGraph{{fam.Name, fam.Gen(1)}, {"dense", randomTestGraph(28, 0.5, 3)}} {
-		for _, limit := range []int{1, 3, 10} {
-			for _, workers := range []int{1, 2, 4, 8} {
+	mm := moonMoser(12)
+	if n := Filter(mm.Clone(), hypergraph.New(36)); n != 0 {
+		t.Fatalf("filtering consumed %d occurrences of the Moon–Moser graph, want none", n)
+	}
+	fam := corpus.MustByName("powerlaw-hubs")
+	for _, tc := range []namedGraph{
+		{"moon-moser-36", mm},
+		{fam.Name, largest(fam.Gen(1))},
+		{"dense", largest(randomTestGraph(28, 0.5, 3))},
+	} {
+		if n := len(tc.g.MaximalCliquesLimit(2, 11)); n <= 10 {
+			t.Fatalf("%s: only %d maximal cliques, want more than every budget", tc.name, n)
+		}
+		key := componentKeys(tc.g, nil)
+		for _, budget := range []int{1, 3, 10} {
+			for _, workers := range []int{1, 2, 3, 8} {
 				f := newCountingFeaturizer()
-				got, truncated := enumerateScored(context.Background(), tc.g, withFeaturizer(m, f), nil, limit, workers, nil)
-				if len(got) != limit || !truncated {
-					t.Fatalf("%s: limit=%d workers=%d: %d cliques (truncated=%v), want the first %d", tc.name, limit, workers, len(got), truncated, limit)
+				got, over := enumerateScored(context.Background(), tc.g, withFeaturizer(m, f), nil, key, budget, workers, nil)
+				if !over || got != nil {
+					t.Fatalf("%s: budget=%d workers=%d: over=%v with %d cliques, want the round failed", tc.name, budget, workers, over, len(got))
 				}
-				if n, bound := f.calls.Load(), int64((workers+1)*limit); n > bound {
-					t.Errorf("%s: limit=%d workers=%d: enumerated %d cliques, want at most %d", tc.name, limit, workers, n, bound)
+				if n, bound := f.calls.Load(), int64((workers+1)*(budget+1)); n > bound {
+					t.Errorf("%s: budget=%d workers=%d: scored %d cliques, want at most %d", tc.name, budget, workers, n, bound)
 				}
 			}
 		}
@@ -210,7 +259,7 @@ func TestRoundCancelledBeforeScoring(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if scored, _ := enumerateScored(ctx, g, cm, nil, 0, 2, nil); len(scored) != 0 || f.calls.Load() != 0 {
+	if scored, _ := enumerateScored(ctx, g, cm, nil, nil, 0, 2, nil); len(scored) != 0 || f.calls.Load() != 0 {
 		t.Fatalf("cancelled loop returned %d cliques after %d scoring calls, want none", len(scored), f.calls.Load())
 	}
 	var before, after bytes.Buffer
@@ -247,7 +296,7 @@ func TestParallelRoundEngineMatchesSerial(t *testing.T) {
 	forceFanout(t)
 	for _, tc := range graphs {
 		name, g := tc.name, tc.g
-		want := uncachedReconstruct(t, g, m, Options{Seed: 1, Parallelism: 1})
+		want, _ := uncachedReconstruct(t, g, m, Options{Seed: 1, Parallelism: 1})
 		for _, par := range []int{0, 1, 2, 8} {
 			opts := Options{Seed: 1, Parallelism: par}
 			res, err := ReconstructContext(context.Background(), g, m, opts)

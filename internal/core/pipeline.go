@@ -17,13 +17,15 @@
 // (a scorer is pure scratch, and every table yields the same integers),
 // and a seed's sub-stream is the same whoever enumerates it, so joining
 // the buckets in seed order yields the serial enumeration stream, scored,
-// at every worker count. The MaxCliqueLimit cut is therefore a plain
-// prefix of that stream.
+// at every worker count. Under a clique budget the loop counts each
+// component's cliques as their buckets finish and fails the round once a
+// count passes it; a round that passes returns the whole stream.
 package core
 
 import (
 	"context"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"marioh/internal/features"
@@ -105,17 +107,18 @@ func resolveWorkers(parallelism int) int {
 // components of g that hold nodes — all of g when nodes is nil — and
 // scores each as maximal, in g's enumeration order, using at most
 // workers goroutines. nodes must be a union of whole components; the pair
-// table covers only them. limit > 0 keeps only the stream's first limit
-// cliques; the bool reports whether the stream reached limit. ctx is
+// table covers only them. budget > 0 bounds each component's cliques,
+// with key labelling the components (see componentKeys): the bool
+// reports that one has more, and the cliques are then dropped. ctx is
 // polled before each seed claim; after cancellation the result is partial
 // and must be dropped. rs supplies the workers' scratch; nil uses a fresh
 // one.
-func enumerateScored(ctx context.Context, g *graph.Graph, m *Model, nodes []int, limit, workers int, rs *roundScratch) ([]scoredClique, bool) {
+func enumerateScored(ctx context.Context, g *graph.Graph, m *Model, nodes, key []int, budget, workers int, rs *roundScratch) ([]scoredClique, bool) {
 	s := g.CliqueSeeds(2)
 	if nodes != nil {
 		s = s.Within(nodes)
 	}
-	l := &seedLoop{ctx: ctx, g: g, m: m, cover: nodes, limit: limit, rs: rs,
+	l := &seedLoop{ctx: ctx, g: g, m: m, cover: nodes, budget: budget, key: key, rs: rs,
 		seed: func(w *seedWorker, i int) { s.EnumSeed(i, &w.enum, w.emit) }}
 	return l.run(s.NumSeeds(), workers, 0)
 }
@@ -142,29 +145,38 @@ type seedLoop struct {
 	g     *graph.Graph
 	m     *Model
 	cover []int         // the pair table's nodes; nil = all of g
-	limit int           // > 0 keeps the stream's first limit cliques
 	rs    *roundScratch // nil = a fresh one
+	// budget > 0 bounds each component's cliques; key labels each node's
+	// component.
+	budget int
+	key    []int
 	// seed scores seed i's cliques through w.score (or w.emit, which
 	// copies a reused enumeration buffer first).
 	seed func(w *seedWorker, i int)
 
 	done    atomic.Int64     // cliques in finished buckets
 	buckets [][]scoredClique // per seed, in seed order
+
+	mu     sync.Mutex
+	counts map[int]int // component key → cliques in its finished buckets; guarded by mu
+	over   atomic.Bool // some component is past the budget
 }
 
 // run scores n seeds on up to workers goroutines and joins the buckets.
 // The calling goroutine works alone until known plus the finished
 // buckets' cliques reach fanoutAt; only then does it start the helpers.
 // known is the clique count the caller knows up front (a round learns its
-// count while it enumerates).
+// count while it enumerates). The bool reports that a component passed
+// the budget, in which case no cliques are returned.
 //
-// Claiming stops once the finished buckets hold limit cliques. Claimed
-// seeds form a prefix of the stream and always run to the end, so a
-// limit stop leaves that prefix holding at least limit cliques: the cut
-// is exact. At most (workers+1)·limit cliques are ever enumerated: fewer
-// than limit finish before the stop, the bucket that crosses it holds at
-// most limit, and every other worker runs at most one more bucket of at
-// most limit.
+// A seed's cliques all lie in its component, so a finished bucket adds to
+// one component's count. Claiming stops once a count passes the budget,
+// and a seed stops once its bucket holds budget+1 cliques, which alone
+// prove its component past it. On a graph of one component past the
+// budget, at most (workers+1)·(budget+1) cliques are ever scored: at most
+// budget finish before the stop, the bucket that crosses it holds at most
+// budget+1, and every other worker runs at most one more bucket of at
+// most budget+1.
 //
 // The pair table is built on the calling goroutine before the first
 // claim and only read after it; the helpers start after the build. It is
@@ -188,7 +200,7 @@ func (l *seedLoop) run(n, workers, known int) ([]scoredClique, bool) {
 	Fanout{
 		Workers: workers,
 		Ready:   func() bool { return known+int(l.done.Load()) >= fanoutAt },
-		Stop:    func() bool { return l.limit > 0 && l.done.Load() >= int64(l.limit) },
+		Stop:    l.over.Load,
 	}.Run(l.ctx, n, func(wi, i int) {
 		w := ws[wi]
 		if w == nil {
@@ -197,17 +209,38 @@ func (l *seedLoop) run(n, workers, known int) ([]scoredClique, bool) {
 		}
 		w.lo = len(w.out)
 		l.seed(w, i)
-		l.buckets[i] = w.out[w.lo:len(w.out):len(w.out)]
-		l.done.Add(int64(len(w.out) - w.lo))
+		b := w.out[w.lo:len(w.out):len(w.out)]
+		l.buckets[i] = b
+		l.done.Add(int64(len(b)))
+		if l.budget > 0 && len(b) > 0 {
+			l.tally(l.key[b[0].nodes[0]], len(b))
+		}
 	})
 	for _, sc := range scs {
 		sc.feat.UseTable(nil)
 	}
-	return l.join()
+	if l.over.Load() {
+		return nil, true
+	}
+	return l.join(), false
 }
 
-// join concatenates the buckets in seed order and applies the limit cut.
-func (l *seedLoop) join() ([]scoredClique, bool) {
+// tally adds n finished cliques to component k's count and flags the
+// loop once the count passes the budget.
+func (l *seedLoop) tally(k, n int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.counts == nil {
+		l.counts = map[int]int{}
+	}
+	l.counts[k] += n
+	if l.counts[k] > l.budget {
+		l.over.Store(true)
+	}
+}
+
+// join concatenates the buckets in seed order.
+func (l *seedLoop) join() []scoredClique {
 	total := 0
 	for _, b := range l.buckets {
 		total += len(b)
@@ -215,11 +248,8 @@ func (l *seedLoop) join() ([]scoredClique, bool) {
 	out := make([]scoredClique, 0, total)
 	for _, b := range l.buckets {
 		out = append(out, b...)
-		if l.limit > 0 && len(out) >= l.limit {
-			return out[:l.limit], true
-		}
 	}
-	return out, false
+	return out
 }
 
 // seedWorker is one goroutine's scratch. Its buckets are sub-slices of
@@ -250,11 +280,11 @@ func (w *seedWorker) keep(c []int) bool {
 }
 
 // score scores nodes as a maximal clique into the current seed's bucket.
-// It reports whether the seed may emit more: a bucket never needs more
-// than limit cliques.
+// It reports whether the seed may emit more: a bucket of budget+1
+// cliques already proves its component past the budget.
 func (w *seedWorker) score(nodes []int) bool {
 	l := w.l
 	s := l.m.scoreScratch(l.g, nodes, true, w.sc)
 	w.out = append(w.out, scoredClique{nodes: nodes, score: s})
-	return l.limit <= 0 || len(w.out)-w.lo < l.limit
+	return l.budget <= 0 || len(w.out)-w.lo <= l.budget
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sort"
 
@@ -47,11 +48,6 @@ type SearchOptions struct {
 	R float64
 	// DisableSubcliques skips Phase 2 entirely (the MARIOH-B ablation).
 	DisableSubcliques bool
-	// MaxCliqueLimit caps maximal-clique enumeration per round (safety
-	// valve for pathologically dense residual graphs); ≤ 0 means no cap.
-	// The cap is a per-round budget over the whole of g, so it is the one
-	// option that does not decompose over shards (see ReconstructSharded).
-	MaxCliqueLimit int
 	// Round is the 0-based global round index. Together with Seed it keys
 	// the per-component sub-clique sampling streams, which is what makes a
 	// round decompose exactly over connected components (and therefore
@@ -76,6 +72,9 @@ type SearchOptions struct {
 	// applied per component so it decomposes over shards. Dumped
 	// occurrences count as accepted.
 	StallDump bool
+	// budget, when positive, bounds the maximal cliques of each component
+	// the round enumerates (Options.MaxCliqueLimit); see search.
+	budget int
 	// cache, when non-nil, supplies the cliques and scores of the
 	// components that accepted nothing since their last enumeration, and
 	// records this round's for the next.
@@ -103,11 +102,18 @@ type SearchOptions struct {
 // same round run on each component (or shard) separately.
 //
 // With a cache, the components it holds keep their cliques and the round
-// enumerates the others' seeds only. The clique budget stays exact: the
-// changed components get the limit minus the cached cliques, and if they
-// reach it the round drops the cache and enumerates all of g, as the
-// cache-free round does.
+// enumerates the others' seeds only.
 func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergraph.Hypergraph) int {
+	accepted, _ := search(g, m, opts, rec)
+	return accepted
+}
+
+// search is BidirectionalSearch under the clique budget: when a component
+// it enumerates has more than opts.budget maximal cliques, it fails with
+// ErrCliqueBudget before the phases begin, leaving g and rec untouched. A
+// cached component was within the budget when it was enumerated, and its
+// cliques have not changed since.
+func search(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergraph.Hypergraph) (int, error) {
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -125,43 +131,31 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 	// of the others. Cliques never span components, so the first node's
 	// key labels a clique.
 	groups := map[int][]scoredClique{}
-	cached := 0
 	var dirty []int
 	if opts.cache != nil && len(opts.cache.comps) > 0 {
 		for v, k := range key {
 			if k < 0 {
 				continue
 			}
-			if sc, ok := opts.cache.comps[k]; !ok {
-				dirty = append(dirty, v)
-			} else if _, seen := groups[k]; !seen {
+			if sc, ok := opts.cache.comps[k]; ok {
 				groups[k] = sc
-				cached += len(sc)
+			} else {
+				dirty = append(dirty, v)
 			}
 		}
 	}
-	truncated := false
-	if cached == 0 || len(dirty) > 0 {
-		limit, nodes := opts.MaxCliqueLimit, dirty
-		if cached == 0 {
+	if len(groups) == 0 || len(dirty) > 0 {
+		nodes := dirty
+		if len(groups) == 0 {
 			nodes = nil // nothing cached: enumerate all of g
-		} else if limit > 0 {
-			// The cache holds cliques of untruncated rounds only, so fewer
-			// than limit; the floor keeps a budget from reading as
-			// unlimited all the same.
-			limit = max(limit-cached, 1)
 		}
-		var scored []scoredClique
-		scored, truncated = enumerateScored(ctx, g, m, nodes, limit, workers, rs)
-		if truncated && cached > 0 {
-			// The changed components used up what the cached cliques left
-			// of the budget, so the cache-free round cuts the whole
-			// stream: redo the round cold, as it does.
-			clear(groups)
-			scored, truncated = enumerateScored(ctx, g, m, nil, opts.MaxCliqueLimit, workers, rs)
+		scored, over := enumerateScored(ctx, g, m, nodes, key, opts.budget, workers, rs)
+		if over {
+			return 0, fmt.Errorf("%w: a component has more than %d maximal cliques in round %d",
+				ErrCliqueBudget, opts.budget, opts.Round+1)
 		}
 		if ctx.Err() != nil {
-			return 0
+			return 0, nil
 		}
 		for _, sc := range scored {
 			k := key[sc.nodes[0]]
@@ -169,7 +163,7 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 		}
 	}
 	if len(groups) == 0 && !opts.StallDump {
-		return 0
+		return 0, nil
 	}
 	keys := make([]int, 0, len(groups))
 	for k := range groups {
@@ -190,15 +184,13 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 		clear(opts.cache.comps)
 		for k, sc := range groups {
 			// A component that accepted (or dumped) nothing is unchanged:
-			// its enumeration and scores stay valid verbatim. Truncated
-			// enumerations are never cached — the clique budget must be
-			// re-applied from scratch each round.
-			if acceptedBy[k] == 0 && !truncated {
+			// its enumeration and scores stay valid verbatim.
+			if acceptedBy[k] == 0 {
 				opts.cache.comps[k] = sc
 			}
 		}
 	}
-	return accepted
+	return accepted, nil
 }
 
 // searchComponents runs searchComponent over the components of the
@@ -372,13 +364,11 @@ func ScoreSubcliques(g *graph.Graph, m *Model, parents [][]int, theta float64, s
 // scores a clique above the threshold. The rule is evaluated per
 // component — never globally — so a stalled component is dumped at the
 // same round whether it is reconstructed in the full graph or inside a
-// shard. Components absent from acceptedBy were never enumerated (their
-// cliques fell beyond a MaxCliqueLimit budget); they have not stalled —
-// they are still waiting their turn — and are left intact.
+// shard.
 func dumpStalledComponents(g *graph.Graph, rec *hypergraph.Hypergraph, key []int, acceptedBy map[int]int) int {
 	var doomed []graph.Edge
 	for _, e := range g.Edges() {
-		if a, processed := acceptedBy[key[e.U]]; processed && a == 0 {
+		if acceptedBy[key[e.U]] == 0 {
 			doomed = append(doomed, e)
 		}
 	}

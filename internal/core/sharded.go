@@ -37,10 +37,9 @@ func ReconstructPiece(ctx context.Context, g *graph.Graph, m *Model, opts Option
 // endpoints share no neighbour (which filtering consumes before anything
 // is scored), and the round engine keys all per-round randomness and
 // fallbacks by component — so each shard reproduces exactly the slice of
-// the serial run its components would have produced. The one exception is
-// Options.MaxCliqueLimit, a per-round budget over the whole graph that is
-// applied per shard instead; runs relying on it may diverge from the
-// serial pipeline.
+// the serial run its components would have produced. The clique budget
+// (Options.MaxCliqueLimit) is per component too, so a shard fails with
+// ErrCliqueBudget exactly when the serial run would.
 //
 // Progress events carry the shard index and shard-local rounds and edge
 // counts. Result.Times aggregates the per-shard breakdowns (durations

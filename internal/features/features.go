@@ -10,11 +10,11 @@
 // summarized into five aggregates each — sum, mean, min, max, and standard
 // deviation — exactly as the paper prescribes.
 //
-// Every built-in featurizer also implements AppendFeaturizer, the
-// allocation-free path: Compute with a per-worker Scratch reuses staging
-// and output buffers, so scoring a clique in the steady state performs no
-// heap allocations. Custom featurizers that only implement Featurizer keep
-// working through the same entry point at the cost of an allocation.
+// The set is closed: the four built-ins below, listed by Names, are the
+// only featurizers, and each is component-local (see Featurizer).
+// Featurizers append to a caller's buffer: Compute with a per-worker
+// Scratch reuses staging and output buffers, so scoring a clique in the
+// steady state performs no heap allocations.
 //
 // Marioh reads two statistics per clique pair, ω and MHH, always off a
 // graph.PairTable. A Scratch with a table attached (UseTable) reads them
@@ -36,29 +36,21 @@ import (
 
 // Featurizer turns a clique into a fixed-width feature vector.
 //
-// A featurizer must be component-local: the vector of a clique may read
-// only graph state inside the clique's connected component. The round
+// A featurizer is component-local: the vector of a clique reads only
+// graph state inside the clique's connected component, so it is the same
+// in the component's Graph.Subgraph as in the whole graph. The round
 // engine relies on it everywhere — its cache reuses an unchanged
 // component's scores, the component search runs components on parallel
-// workers, and shards and sessions score a component inside a subgraph —
-// and every built-in featurizer is. A featurizer that reads beyond the
-// component makes those outputs differ from one another.
+// workers, and shards and sessions score a component inside a subgraph.
+// TestBuiltinsAreComponentLocal pins it for every built-in.
 type Featurizer interface {
 	// Name identifies the featurizer in logs and serialized models.
 	Name() string
 	// Dim is the feature vector width.
 	Dim() int
-	// Features computes the vector for clique Q of g. maximal tells whether
-	// Q is a maximal clique of the graph it was enumerated from.
-	Features(g *graph.Graph, clique []int, maximal bool) []float64
-}
-
-// AppendFeaturizer is the allocation-free extension of Featurizer: the
-// vector is appended to dst and temporaries come from the caller's Scratch.
-type AppendFeaturizer interface {
-	Featurizer
-	// AppendFeatures appends exactly Dim() values — the same values
-	// Features would return — to dst and returns the extended slice.
+	// AppendFeatures appends the Dim() values of clique Q of g to dst and
+	// returns the extended slice; temporaries come from s. maximal tells
+	// whether Q is a maximal clique of the graph it was enumerated from.
 	AppendFeatures(dst []float64, s *Scratch, g *graph.Graph, clique []int, maximal bool) []float64
 }
 
@@ -103,16 +95,12 @@ func (s *Scratch) pairStats(g *graph.Graph, q []int) (omega, mhh []int) {
 	return s.omega, s.mhh
 }
 
-// Compute evaluates f on the clique. When f supports the allocation-free
-// path the result lives in s's reusable output buffer and is only valid
-// until the next Compute call with the same Scratch; otherwise it falls
-// back to f.Features.
+// Compute evaluates f on the clique. The result lives in s's reusable
+// output buffer and is only valid until the next Compute call with the
+// same Scratch.
 func Compute(f Featurizer, s *Scratch, g *graph.Graph, clique []int, maximal bool) []float64 {
-	if af, ok := f.(AppendFeaturizer); ok {
-		s.out = af.AppendFeatures(s.out[:0], s, g, clique, maximal)
-		return s.out
-	}
-	return f.Features(g, clique, maximal)
+	s.out = f.AppendFeatures(s.out[:0], s, g, clique, maximal)
+	return s.out
 }
 
 // Parent is a clique whose sub-cliques ComputeSub scores. Featurizers
@@ -188,9 +176,8 @@ func UsesPairTable(f Featurizer) bool {
 
 // ComputeSub evaluates f on the sub-clique of p's parent at the ascending
 // positions pos and returns exactly what Compute returns on that
-// sub-clique, in the same buffer. Featurizers that can (Marioh) read it
-// off the parent's pairs; any other featurizer, including ones
-// registered at run time, falls back to Compute on the built sub-clique.
+// sub-clique, in the same buffer. Marioh reads it off the parent's pairs;
+// the other featurizers read no pairs and score the built sub-clique.
 func ComputeSub(f Featurizer, s *Scratch, g *graph.Graph, p *Parent, pos []int, maximal bool) []float64 {
 	if sf, ok := f.(pairFeaturizer); ok {
 		s.out = sf.appendSubclique(s.out[:0], s, g, p, pos, maximal)
@@ -249,13 +236,7 @@ func (Marioh) Name() string { return "marioh" }
 // Dim implements Featurizer.
 func (Marioh) Dim() int { return 23 }
 
-// Features implements Featurizer.
-func (m Marioh) Features(g *graph.Graph, q []int, maximal bool) []float64 {
-	var s Scratch
-	return m.AppendFeatures(make([]float64, 0, 23), &s, g, q, maximal)
-}
-
-// AppendFeatures implements AppendFeaturizer.
+// AppendFeatures implements Featurizer.
 func (Marioh) AppendFeatures(dst []float64, s *Scratch, g *graph.Graph, q []int, maximal bool) []float64 {
 	pairW, pairMHH := s.pairStats(g, q)
 	return appendMarioh(dst, s, g, q, pairW, pairMHH, maximal)
@@ -346,13 +327,7 @@ func (ShyreCount) Name() string { return "shyre-count" }
 // Dim implements Featurizer.
 func (ShyreCount) Dim() int { return 13 }
 
-// Features implements Featurizer.
-func (f ShyreCount) Features(g *graph.Graph, q []int, maximal bool) []float64 {
-	var s Scratch
-	return f.AppendFeatures(make([]float64, 0, 13), &s, g, q, maximal)
-}
-
-// AppendFeatures implements AppendFeaturizer.
+// AppendFeatures implements Featurizer.
 func (ShyreCount) AppendFeatures(dst []float64, s *Scratch, g *graph.Graph, q []int, maximal bool) []float64 {
 	cn := commonNeighborCounts(stage(&s.edge1, len(q)*(len(q)-1)/2), g, q)
 	return appendShyreCount(dst, s, g, q, maximal, cn)
@@ -411,13 +386,7 @@ func (ShyreMotif) Name() string { return "shyre-motif" }
 // Dim implements Featurizer.
 func (ShyreMotif) Dim() int { return 18 }
 
-// Features implements Featurizer.
-func (f ShyreMotif) Features(g *graph.Graph, q []int, maximal bool) []float64 {
-	var s Scratch
-	return f.AppendFeatures(make([]float64, 0, 18), &s, g, q, maximal)
-}
-
-// AppendFeatures implements AppendFeaturizer.
+// AppendFeatures implements Featurizer.
 func (ShyreMotif) AppendFeatures(dst []float64, s *Scratch, g *graph.Graph, q []int, maximal bool) []float64 {
 	nEdges := len(q) * (len(q) - 1) / 2
 	cn := commonNeighborCounts(stage(&s.edge1, nEdges), g, q)
@@ -429,17 +398,24 @@ func (ShyreMotif) AppendFeatures(dst []float64, s *Scratch, g *graph.Graph, q []
 	return aggStats(dst, squares)
 }
 
-// ByName returns the featurizer registered under the given name.
+// builtins are the featurizers, in their canonical order.
+var builtins = []Featurizer{Marioh{}, MariohNoMHH{}, ShyreCount{}, ShyreMotif{}}
+
+// Names lists the featurizers' names in their canonical order.
+func Names() []string {
+	out := make([]string, len(builtins))
+	for i, f := range builtins {
+		out[i] = f.Name()
+	}
+	return out
+}
+
+// ByName returns the featurizer with the given name.
 func ByName(name string) (Featurizer, bool) {
-	switch name {
-	case "marioh":
-		return Marioh{}, true
-	case "marioh-nomhh":
-		return MariohNoMHH{}, true
-	case "shyre-count":
-		return ShyreCount{}, true
-	case "shyre-motif":
-		return ShyreMotif{}, true
+	for _, f := range builtins {
+		if f.Name() == name {
+			return f, true
+		}
 	}
 	return nil, false
 }

@@ -16,10 +16,16 @@ func testGraph() *graph.Graph {
 	return h.Project()
 }
 
+// vec is f's vector for clique q of g, off a fresh Scratch.
+func vec(f Featurizer, g *graph.Graph, q []int, maximal bool) []float64 {
+	var s Scratch
+	return Compute(f, &s, g, q, maximal)
+}
+
 func TestDims(t *testing.T) {
 	g := testGraph()
 	for _, f := range []Featurizer{Marioh{}, ShyreCount{}, ShyreMotif{}} {
-		got := f.Features(g, []int{0, 1, 2}, true)
+		got := vec(f, g, []int{0, 1, 2}, true)
 		if len(got) != f.Dim() {
 			t.Fatalf("%s: len(features) = %d, Dim() = %d", f.Name(), len(got), f.Dim())
 		}
@@ -28,7 +34,7 @@ func TestDims(t *testing.T) {
 
 func TestMariohFeatureValues(t *testing.T) {
 	g := testGraph()
-	f := Marioh{}.Features(g, []int{0, 1, 2}, true)
+	f := vec(Marioh{}, g, []int{0, 1, 2}, true)
 	// Node weighted degrees: 0 → 2+2+1=5, 1 → 4, 2 → 4.
 	// agg(sum, mean, min, max, std) of [5 4 4]:
 	if f[0] != 13 {
@@ -67,8 +73,8 @@ func TestMariohFeatureValues(t *testing.T) {
 
 func TestMaximalFlagPropagates(t *testing.T) {
 	g := testGraph()
-	a := Marioh{}.Features(g, []int{0, 1, 2}, true)
-	b := Marioh{}.Features(g, []int{0, 1, 2}, false)
+	a := vec(Marioh{}, g, []int{0, 1, 2}, true)
+	b := vec(Marioh{}, g, []int{0, 1, 2}, false)
 	if a[22] != 1 || b[22] != 0 {
 		t.Fatal("maximal indicator not set from the argument")
 	}
@@ -83,16 +89,16 @@ func TestShyreCountIgnoresMultiplicity(t *testing.T) {
 	h2 := hypergraph.New(3)
 	h2.AddMult([]int{0, 1, 2}, 7)
 	g2 := h2.Project()
-	a := ShyreCount{}.Features(g1, []int{0, 1, 2}, true)
-	b := ShyreCount{}.Features(g2, []int{0, 1, 2}, true)
+	a := vec(ShyreCount{}, g1, []int{0, 1, 2}, true)
+	b := vec(ShyreCount{}, g2, []int{0, 1, 2}, true)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("feature %d differs: %v vs %v", i, a[i], b[i])
 		}
 	}
 	// While MARIOH features must differ.
-	am := Marioh{}.Features(g1, []int{0, 1, 2}, true)
-	bm := Marioh{}.Features(g2, []int{0, 1, 2}, true)
+	am := vec(Marioh{}, g1, []int{0, 1, 2}, true)
+	bm := vec(Marioh{}, g2, []int{0, 1, 2}, true)
 	same := true
 	for i := range am {
 		if am[i] != bm[i] {
@@ -106,8 +112,8 @@ func TestShyreCountIgnoresMultiplicity(t *testing.T) {
 
 func TestShyreMotifExtendsCount(t *testing.T) {
 	g := testGraph()
-	c := ShyreCount{}.Features(g, []int{0, 1}, false)
-	m := ShyreMotif{}.Features(g, []int{0, 1}, false)
+	c := vec(ShyreCount{}, g, []int{0, 1}, false)
+	m := vec(ShyreMotif{}, g, []int{0, 1}, false)
 	if len(m) != len(c)+5 {
 		t.Fatalf("motif dims = %d, want count+5 = %d", len(m), len(c)+5)
 	}
@@ -120,7 +126,7 @@ func TestShyreMotifExtendsCount(t *testing.T) {
 
 func TestSize2CliqueFeatures(t *testing.T) {
 	g := testGraph()
-	f := Marioh{}.Features(g, []int{0, 3}, true)
+	f := vec(Marioh{}, g, []int{0, 3}, true)
 	if len(f) != 23 {
 		t.Fatalf("dim = %d", len(f))
 	}
@@ -132,11 +138,11 @@ func TestSize2CliqueFeatures(t *testing.T) {
 
 func TestMariohNoMHHDropsMHHFamilies(t *testing.T) {
 	g := testGraph()
-	f := MariohNoMHH{}.Features(g, []int{0, 1, 2}, true)
+	f := vec(MariohNoMHH{}, g, []int{0, 1, 2}, true)
 	if len(f) != (MariohNoMHH{}).Dim() {
 		t.Fatalf("dim mismatch: %d", len(f))
 	}
-	full := Marioh{}.Features(g, []int{0, 1, 2}, true)
+	full := vec(Marioh{}, g, []int{0, 1, 2}, true)
 	// Node aggregates and ω aggregates must agree with the full set.
 	for i := 0; i < 10; i++ {
 		if f[i] != full[i] {
@@ -152,10 +158,14 @@ func TestMariohNoMHHDropsMHHFamilies(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"marioh", "marioh-nomhh", "shyre-count", "shyre-motif"} {
+	names := Names()
+	if len(names) != 4 {
+		t.Fatalf("Names = %v, want the four built-ins", names)
+	}
+	for i, name := range []string{"marioh", "marioh-nomhh", "shyre-count", "shyre-motif"} {
 		f, ok := ByName(name)
-		if !ok || f.Name() != name {
-			t.Fatalf("ByName(%q) failed", name)
+		if !ok || f.Name() != name || names[i] != name {
+			t.Fatalf("ByName(%q) failed, or Names()[%d] = %q", name, i, names[i])
 		}
 	}
 	if _, ok := ByName("nope"); ok {

@@ -8,11 +8,11 @@ import (
 	"marioh/internal/graph"
 )
 
-// TestAppendFeaturesMatchesFeatures: for every built-in featurizer the
-// allocation-free Compute path must return exactly the vector Features
-// returns, including when the scratch is reused across cliques of
-// different sizes, and when it reads pairs off an attached
-// graph.PairTable over the whole graph.
+// TestAppendFeaturesMatchesFeatures: for every built-in featurizer,
+// AppendFeatures leaves dst's prefix alone and appends exactly the vector
+// Compute returns on a fresh Scratch, and so does Compute on a Scratch
+// reused across cliques of different sizes, and on one that reads pairs
+// off an attached graph.PairTable over the whole graph.
 func TestAppendFeaturesMatchesFeatures(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := graph.New(25)
@@ -27,30 +27,30 @@ func TestAppendFeaturesMatchesFeatures(t *testing.T) {
 	if len(cliques) < 5 {
 		t.Fatalf("degenerate test graph: %d cliques", len(cliques))
 	}
-	names := []string{"marioh", "marioh-nomhh", "shyre-count", "shyre-motif"}
-	for _, name := range names {
-		f, ok := ByName(name)
-		if !ok {
-			t.Fatalf("featurizer %q missing", name)
-		}
-		if _, ok := f.(AppendFeaturizer); !ok {
-			t.Fatalf("%s does not implement AppendFeaturizer", name)
-		}
-		var plain, tabled Scratch
+	for _, name := range Names() {
+		f, _ := ByName(name)
+		var reused, tabled Scratch
 		var tab graph.PairTable
 		tab.Build(g, nil)
 		tabled.UseTable(&tab)
-		for _, s := range []*Scratch{&plain, &tabled} {
+		for _, s := range []*Scratch{&reused, &tabled} {
 			for _, q := range cliques {
 				for _, maximal := range []bool{true, false} {
-					want := f.Features(g, q, maximal)
+					var fresh Scratch
+					want := Compute(f, &fresh, g, q, maximal)
 					got := Compute(f, s, g, q, maximal)
 					if len(want) != f.Dim() {
-						t.Fatalf("%s: Features returned %d dims, want %d", name, len(want), f.Dim())
+						t.Fatalf("%s: Compute returned %d dims, want %d", name, len(want), f.Dim())
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s on %v (maximal=%v, table=%v):\n scratch %v\n  direct %v",
+						t.Fatalf("%s on %v (maximal=%v, table=%v):\n reused %v\n  fresh %v",
 							name, q, maximal, s == &tabled, got, want)
+					}
+					prefix := []float64{-1, -2}
+					appended := f.AppendFeatures(prefix, s, g, q, maximal)
+					if !reflect.DeepEqual(appended[:2], prefix) || !reflect.DeepEqual(appended[2:], want) {
+						t.Fatalf("%s on %v (maximal=%v, table=%v): AppendFeatures onto %v = %v, want the prefix then %v",
+							name, q, maximal, s == &tabled, prefix, appended, want)
 					}
 				}
 			}
@@ -71,7 +71,7 @@ func TestComputeAllocationFree(t *testing.T) {
 	}
 	q := []int{0, 2, 4, 6, 8, 10}
 	draws := [][]int{{0, 1}, {0, 2, 3}, {1, 2, 3, 5}}
-	for _, name := range []string{"marioh", "marioh-nomhh", "shyre-count", "shyre-motif"} {
+	for _, name := range Names() {
 		f, _ := ByName(name)
 		var s Scratch
 		var p Parent
@@ -90,26 +90,6 @@ func TestComputeAllocationFree(t *testing.T) {
 				t.Fatalf("%s: %s allocates %.1f per call, want 0", name, path, allocs)
 			}
 		}
-	}
-}
-
-// TestComputeFallsBackForPlainFeaturizers: a Featurizer without the append
-// extension still works through Compute.
-type plainFeat struct{}
-
-func (plainFeat) Name() string { return "plain" }
-func (plainFeat) Dim() int     { return 2 }
-func (plainFeat) Features(g *graph.Graph, q []int, maximal bool) []float64 {
-	return []float64{float64(len(q)), 1}
-}
-
-func TestComputeFallsBackForPlainFeaturizers(t *testing.T) {
-	g := graph.New(3)
-	g.AddWeight(0, 1, 1)
-	var s Scratch
-	got := Compute(plainFeat{}, &s, g, []int{0, 1}, true)
-	if !reflect.DeepEqual(got, []float64{2, 1}) {
-		t.Fatalf("fallback Compute = %v", got)
 	}
 }
 

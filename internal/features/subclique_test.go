@@ -8,16 +8,6 @@ import (
 	"marioh/internal/graph"
 )
 
-// plainMarioh is a Featurizer with neither the append nor the sub-clique
-// extension, standing in for featurizers registered at run time.
-type plainMarioh struct{}
-
-func (plainMarioh) Name() string { return "plain-marioh" }
-func (plainMarioh) Dim() int     { return 23 }
-func (plainMarioh) Features(g *graph.Graph, q []int, maximal bool) []float64 {
-	return Marioh{}.Features(g, q, maximal)
-}
-
 // residualGraph is a dense random graph whose maximal cliques are then
 // partly consumed, the way Phase 1 leaves the residual graph before
 // Phase 2 scores sub-cliques of the cliques enumerated beforehand: some
@@ -65,8 +55,7 @@ func subsets(n int, fn func(pos []int)) {
 	}
 }
 
-// TestComputeSubMatchesCompute: for every built-in featurizer and a plain
-// one, scoring a sub-clique through its parent must give, bit for bit,
+// TestComputeSubMatchesCompute: for every built-in featurizer, scoring a sub-clique through its parent must give, bit for bit,
 // what Compute gives on the built sub-clique — on a residual graph where
 // some of the parent's pairs are gone, with the parent's pairs read off a
 // table built over the parent alone, and off a graph.PairTable over all
@@ -79,9 +68,9 @@ func TestComputeSubMatchesCompute(t *testing.T) {
 	}
 	var tab graph.PairTable
 	tab.Build(g, cover)
-	featurizers := []Featurizer{Marioh{}, MariohNoMHH{}, ShyreCount{}, ShyreMotif{}, plainMarioh{}}
 	zeroPairs, oneOff := 0, 0
-	for _, f := range featurizers {
+	for _, name := range Names() {
+		f, _ := ByName(name)
 		for _, table := range []*graph.PairTable{nil, &tab} {
 			var s, ref Scratch
 			var p Parent

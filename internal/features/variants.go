@@ -17,13 +17,7 @@ func (MariohNoMHH) Name() string { return "marioh-nomhh" }
 // Dim implements Featurizer.
 func (MariohNoMHH) Dim() int { return 13 }
 
-// Features implements Featurizer.
-func (m MariohNoMHH) Features(g *graph.Graph, q []int, maximal bool) []float64 {
-	var s Scratch
-	return m.AppendFeatures(make([]float64, 0, 13), &s, g, q, maximal)
-}
-
-// AppendFeatures implements AppendFeaturizer.
+// AppendFeatures implements Featurizer.
 func (MariohNoMHH) AppendFeatures(dst []float64, s *Scratch, g *graph.Graph, q []int, maximal bool) []float64 {
 	nodeVals := stage(&s.node, len(q))
 	sumWDeg := 0.0

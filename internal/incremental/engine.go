@@ -17,9 +17,9 @@
 // lands back on its old fingerprint and stays a cache hit.
 //
 // The dirty components reconstruct through core.RunPieces, the piece
-// runner shards use too. The guarantee carries sharding's caveat:
-// Options.MaxCliqueLimit, a per-round budget over the whole graph, is
-// applied per component instead.
+// runner shards use too. The clique budget (Options.MaxCliqueLimit) is
+// per component, so an Apply fails with core.ErrCliqueBudget exactly
+// when a from-scratch run of the mutated graph would.
 package incremental
 
 import (

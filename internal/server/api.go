@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"marioh"
-	"marioh/internal/service"
 )
 
 // OptionSpec is the JSON form of the Reconstructor's functional options,
@@ -41,14 +40,11 @@ type OptionSpec struct {
 	Shards int `json:"shards,omitempty"`
 }
 
-// Options resolves the spec into functional options for marioh.New. The
-// variant/featurizer names are resolved through the service registry
-// first, so unknown names fail here — before a job is queued — with an
-// error listing the valid alternatives.
+// Options resolves the spec into functional options for marioh.New and
+// validates them by building a Reconstructor, so unknown names and
+// out-of-range values fail here — before a job is queued — with the
+// option's own error. Every non-zero field is forwarded to its validator.
 func (s OptionSpec) Options() ([]marioh.Option, error) {
-	if _, _, err := service.Resolve(s.Variant, s.Featurizer); err != nil {
-		return nil, err
-	}
 	if s.Shards < 0 {
 		return nil, fmt.Errorf("options: shards %d must be ≥ 0", s.Shards)
 	}
@@ -68,26 +64,29 @@ func (s OptionSpec) Options() ([]marioh.Option, error) {
 	if s.Alpha != nil {
 		opts = append(opts, marioh.WithAlpha(*s.Alpha))
 	}
-	if s.MaxRounds > 0 {
+	if s.MaxRounds != 0 {
 		opts = append(opts, marioh.WithMaxRounds(s.MaxRounds))
 	}
-	if s.CliqueLimit > 0 {
+	if s.CliqueLimit != 0 {
 		opts = append(opts, marioh.WithMaxCliqueLimit(s.CliqueLimit))
 	}
-	if s.Epochs > 0 {
+	if s.Epochs != 0 {
 		opts = append(opts, marioh.WithEpochs(s.Epochs))
 	}
 	if len(s.Hidden) > 0 {
 		opts = append(opts, marioh.WithHidden(s.Hidden...))
 	}
-	if s.Supervision > 0 {
+	if s.Supervision != 0 {
 		opts = append(opts, marioh.WithSupervisionRatio(s.Supervision))
 	}
-	if s.NegRatio > 0 {
+	if s.NegRatio != 0 {
 		opts = append(opts, marioh.WithNegativeRatio(s.NegRatio))
 	}
-	if s.Parallelism > 0 {
+	if s.Parallelism != 0 {
 		opts = append(opts, marioh.WithParallelism(s.Parallelism))
+	}
+	if _, err := marioh.New(opts...); err != nil {
+		return nil, err
 	}
 	return opts, nil
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -496,7 +497,9 @@ func TestServerValidationAndNotFound(t *testing.T) {
 // the readers reject — a self-loop, a negative node id, an overflowing
 // weight, a one-node hyperedge, a zero multiplicity, a training source
 // whose projection overflows int32 — are the client's fault and answer
-// 400 bad_request, not a failed job or a recovered panic's 500.
+// 400 bad_request, not a failed job or a recovered panic's 500. So are
+// negative option values, which their validators reject on every route
+// instead of running the default.
 func TestServerMalformedGraphTextIsBadRequest(t *testing.T) {
 	_, c := newTestServer(t, nil)
 	trainOn(t, c, testSource(t), "m", OptionSpec{Seed: 1, Epochs: 5})
@@ -522,6 +525,55 @@ func TestServerMalformedGraphTextIsBadRequest(t *testing.T) {
 		"0 1 # 3000000000", "0 1 # 2000000000\n0 1 2 # 2000000000"} {
 		post("/v1/train", TrainRequest{Source: source})
 	}
+	for _, spec := range []OptionSpec{
+		{MaxRounds: -1}, {CliqueLimit: -1}, {Epochs: -1},
+		{Parallelism: -1}, {Supervision: -1}, {NegRatio: -1},
+	} {
+		post("/v1/reconstruct", ReconstructRequest{Model: "m", Target: "0 1 1", Options: spec})
+		post("/v1/train", TrainRequest{Source: "0 1 2", Options: spec})
+	}
+}
+
+// TestServerHostileGraphHitsCliqueBudget: the Moon–Moser graph on 36
+// nodes — 12 independent triples, every other pair joined with weight
+// 1 — is one component with 3^12 = 531,441 maximal cliques, and filtering
+// removes none of its edges. Posted to /v1/reconstruct with clique_limit
+// 10000, it answers 400 bad_request naming the budget and the round,
+// after scoring at most a few budgets' worth of cliques; the heap growth
+// seen through runtime.MemStats is logged.
+func TestServerHostileGraphHitsCliqueBudget(t *testing.T) {
+	_, c := newTestServer(t, nil)
+	trainOn(t, c, testSource(t), "m", OptionSpec{Seed: 1, Epochs: 5})
+	g := marioh.NewGraph(36)
+	for u := 0; u < 36; u++ {
+		for v := u + 1; v < 36; v++ {
+			if u/3 != v/3 {
+				g.AddWeight(u, v, 1)
+			}
+		}
+	}
+	async := false
+	body, err := json.Marshal(ReconstructRequest{Model: "m", Target: graphText(t, g), Async: &async,
+		Options: OptionSpec{Seed: 1, CliqueLimit: 10000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	resp := doTenant(t, http.MethodPost, c.Base+"/v1/reconstruct", "", body)
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest {
+		resp.Body.Close()
+		t.Fatalf("hostile graph = %d, want 400", resp.StatusCode)
+	}
+	e := decodeEnvelope(t, resp)
+	if e.Code != CodeBadRequest || !strings.Contains(e.Message, "clique budget") ||
+		!strings.Contains(e.Message, "more than 10000 maximal cliques in round 1") {
+		t.Fatalf("hostile graph: %s %q, want bad_request naming the clique budget and round", e.Code, e.Message)
+	}
+	t.Logf("heap in use grew by %d KiB (%d KiB allocated in all) while serving the request",
+		(int64(after.HeapInuse)-int64(before.HeapInuse))/1024, (after.TotalAlloc-before.TotalAlloc)/1024)
 }
 
 // TestServerHealthAndMetrics checks the observability endpoints.

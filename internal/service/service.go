@@ -1,16 +1,14 @@
-// Package service is the name-resolution layer behind the public
-// marioh.Reconstructor API: it maps the algorithm-variant and featurizer
-// names used by CLIs, config files and tests to the concrete switches and
-// implementations under internal/, so callers can select them without
-// importing the implementation packages. It also accepts runtime
-// registration of custom featurizers, the extension point later serving
-// PRs (sharding, caching, remote models) will build on.
+// Package service is the variant registry behind the public
+// marioh.Reconstructor API: it maps the algorithm-variant names used by
+// CLIs, config files and HTTP requests to the concrete switches of the
+// paper's method and its ablations, so callers can select them without
+// importing the implementation packages. Featurizer names resolve in
+// internal/features, whose set is closed; Resolve maps a (variant,
+// featurizer) name pair to both.
 package service
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"marioh/internal/features"
 )
@@ -24,7 +22,7 @@ type Variant struct {
 	// Description is a one-line human-readable summary for CLI listings.
 	Description string
 	// Featurizer is the name of the clique featurizer the variant trains
-	// with, resolved via FeaturizerByName.
+	// with, resolved via features.ByName.
 	Featurizer string
 	// DisableFiltering skips the guaranteed size-2 filtering step.
 	DisableFiltering bool
@@ -84,51 +82,11 @@ func VariantByName(name string) (Variant, bool) {
 	return Variant{}, false
 }
 
-// builtinFeaturizers are the names resolvable through features.ByName.
-var builtinFeaturizers = []string{"marioh", "marioh-nomhh", "shyre-count", "shyre-motif"}
-
-var (
-	customMu          sync.RWMutex
-	customFeaturizers = map[string]features.Featurizer{}
-)
-
-// RegisterFeaturizer adds a custom featurizer under f.Name(). It fails if
-// the name is empty or already taken (built-in or previously registered).
-func RegisterFeaturizer(f features.Featurizer) error {
-	name := f.Name()
-	if name == "" {
-		return fmt.Errorf("service: featurizer has an empty name")
-	}
-	if _, ok := features.ByName(name); ok {
-		return fmt.Errorf("service: featurizer %q is built in", name)
-	}
-	customMu.Lock()
-	defer customMu.Unlock()
-	if _, ok := customFeaturizers[name]; ok {
-		return fmt.Errorf("service: featurizer %q already registered", name)
-	}
-	customFeaturizers[name] = f
-	return nil
-}
-
-// FeaturizerByName resolves a featurizer: the built-ins first, then any
-// runtime registrations.
-func FeaturizerByName(name string) (features.Featurizer, bool) {
-	if f, ok := features.ByName(name); ok {
-		return f, true
-	}
-	customMu.RLock()
-	defer customMu.RUnlock()
-	f, ok := customFeaturizers[name]
-	return f, ok
-}
-
 // Resolve maps the (variant, featurizer) name pair of a request payload —
 // a CLI invocation, a config file, or an HTTP body — to concrete
 // descriptors. Empty strings select the defaults: variant "marioh", and
 // the variant's own featurizer. The returned errors name the valid
-// alternatives, so callers (e.g. the mariohd handlers) can surface them to
-// users verbatim.
+// alternatives, so callers can surface them to users verbatim.
 func Resolve(variant, featurizer string) (Variant, features.Featurizer, error) {
 	if variant == "" {
 		variant = "marioh"
@@ -140,23 +98,9 @@ func Resolve(variant, featurizer string) (Variant, features.Featurizer, error) {
 	if featurizer == "" {
 		featurizer = v.Featurizer
 	}
-	f, ok := FeaturizerByName(featurizer)
+	f, ok := features.ByName(featurizer)
 	if !ok {
-		return Variant{}, nil, fmt.Errorf("service: unknown featurizer %q (have %v)", featurizer, FeaturizerNames())
+		return Variant{}, nil, fmt.Errorf("service: unknown featurizer %q (have %v)", featurizer, features.Names())
 	}
 	return v, f, nil
-}
-
-// FeaturizerNames lists every resolvable featurizer: built-ins in their
-// canonical order, then custom registrations sorted by name.
-func FeaturizerNames() []string {
-	out := append([]string(nil), builtinFeaturizers...)
-	customMu.RLock()
-	custom := make([]string, 0, len(customFeaturizers))
-	for name := range customFeaturizers {
-		custom = append(custom, name)
-	}
-	customMu.RUnlock()
-	sort.Strings(custom)
-	return append(out, custom...)
 }

@@ -1,10 +1,10 @@
 package service
 
 import (
+	"strings"
 	"testing"
 
 	"marioh/internal/features"
-	"marioh/internal/graph"
 )
 
 func TestVariantRegistry(t *testing.T) {
@@ -20,7 +20,7 @@ func TestVariantRegistry(t *testing.T) {
 		if v.Name != name || v.Description == "" {
 			t.Fatalf("bad descriptor for %q: %+v", name, v)
 		}
-		if _, ok := FeaturizerByName(v.Featurizer); !ok {
+		if _, ok := features.ByName(v.Featurizer); !ok {
 			t.Fatalf("variant %q references unknown featurizer %q", name, v.Featurizer)
 		}
 	}
@@ -41,18 +41,31 @@ func TestVariantRegistry(t *testing.T) {
 	}
 }
 
+// TestFeaturizerResolution: every name features.Names lists resolves
+// through Resolve to the featurizer of that name, over any variant's
+// default, and an unknown name fails with an error listing the built-ins.
 func TestFeaturizerResolution(t *testing.T) {
-	for _, name := range FeaturizerNames() {
-		f, ok := FeaturizerByName(name)
-		if !ok {
-			t.Fatalf("FeaturizerByName(%q) missing", name)
+	names := features.Names()
+	if len(names) == 0 {
+		t.Fatal("features.Names lists no featurizer")
+	}
+	for _, name := range names {
+		_, f, err := Resolve("marioh-m", name)
+		if err != nil {
+			t.Fatalf("Resolve(marioh-m, %q): %v", name, err)
 		}
 		if f.Name() != name {
 			t.Fatalf("featurizer %q reports name %q", name, f.Name())
 		}
 	}
-	if _, ok := FeaturizerByName("nope"); ok {
+	_, _, err := Resolve("", "nope")
+	if err == nil {
 		t.Fatal("unknown featurizer must not resolve")
+	}
+	for _, name := range names {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("error %q does not list featurizer %q", err, name)
+		}
 	}
 }
 
@@ -74,43 +87,5 @@ func TestResolve(t *testing.T) {
 	}
 	if _, _, err := Resolve("", "nope"); err == nil {
 		t.Fatal("unknown featurizer must not resolve")
-	}
-}
-
-// constFeat is a trivial custom featurizer for registration tests.
-type constFeat struct{ name string }
-
-func (c constFeat) Name() string { return c.name }
-func (c constFeat) Dim() int     { return 1 }
-func (c constFeat) Features(_ *graph.Graph, _ []int, _ bool) []float64 {
-	return []float64{1}
-}
-
-var _ features.Featurizer = constFeat{}
-
-func TestRegisterFeaturizer(t *testing.T) {
-	if err := RegisterFeaturizer(constFeat{name: "custom-test"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := FeaturizerByName("custom-test"); !ok {
-		t.Fatal("registered featurizer must resolve")
-	}
-	found := false
-	for _, n := range FeaturizerNames() {
-		if n == "custom-test" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("FeaturizerNames misses registration: %v", FeaturizerNames())
-	}
-	if err := RegisterFeaturizer(constFeat{name: "custom-test"}); err == nil {
-		t.Fatal("duplicate registration must fail")
-	}
-	if err := RegisterFeaturizer(constFeat{name: "marioh"}); err == nil {
-		t.Fatal("shadowing a built-in must fail")
-	}
-	if err := RegisterFeaturizer(constFeat{name: ""}); err == nil {
-		t.Fatal("empty name must fail")
 	}
 }

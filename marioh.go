@@ -23,7 +23,10 @@
 // marioh.WithParallelism(n), and r.Pipeline(ctx, "crime") runs the full
 // generate→train→reconstruct→evaluate protocol on a named dataset.
 // Algorithm variants and featurizers are resolved by name: see
-// WithVariant, WithFeaturizer and RegisterFeaturizer.
+// WithVariant and WithFeaturizer. The featurizer set is closed, so every
+// reconstruction path — the default one, WithSharding, ReconstructBatch
+// and Session — returns the same bytes for the same inputs, or the same
+// ErrCliqueBudget under WithMaxCliqueLimit.
 //
 // The exported names are aliases of the implementation packages under
 // internal/, so the full method sets of Hypergraph, Graph and Model are
@@ -38,10 +41,8 @@ import (
 	"marioh/internal/datasets"
 	"marioh/internal/downstream"
 	"marioh/internal/eval"
-	"marioh/internal/features"
 	"marioh/internal/graph"
 	"marioh/internal/hypergraph"
-	"marioh/internal/service"
 )
 
 // Hypergraph is a multiset of hyperedges with per-hyperedge multiplicity.
@@ -92,14 +93,6 @@ func SaveModel(w io.Writer, m *Model) error {
 	}
 	return m.Save(w)
 }
-
-// Featurizer turns cliques into classifier feature vectors.
-type Featurizer = features.Featurizer
-
-// FeaturizerByName resolves a featurizer: "marioh" (the multiplicity-aware
-// default), "marioh-nomhh", "shyre-count", "shyre-motif", or any custom
-// featurizer added via RegisterFeaturizer.
-func FeaturizerByName(name string) (Featurizer, bool) { return service.FeaturizerByName(name) }
 
 // ReadHypergraph parses the line-oriented hyperedge format ("u v w ..."
 // per hyperedge, optional "# mult" suffix).

@@ -8,6 +8,7 @@ import (
 
 	"marioh/internal/core"
 	"marioh/internal/eval"
+	"marioh/internal/features"
 	"marioh/internal/service"
 )
 
@@ -27,6 +28,12 @@ type ProgressFunc = core.ProgressFunc
 // Reconstructor has neither been trained nor given a model via WithModel.
 var ErrNoModel = errors.New("marioh: no model (call Train first or construct with WithModel)")
 
+// ErrCliqueBudget is the error a reconstruction fails with when a
+// connected component of its residual graph has more maximal cliques in
+// some round than WithMaxCliqueLimit allows; match it with errors.Is. The
+// message names the round and the budget.
+var ErrCliqueBudget = core.ErrCliqueBudget
+
 // config is the resolved functional-option state of a Reconstructor.
 //
 // Float fields use internal/core's sentinel encoding (0 = paper default,
@@ -34,7 +41,7 @@ var ErrNoModel = errors.New("marioh: no model (call Train first or construct wit
 // users always pass plain values.
 type config struct {
 	variant     service.Variant
-	featurizer  Featurizer // nil = the variant's featurizer
+	featurizer  string // "" = the variant's featurizer
 	thetaInit   float64
 	r           float64
 	alpha       float64
@@ -83,31 +90,15 @@ func WithVariant(name string) Option {
 	}
 }
 
-// WithFeaturizer selects the clique featurizer by registry name
-// ("marioh", "marioh-nomhh", "shyre-count", "shyre-motif", or a custom
-// registration), overriding the variant's choice.
+// WithFeaturizer selects the clique featurizer by name — "marioh",
+// "marioh-nomhh", "shyre-count" or "shyre-motif" (see FeaturizerNames) —
+// overriding the variant's choice.
 func WithFeaturizer(name string) Option {
 	return func(c *config) error {
-		f, ok := service.FeaturizerByName(name)
-		if !ok {
-			return fmt.Errorf("marioh: unknown featurizer %q (have %v)", name, service.FeaturizerNames())
+		if _, ok := features.ByName(name); !ok {
+			return fmt.Errorf("marioh: unknown featurizer %q (have %v)", name, features.Names())
 		}
-		c.featurizer = f
-		return nil
-	}
-}
-
-// WithCustomFeaturizer installs a featurizer implementation directly,
-// bypassing the registry. Like every featurizer it must be
-// component-local, reading only graph state inside a clique's connected
-// component (see Featurizer); otherwise reconstructions are not
-// reproducible across parallelism, sharding and sessions.
-func WithCustomFeaturizer(f Featurizer) Option {
-	return func(c *config) error {
-		if f == nil {
-			return errors.New("marioh: nil featurizer")
-		}
-		c.featurizer = f
+		c.featurizer = name
 		return nil
 	}
 }
@@ -159,10 +150,12 @@ func WithMaxRounds(n int) Option {
 	}
 }
 
-// WithMaxCliqueLimit caps per-round maximal-clique enumeration; 0 means
-// unlimited (the default). The cap is exact on the default path; sharded
-// runs and sessions apply it per shard or component instead, so their
-// output under a cap may differ from the default path's.
+// WithMaxCliqueLimit bounds the maximal cliques of every connected
+// component in every round of a reconstruction; 0 means no budget (the
+// default). A component past the budget fails the run with
+// ErrCliqueBudget. Whether a component is past it depends only on the
+// component, so every path and every parallelism fails on the same
+// inputs, and a run that succeeds returns the unlimited run's bytes.
 func WithMaxCliqueLimit(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -277,9 +270,7 @@ type ShardingOptions struct {
 // round engine as the default path, and merged. The output is
 // byte-identical to the unsharded pipeline for any shard count (asserted
 // by the shard-equivalence tests and CI job); Progress events
-// additionally carry the shard index. The guarantee assumes
-// component-local featurizers (see WithCustomFeaturizer) and does not
-// extend to WithMaxCliqueLimit, which is applied per shard.
+// additionally carry the shard index.
 func WithSharding(o ShardingOptions) Option {
 	return func(c *config) error {
 		if o.Shards < 0 {
@@ -331,10 +322,7 @@ func New(opts ...Option) (*Reconstructor, error) {
 
 // trainOptions resolves the config into internal/core training options.
 func (r *Reconstructor) trainOptions() core.TrainOptions {
-	feat := r.cfg.featurizer
-	if feat == nil {
-		feat, _ = service.FeaturizerByName(r.cfg.variant.Featurizer)
-	}
+	_, feat, _ := service.Resolve(r.cfg.variant.Name, r.cfg.featurizer)
 	return core.TrainOptions{
 		Featurizer:       feat,
 		Hidden:           r.cfg.hidden,
@@ -532,11 +520,5 @@ func (r *Reconstructor) Pipeline(ctx context.Context, dataset string) (*Pipeline
 // VariantNames lists the algorithm variants WithVariant accepts.
 func VariantNames() []string { return service.VariantNames() }
 
-// FeaturizerNames lists the featurizers WithFeaturizer accepts, including
-// runtime registrations made via RegisterFeaturizer.
-func FeaturizerNames() []string { return service.FeaturizerNames() }
-
-// RegisterFeaturizer adds a custom featurizer to the registry under
-// f.Name(), making it resolvable by WithFeaturizer and the CLI. It fails
-// on empty or duplicate names.
-func RegisterFeaturizer(f Featurizer) error { return service.RegisterFeaturizer(f) }
+// FeaturizerNames lists the featurizers WithFeaturizer accepts.
+func FeaturizerNames() []string { return features.Names() }

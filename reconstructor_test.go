@@ -341,7 +341,7 @@ func TestVariantsAndRegistry(t *testing.T) {
 		marioh.WithSupervisionRatio(0),
 		marioh.WithParallelism(-1),
 		marioh.WithModel(nil),
-		marioh.WithCustomFeaturizer(nil),
+		marioh.WithMaxCliqueLimit(-1),
 	} {
 		if _, err := marioh.New(bad); err == nil {
 			t.Fatal("invalid option must fail New")

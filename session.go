@@ -54,9 +54,8 @@ func WriteDeltas(w io.Writer, ops []DeltaOp) error { return graph.WriteDeltas(w,
 // Reconstruct of the mutated graph with the same configuration (asserted
 // by the incremental-equivalence tests and the CI incr-check job). The
 // dirty components reconstruct through the piece runner shards use, over
-// WithParallelism workers. As with sharding, the guarantee assumes
-// component-local featurizers and does not extend to WithMaxCliqueLimit,
-// which is applied per component.
+// WithParallelism workers. Under WithMaxCliqueLimit an Apply fails with
+// ErrCliqueBudget exactly when that rebuild would.
 //
 // A Session is safe for concurrent use; Apply calls serialize.
 //
