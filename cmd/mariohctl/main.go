@@ -1,7 +1,8 @@
 // Command mariohctl is the operational CLI of the MARIOH reproduction:
 // generate datasets, train + reconstruct (with cancellation and progress),
 // and evaluate reconstructions. Every subcommand honors Ctrl-C via
-// context cancellation.
+// context cancellation. The remote subcommands drive a running mariohd
+// daemon (cmd/mariohd).
 //
 // Usage:
 //
@@ -12,7 +13,6 @@
 //	mariohctl reconstruct -train src.hg -target a.graph,b.graph -parallel 4 -out rec.hg
 //	mariohctl eval -truth ./data/crime.target.hg -rec ./rec.hg
 //	mariohctl demo -dataset hosts -variant marioh-b -progress
-//	mariohctl serve -addr :8080 -models-dir ./models
 //	mariohctl remote-reconstruct -server http://127.0.0.1:8080 -model m1 -target a.graph -out rec.hg
 package main
 
@@ -66,8 +66,6 @@ func run(ctx context.Context, args []string) int {
 		err = cmdMutate(ctx, args[1:])
 	case "demo":
 		err = cmdDemo(ctx, args[1:])
-	case "serve":
-		err = cmdServe(ctx, args[1:])
 	case "remote-reconstruct":
 		err = cmdRemoteReconstruct(ctx, args[1:])
 	case "jobs":
@@ -123,8 +121,7 @@ commands:
   mutate       apply an edge-delta stream to a graph file
   help         print this message
 
-serving (see mariohd for the standalone daemon):
-  serve              run the mariohd HTTP daemon in-process
+remote (drive a running mariohd daemon):
   remote-reconstruct reconstruct target graph(s) through a running daemon
   jobs               list, inspect, watch (-watch SSE) or cancel server jobs
   models             list, pull or delete registry models on a daemon

@@ -1,6 +1,6 @@
-// The serving half of mariohctl: `serve` runs the mariohd daemon
-// in-process, and the remote subcommands (`remote-reconstruct`, `jobs`,
-// `models`, `push-model`) drive a running daemon over its /v1 API.
+// The remote half of mariohctl: the client subcommands
+// (`remote-reconstruct`, `jobs`, `models`, `push-model`) drive a running
+// mariohd daemon over its /v1 API.
 package main
 
 import (
@@ -15,56 +15,6 @@ import (
 
 	"marioh/internal/server"
 )
-
-func cmdServe(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	addr := fs.String("addr", ":8080", "listen address (port 0 picks a free port)")
-	workers := fs.Int("workers", 0, "job worker-pool size (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 64, "pending-job queue depth")
-	jobHistory := fs.Int("job-history", 256, "finished jobs kept inspectable (oldest evicted past it)")
-	modelsDir := fs.String("models-dir", "", "directory persisting the model registry (empty = in-memory)")
-	modelCache := fs.Int("model-cache", 8, "decoded-model LRU cache size")
-	syncLimit := fs.Int("sync-edge-limit", 20000, "largest target (edges) served synchronously")
-	sessionLimit := fs.Int("session-limit", 16, "open incremental sessions kept (LRU eviction past it)")
-	shutdownTimeout := fs.Duration("shutdown-timeout", 30*time.Second, "graceful-shutdown drain budget")
-	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant request rate limit in requests/second (0 = unlimited)")
-	tenantBurst := fs.Int("tenant-burst", 0, "per-tenant rate-limit burst (0 = rate rounded up)")
-	tenantMaxJobs := fs.Int("tenant-max-jobs", 0, "per-tenant concurrent jobs (0 = unlimited)")
-	tenantMaxSessions := fs.Int("tenant-max-sessions", 0, "per-tenant open sessions (0 = unlimited)")
-	tenantMaxQueuedBytes := fs.Int64("tenant-max-queued-bytes", 0, "per-tenant queued request-payload bytes (0 = unlimited)")
-	memoryBudget := fs.Int64("memory-budget", 0, "global retained-memory budget in bytes (0 = unlimited)")
-	dedupCache := fs.Int64("dedup-cache", 0, "dedup result cache bytes (0 = 64 MiB default, negative disables)")
-	if err := parse(fs, args); err != nil {
-		return err
-	}
-	// The server's lifetime must outlive the signal context driving the
-	// graceful drain (see server.New); it ends when this command returns.
-	root, hardStop := context.WithCancel(context.Background())
-	defer hardStop()
-	srv, err := server.New(root, server.Config{
-		Addr:            *addr,
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		JobHistory:      *jobHistory,
-		ModelsDir:       *modelsDir,
-		ModelCache:      *modelCache,
-		SyncEdgeLimit:   *syncLimit,
-		SessionLimit:    *sessionLimit,
-		ShutdownTimeout: *shutdownTimeout,
-
-		TenantRate:           *tenantRate,
-		TenantBurst:          *tenantBurst,
-		TenantMaxJobs:        *tenantMaxJobs,
-		TenantMaxSessions:    *tenantMaxSessions,
-		TenantMaxQueuedBytes: *tenantMaxQueuedBytes,
-		MemoryBudget:         *memoryBudget,
-		DedupCacheBytes:      *dedupCache,
-	})
-	if err != nil {
-		return err
-	}
-	return srv.ListenAndServe(ctx)
-}
 
 // remoteFlags are the flags shared by every client subcommand: the
 // daemon's base URL and the tenant identity sent with every request.

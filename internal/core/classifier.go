@@ -56,11 +56,12 @@ type TrainOptions struct {
 	// NegativeRatio is the number of negatives sampled per positive;
 	// default 1.
 	NegativeRatio float64
-	// MaxCliqueLimit caps the number of maximal cliques enumerated for
-	// negative sampling; default 200000.
-	MaxCliqueLimit int
-	Seed           int64
+	Seed          int64
 }
+
+// negativeCliqueLimit caps the maximal cliques of the source graph that
+// BuildExamples enumerates as negative candidates.
+const negativeCliqueLimit = 200000
 
 func (o *TrainOptions) defaults() {
 	if o.Featurizer == nil {
@@ -77,9 +78,6 @@ func (o *TrainOptions) defaults() {
 	}
 	if o.NegativeRatio <= 0 {
 		o.NegativeRatio = 1
-	}
-	if o.MaxCliqueLimit <= 0 {
-		o.MaxCliqueLimit = 200000
 	}
 }
 
@@ -141,10 +139,9 @@ func BuildExamples(gSrc *graph.Graph, hSrc *hypergraph.Hypergraph, opts TrainOpt
 	feat := opts.Featurizer
 	// One shared Scratch across all examples: Compute's reusable buffers
 	// make extraction allocation-free per call, so only the retained copy
-	// of each vector is allocated (the Features fallback would rebuild
-	// O(NumNodes) pair-table arrays for every single example). gSrc does
-	// not change here, so every example reads its pairs off one table
-	// over all of gSrc, the Scratch's own.
+	// of each vector is allocated. gSrc does not change here, so every
+	// example reads its pairs off one table over all of gSrc, the
+	// Scratch's own.
 	var sc features.Scratch
 	if features.UsesPairTable(feat) {
 		t := sc.Table()
@@ -170,7 +167,7 @@ func BuildExamples(gSrc *graph.Graph, hSrc *hypergraph.Hypergraph, opts TrainOpt
 	}
 
 	want := int(float64(len(posEdges)) * opts.NegativeRatio)
-	maximal := gSrc.MaximalCliquesLimit(2, opts.MaxCliqueLimit)
+	maximal := gSrc.MaximalCliquesLimit(2, negativeCliqueLimit)
 	var negs [][]float64
 	for _, q := range maximal {
 		if len(negs) >= want {

@@ -491,9 +491,9 @@ func TestDurabilitySnapshotCacheCorrupt(t *testing.T) {
 	if !bytes.Equal(render(t, res), goldens[3]) {
 		t.Fatal("cache-dropped recovery diverges from serial rebuild")
 	}
-	if res.DirtyComponents == 0 || res.DirtyComponents != s.CachedComponents() {
-		t.Fatalf("dropped cache should force a full recompute: dirty %d, cached %d",
-			res.DirtyComponents, s.CachedComponents())
+	if res.DirtyComponents == 0 || res.DirtyComponents != s.Components() {
+		t.Fatalf("dropped cache should force a full recompute: dirty %d, live %d",
+			res.DirtyComponents, s.Components())
 	}
 	s.Close()
 }
@@ -581,7 +581,7 @@ func TestDurabilityConcurrentReads(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			s.Stats()
 			s.Applies()
-			s.CachedComponents()
+			s.Components()
 		}
 	}()
 	if _, err := s.Apply(context.Background(), nil); err != nil {

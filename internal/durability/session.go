@@ -490,11 +490,12 @@ func (s *Session) LastDirty() int {
 	return s.eng.LastDirty()
 }
 
-// CachedComponents returns the number of cached per-component results.
-func (s *Session) CachedComponents() int {
+// Components returns the number of live (edge-bearing) components of the
+// session's graph.
+func (s *Session) Components() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.CachedComponents()
+	return s.eng.Components()
 }
 
 // Stats returns the session's durability counters.

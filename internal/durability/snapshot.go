@@ -91,11 +91,16 @@ func syncDir(dir string) error {
 //	e <u> <v> <w>        × numEdges   │
 //	crc <8-hex>                      ─┘
 //	comps <count>                    ─┐ cache section
-//	c <key> <fp 16-hex>  × count      │
+//	c <key> <id 16-hex>  × count      │
 //	cache <count>                     │
-//	h <fp 16-hex> <filtered> <lines>  │ per cached component result
+//	h <id 16-hex> <filtered> <lines>  │ per cached component result
 //	x <mult> <node>...   × lines      │
 //	crc <8-hex>                      ─┘
+//
+// The id joins a component's c line (keyed by its smallest node) to its
+// h entry. Snapshots written now use the component key itself as the id;
+// older ones carry the component's content fingerprint there, and both
+// restore (see incremental.Restore).
 //
 // Each crc line is the CRC-32C of every preceding line of its section
 // (including trailing newlines), computed incrementally during both

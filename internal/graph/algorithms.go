@@ -1,113 +1,5 @@
 package graph
 
-// KCoreNumbers returns the core number of every node: the largest k such
-// that the node belongs to a subgraph in which every node has degree ≥ k.
-// Computed from the degeneracy ordering in O(|V| + |E|).
-func (g *Graph) KCoreNumbers() []int {
-	n := len(g.nbrs)
-	core := make([]int, n)
-	deg := make([]int, n)
-	maxDeg := 0
-	for u := 0; u < n; u++ {
-		deg[u] = len(g.nbrs[u])
-		if deg[u] > maxDeg {
-			maxDeg = deg[u]
-		}
-	}
-	buckets := make([][]int, maxDeg+1)
-	for u := 0; u < n; u++ {
-		buckets[deg[u]] = append(buckets[deg[u]], u)
-	}
-	removed := make([]bool, n)
-	cur := 0
-	for processed := 0; processed < n; {
-		for cur <= maxDeg && len(buckets[cur]) == 0 {
-			cur++
-		}
-		if cur > maxDeg {
-			break
-		}
-		b := buckets[cur]
-		u := b[len(b)-1]
-		buckets[cur] = b[:len(b)-1]
-		if removed[u] || deg[u] > cur {
-			// Stale entry: the node was re-bucketed at a lower degree.
-			continue
-		}
-		removed[u] = true
-		core[u] = cur
-		processed++
-		for _, v := range g.nbrs[u] {
-			if !removed[v] && deg[v] > cur {
-				deg[v]--
-				buckets[deg[v]] = append(buckets[deg[v]], int(v))
-			}
-		}
-	}
-	return core
-}
-
-// ClusteringCoefficient returns the local clustering coefficient of u: the
-// fraction of neighbor pairs that are themselves connected. Nodes with
-// fewer than two neighbors have coefficient 0.
-func (g *Graph) ClusteringCoefficient(u int) float64 {
-	g.check(u)
-	nb := g.nbrs[u]
-	if len(nb) < 2 {
-		return 0
-	}
-	links := 0
-	for i, v := range nb {
-		for _, w := range nb[i+1:] {
-			if g.HasEdge(int(v), int(w)) {
-				links++
-			}
-		}
-	}
-	pairs := len(nb) * (len(nb) - 1) / 2
-	return float64(links) / float64(pairs)
-}
-
-// AverageClusteringCoefficient returns the mean local clustering
-// coefficient over nodes with degree ≥ 2 (0 if there are none).
-func (g *Graph) AverageClusteringCoefficient() float64 {
-	sum, n := 0.0, 0
-	for u := 0; u < len(g.nbrs); u++ {
-		if len(g.nbrs[u]) < 2 {
-			continue
-		}
-		sum += g.ClusteringCoefficient(u)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// BFSDistances returns the hop distance from src to every node, with −1
-// for unreachable nodes.
-func (g *Graph) BFSDistances(src int) []int {
-	g.check(src)
-	dist := make([]int, len(g.nbrs))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.nbrs[u] {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, int(v))
-			}
-		}
-	}
-	return dist
-}
-
 // Density returns the edge density |E| / C(|V|, 2) (0 for graphs with
 // fewer than two nodes).
 func (g *Graph) Density() float64 {

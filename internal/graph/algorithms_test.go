@@ -2,129 +2,8 @@ package graph
 
 import (
 	"math"
-	"math/rand"
-	"reflect"
 	"testing"
 )
-
-func TestKCoreNumbers(t *testing.T) {
-	// K4 on {0..3} plus a path 3-4-5: core numbers 3,3,3,3,1,1.
-	g := New(6)
-	for i := 0; i < 4; i++ {
-		for j := i + 1; j < 4; j++ {
-			g.AddWeight(i, j, 1)
-		}
-	}
-	g.AddWeight(3, 4, 1)
-	g.AddWeight(4, 5, 1)
-	want := []int{3, 3, 3, 3, 1, 1}
-	if got := g.KCoreNumbers(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("KCoreNumbers = %v, want %v", got, want)
-	}
-}
-
-func TestKCoreIsolatedNodes(t *testing.T) {
-	g := New(3)
-	g.AddWeight(0, 1, 1)
-	got := g.KCoreNumbers()
-	if got[2] != 0 || got[0] != 1 || got[1] != 1 {
-		t.Fatalf("KCoreNumbers = %v", got)
-	}
-}
-
-// TestKCoreMatchesPeelingDefinition: on random graphs, every node with
-// core number ≥ k must survive iterative removal of degree-<k nodes.
-func TestKCoreMatchesPeelingDefinition(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 15; trial++ {
-		n := 6 + rng.Intn(10)
-		g := New(n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if rng.Float64() < 0.3 {
-					g.AddWeight(i, j, 1)
-				}
-			}
-		}
-		core := g.KCoreNumbers()
-		maxCore := 0
-		for _, c := range core {
-			if c > maxCore {
-				maxCore = c
-			}
-		}
-		for k := 1; k <= maxCore; k++ {
-			want := peelKCore(g, k)
-			for u := 0; u < n; u++ {
-				if want[u] != (core[u] >= k) {
-					t.Fatalf("trial %d k=%d node %d: peel=%v core=%d",
-						trial, k, u, want[u], core[u])
-				}
-			}
-		}
-	}
-}
-
-// peelKCore returns membership of the k-core by brute-force peeling.
-func peelKCore(g *Graph, k int) []bool {
-	n := g.NumNodes()
-	alive := make([]bool, n)
-	deg := make([]int, n)
-	for u := 0; u < n; u++ {
-		alive[u] = true
-		deg[u] = g.Degree(u)
-	}
-	for changed := true; changed; {
-		changed = false
-		for u := 0; u < n; u++ {
-			if alive[u] && deg[u] < k {
-				alive[u] = false
-				changed = true
-				for _, v := range g.Neighbors(u) {
-					if alive[v] {
-						deg[v]--
-					}
-				}
-			}
-		}
-	}
-	return alive
-}
-
-func TestClusteringCoefficient(t *testing.T) {
-	// Triangle: coefficient 1 everywhere; star center: 0.
-	g := New(6)
-	g.AddWeight(0, 1, 1)
-	g.AddWeight(0, 2, 1)
-	g.AddWeight(1, 2, 1)
-	if c := g.ClusteringCoefficient(0); c != 1 {
-		t.Fatalf("triangle node coefficient = %v", c)
-	}
-	g.AddWeight(3, 4, 1)
-	g.AddWeight(3, 5, 1)
-	if c := g.ClusteringCoefficient(3); c != 0 {
-		t.Fatalf("star center coefficient = %v", c)
-	}
-	if c := g.ClusteringCoefficient(4); c != 0 {
-		t.Fatal("degree-1 node should be 0")
-	}
-	avg := g.AverageClusteringCoefficient()
-	// Nodes with degree ≥ 2: 0,1,2 (coef 1) and 3 (coef 0) → 0.75.
-	if math.Abs(avg-0.75) > 1e-12 {
-		t.Fatalf("average coefficient = %v, want 0.75", avg)
-	}
-}
-
-func TestBFSDistances(t *testing.T) {
-	g := New(5)
-	g.AddWeight(0, 1, 1)
-	g.AddWeight(1, 2, 1)
-	g.AddWeight(2, 3, 1)
-	want := []int{0, 1, 2, 3, -1}
-	if got := g.BFSDistances(0); !reflect.DeepEqual(got, want) {
-		t.Fatalf("BFSDistances = %v, want %v", got, want)
-	}
-}
 
 func TestDensity(t *testing.T) {
 	g := New(4)

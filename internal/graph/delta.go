@@ -129,198 +129,81 @@ func ReadDeltas(r io.Reader) ([]DeltaOp, error) {
 	return ops, nil
 }
 
-// Tracker maintains the connected components of a mutating graph
-// incrementally, so a long-lived reconstruction session can tell which
-// components a batch of deltas touched without rescanning the whole graph.
-//
-// Inserts that join two components are handled by weighted-union
-// relabeling (the smaller component's member list folds into the larger
-// one, the deletion-tolerant form of union-find merging); a delete that
-// removes an edge triggers a rescan bounded to the nodes of the affected
-// component — never the whole graph — to detect splits. Weight changes
-// that keep an edge alive are structural no-ops.
+// Tracker applies delta ops to a mutating graph and records which nodes
+// they touched, so a long-lived reconstruction session can tell which
+// components a batch of deltas may have changed. It keeps no component
+// state of its own: Components and Component read the current graph.
 //
 // All mutations must flow through the Tracker (Apply); mutating the
-// underlying graph directly desynchronizes the labels.
+// underlying graph directly bypasses the touched set.
 type Tracker struct {
 	g *Graph
-	// label[u] identifies u's component; the identifier is an arbitrary
-	// member node of the component (singletons label themselves).
-	label []int
-	// members[l] lists the nodes labeled l, unsorted. Singleton (edgeless)
-	// components are tracked too, so label growth stays uniform.
-	members map[int][]int
 	// touched accumulates the endpoints of every op since the last
 	// ResetTouched, the dirty seed the incremental engine works from.
 	touched map[int]bool
 }
 
-// NewTracker builds a Tracker over g from a full component scan. The
-// Tracker takes ownership of g's structure: apply all further mutations
-// through Apply.
+// NewTracker builds a Tracker over g. The Tracker takes ownership of g's
+// structure: apply all further mutations through Apply.
 func NewTracker(g *Graph) *Tracker {
-	t := &Tracker{
-		g:       g,
-		label:   make([]int, g.NumNodes()),
-		members: make(map[int][]int, g.NumNodes()/2+1),
-		touched: map[int]bool{},
-	}
-	for _, comp := range g.ConnectedComponents() {
-		l := comp[0]
-		for _, u := range comp {
-			t.label[u] = l
-		}
-		t.members[l] = append([]int(nil), comp...)
-	}
-	return t
+	return &Tracker{g: g, touched: map[int]bool{}}
 }
 
 // Graph returns the tracked graph. Callers must not mutate it directly.
 func (t *Tracker) Graph() *Graph { return t.g }
 
-// EnsureNodes grows the tracked graph (and the label space) to n nodes;
-// new nodes start as singleton components.
-func (t *Tracker) EnsureNodes(n int) {
-	if n <= len(t.label) {
-		return
-	}
-	t.g.EnsureNodes(n)
-	for len(t.label) < n {
-		u := len(t.label)
-		t.label = append(t.label, u)
-		t.members[u] = []int{u}
-	}
-}
+// EnsureNodes grows the tracked graph to n nodes; new nodes start
+// isolated.
+func (t *Tracker) EnsureNodes(n int) { t.g.EnsureNodes(n) }
 
-// Apply performs one delta op on the tracked graph, updating the component
-// labels and the touched set. Node ids beyond the current node set grow it.
+// Apply performs one delta op on the tracked graph and marks both
+// endpoints touched. Node ids beyond the current node set grow it.
 func (t *Tracker) Apply(op DeltaOp) {
 	if op.U == op.V {
 		panic("graph: delta self-loop")
 	}
-	top := op.U
-	if op.V > top {
-		top = op.V
-	}
-	t.EnsureNodes(top + 1)
-
-	u, v := op.U, op.V
+	t.g.EnsureNodes(max(op.U, op.V) + 1)
 	// Mark before mutating: if a graph primitive panics mid-op (weight
 	// overflow), the endpoints still read as touched, so consumers that
 	// survive the panic re-derive this component's state instead of
 	// trusting caches.
-	t.touched[u] = true
-	t.touched[v] = true
-	before := t.g.Weight(u, v)
+	t.touched[op.U] = true
+	t.touched[op.V] = true
 	switch op.Kind {
 	case DeltaAdd:
-		t.g.AddWeight(u, v, op.W)
+		t.g.AddWeight(op.U, op.V, op.W)
 	case DeltaRemove:
-		t.g.RemoveEdge(u, v)
+		t.g.RemoveEdge(op.U, op.V)
 	case DeltaSet:
-		t.g.SetWeight(u, v, op.W)
-	}
-	after := t.g.Weight(u, v)
-
-	switch {
-	case before == 0 && after > 0:
-		t.union(u, v)
-	case before > 0 && after == 0:
-		t.rescan(u, v)
+		t.g.SetWeight(op.U, op.V, op.W)
 	}
 }
 
-// union merges the components of u and v (no-op when already joined) by
-// relabeling the smaller member list into the larger.
-func (t *Tracker) union(u, v int) {
-	lu, lv := t.label[u], t.label[v]
-	if lu == lv {
-		return
+// Component returns the sorted nodes of the component containing u,
+// found by a traversal bounded to that component.
+func (t *Tracker) Component(u int) []int {
+	if u < 0 || u >= t.g.NumNodes() {
+		panic(fmt.Sprintf("graph: tracker node %d out of range [0,%d)", u, t.g.NumNodes()))
 	}
-	if len(t.members[lu]) < len(t.members[lv]) {
-		lu, lv = lv, lu
-	}
-	for _, x := range t.members[lv] {
-		t.label[x] = lu
-	}
-	t.members[lu] = append(t.members[lu], t.members[lv]...)
-	delete(t.members, lv)
-}
-
-// rescan handles the deletion of edge {u, v}: a traversal from u bounded
-// to the old component's nodes decides whether the component split, and
-// relabels the severed side if it did.
-func (t *Tracker) rescan(u, v int) {
-	old := t.label[u]
-	reached := t.reachable(u)
-	if reached[v] {
-		return // still connected through another path
-	}
-	// Split: nodes of the old component not reached from u move to a new
-	// component rooted at v's side. Both sides get fresh labels so stale
-	// roots never linger.
-	var sideU, sideV []int
-	for _, x := range t.members[old] {
-		if reached[x] {
-			sideU = append(sideU, x)
-		} else {
-			sideV = append(sideV, x)
-		}
-	}
-	delete(t.members, old)
-	for _, x := range sideU {
-		t.label[x] = u
-	}
-	t.members[u] = sideU
-	for _, x := range sideV {
-		t.label[x] = v
-	}
-	t.members[v] = sideV
-}
-
-// reachable collects the nodes reachable from s in the current graph. The
-// traversal is bounded by s's component, not the graph.
-func (t *Tracker) reachable(s int) map[int]bool {
-	seen := map[int]bool{s: true}
-	stack := []int{s}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		t.g.NeighborWeights(x, func(y, _ int) {
-			if !seen[y] {
-				seen[y] = true
-				stack = append(stack, y)
+	comp := []int{u}
+	seen := map[int]bool{u: true}
+	for i := 0; i < len(comp); i++ {
+		t.g.NeighborWeights(comp[i], func(v, _ int) {
+			if !seen[v] {
+				seen[v] = true
+				comp = append(comp, v)
 			}
 		})
 	}
-	return seen
-}
-
-// Component returns the sorted nodes of the component containing u.
-func (t *Tracker) Component(u int) []int {
-	if u < 0 || u >= len(t.label) {
-		panic(fmt.Sprintf("graph: tracker node %d out of range [0,%d)", u, len(t.label)))
-	}
-	out := append([]int(nil), t.members[t.label[u]]...)
-	sort.Ints(out)
-	return out
+	sort.Ints(comp)
+	return comp
 }
 
 // Components returns the node sets of all components with at least one
-// edge, each sorted ascending, ordered by their smallest node — matching
-// Graph.ConnectedComponents with singletons dropped.
-func (t *Tracker) Components() [][]int {
-	var out [][]int
-	for _, m := range t.members {
-		if len(m) > 1 {
-			comp := append([]int(nil), m...)
-			sort.Ints(comp)
-			out = append(out, comp)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
+// edge, each sorted ascending, ordered by their smallest node: one scan
+// of the graph, matching Graph.ConnectedComponents with singletons
+// dropped.
+func (t *Tracker) Components() [][]int { return t.g.components(false) }
 
 // Touched returns the sorted nodes mutated since the last ResetTouched.
 func (t *Tracker) Touched() []int {

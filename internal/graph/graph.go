@@ -43,7 +43,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
@@ -456,31 +455,46 @@ func (g *Graph) IsClique(nodes []int) bool {
 // ConnectedComponents returns the node sets of the connected components,
 // each sorted ascending, ordered by their smallest node. Isolated nodes form
 // singleton components.
-func (g *Graph) ConnectedComponents() [][]int {
+func (g *Graph) ConnectedComponents() [][]int { return g.components(true) }
+
+// components lists the connected components as ConnectedComponents does,
+// leaving isolated nodes out unless withIsolated is set. It labels every
+// node with its component first and then collects the nodes in order, so
+// each list comes out sorted without a sort.
+func (g *Graph) components(withIsolated bool) [][]int {
 	n := len(g.nbrs)
-	seen := make([]bool, n)
-	var comps [][]int
-	stack := make([]int, 0, 64)
+	label := make([]int32, n) // 1 + component index; 0 = not reached yet
+	var sizes []int
+	stack := make([]int32, 0, 64)
 	for s := 0; s < n; s++ {
-		if seen[s] {
+		if label[s] != 0 || (!withIsolated && len(g.nbrs[s]) == 0) {
 			continue
 		}
-		seen[s] = true
-		stack = append(stack[:0], s)
-		comp := []int{}
+		c := int32(len(sizes) + 1)
+		label[s] = c
+		stack = append(stack[:0], int32(s))
+		size := 0
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
+			size++
 			for _, v := range g.nbrs[u] {
-				if !seen[v] {
-					seen[v] = true
-					stack = append(stack, int(v))
+				if label[v] == 0 {
+					label[v] = c
+					stack = append(stack, v)
 				}
 			}
 		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
+		sizes = append(sizes, size)
+	}
+	comps := make([][]int, len(sizes))
+	for i, size := range sizes {
+		comps[i] = make([]int, 0, size)
+	}
+	for u, c := range label {
+		if c != 0 {
+			comps[c-1] = append(comps[c-1], u)
+		}
 	}
 	return comps
 }
@@ -504,13 +518,6 @@ func (g *Graph) Triangles(fn func(a, b, c int) bool) {
 			}
 		}
 	}
-}
-
-// CountTriangles returns the number of triangles in the graph.
-func (g *Graph) CountTriangles() int {
-	n := 0
-	g.Triangles(func(_, _, _ int) bool { n++; return true })
-	return n
 }
 
 // Subgraph returns the induced subgraph on the given nodes, relabeled

@@ -174,11 +174,13 @@ func TestTriangles(t *testing.T) {
 			g.AddWeight(i, j, 1)
 		}
 	}
-	if got := g.CountTriangles(); got != 4 {
-		t.Fatalf("CountTriangles = %d, want 4", got)
+	n := 0
+	g.Triangles(func(_, _, _ int) bool { n++; return true })
+	if n != 4 {
+		t.Fatalf("Triangles visited %d triangles, want 4", n)
 	}
 	// Early stop.
-	n := 0
+	n = 0
 	g.Triangles(func(_, _, _ int) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("early stop visited %d triangles", n)

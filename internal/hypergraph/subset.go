@@ -26,44 +26,3 @@ func (h *Hypergraph) Ego(node int) *Hypergraph {
 		return false
 	})
 }
-
-// InducedBySize returns the sub-hypergraph of hyperedges whose size lies
-// in [minSize, maxSize] (maxSize < 0 means unbounded).
-func (h *Hypergraph) InducedBySize(minSize, maxSize int) *Hypergraph {
-	return h.FilterEdges(func(nodes []int, _ int) bool {
-		if len(nodes) < minSize {
-			return false
-		}
-		return maxSize < 0 || len(nodes) <= maxSize
-	})
-}
-
-// Compact relabels the covered nodes to the dense range 0..k−1 (preserving
-// order) and returns the relabeled hypergraph together with the mapping
-// from new ids back to original ids. Useful before dense linear-algebra
-// passes on sub-hypergraphs.
-func (h *Hypergraph) Compact() (*Hypergraph, []int) {
-	used := make([]bool, h.numNodes)
-	h.Each(func(nodes []int, _ int) {
-		for _, u := range nodes {
-			used[u] = true
-		}
-	})
-	newID := make([]int, h.numNodes)
-	var back []int
-	for u, ok := range used {
-		if ok {
-			newID[u] = len(back)
-			back = append(back, u)
-		}
-	}
-	out := New(len(back))
-	h.Each(func(nodes []int, mult int) {
-		mapped := make([]int, len(nodes))
-		for i, u := range nodes {
-			mapped[i] = newID[u]
-		}
-		out.AddMult(mapped, mult)
-	})
-	return out, back
-}

@@ -1,9 +1,6 @@
 package hypergraph
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func subsetFixture() *Hypergraph {
 	h := New(10)
@@ -40,37 +37,5 @@ func TestEgo(t *testing.T) {
 	}
 	if ego.Contains([]int{4, 5, 6, 7}) {
 		t.Fatal("non-incident edge in ego")
-	}
-}
-
-func TestInducedBySize(t *testing.T) {
-	h := subsetFixture()
-	mid := h.InducedBySize(3, 3)
-	if mid.NumUnique() != 1 || !mid.Contains([]int{1, 2, 3}) {
-		t.Fatalf("InducedBySize(3,3) = %v", mid.UniqueEdges())
-	}
-	all := h.InducedBySize(2, -1)
-	if all.NumUnique() != 3 {
-		t.Fatal("unbounded max should keep everything")
-	}
-}
-
-func TestCompact(t *testing.T) {
-	h := New(100)
-	h.Add([]int{10, 50})
-	h.AddMult([]int{50, 99}, 3)
-	c, back := h.Compact()
-	if c.NumNodes() != 3 {
-		t.Fatalf("compact nodes = %d, want 3", c.NumNodes())
-	}
-	if !reflect.DeepEqual(back, []int{10, 50, 99}) {
-		t.Fatalf("back map = %v", back)
-	}
-	if !c.Contains([]int{0, 1}) || c.Multiplicity([]int{1, 2}) != 3 {
-		t.Fatalf("compact edges wrong: %v", c.EdgesWithMult())
-	}
-	// Projection weights must be preserved under relabeling.
-	if c.Project().TotalWeight() != h.Project().TotalWeight() {
-		t.Fatal("compact changed projection weight")
 	}
 }

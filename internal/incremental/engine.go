@@ -1,20 +1,29 @@
 // Package incremental implements the session engine behind MARIOH's
 // incremental reconstruction: a long-lived Engine owns a mutating
 // projected graph plus a cache of per-component reconstruction results,
-// and recomputes only the components a batch of deltas touched.
+// and recomputes only the components a batch of deltas changed.
 //
 // The exactness argument is the same one the shard executor rests on:
 // every round of the reconstruction decomposes over connected components
 // (Phase-2 sampling, the stall fallback and all features are keyed by
 // component, see core.ReconstructPiece), so a full run's output is the
-// union of its components' outputs. The Engine caches those per-component
-// outputs keyed by a fingerprint of the component's edge set; a delta
-// batch invalidates exactly the components whose fingerprint changed, and
-// merging refreshed components with cached ones reproduces a from-scratch
-// reconstruction of the mutated graph bit for bit. A delta that is
-// structurally a no-op (deleting an absent edge, re-setting a weight to
-// its current value, an insert immediately reverted within the batch)
-// lands back on its old fingerprint and stays a cache hit.
+// union of its components' outputs, and a component's output depends only
+// on its weighted edges, keyed by original node ids.
+//
+// The Engine caches each component's output under the component's key,
+// its smallest node, and proves every entry by its projection. A finished
+// run consumes every edge's full multiplicity, so its hypergraph projects
+// exactly onto the component it was computed for; a fresh result is cached
+// only when it does (a run stopped by MaxRounds does not: it is merged into
+// the output but never cached). At the next Apply, a component no op
+// touched is still the component its entry was computed for, and a
+// touched one keeps its entry only while the entry still projects onto
+// its current weighted edges, which are then the edges it was computed
+// for. Merging refreshed components with cached ones therefore reproduces
+// a from-scratch reconstruction of the mutated graph bit for bit, and a
+// batch that is structurally a no-op (deleting an absent edge, re-setting
+// a weight to its current value, an insert reverted within the batch)
+// stays a cache hit.
 //
 // The dirty components reconstruct through core.RunPieces, the piece
 // runner shards use too. The clique budget (Options.MaxCliqueLimit) is
@@ -25,6 +34,7 @@ package incremental
 import (
 	"context"
 	"runtime"
+	"slices"
 
 	"marioh/internal/core"
 	"marioh/internal/graph"
@@ -32,7 +42,7 @@ import (
 )
 
 // Engine is the incremental reconstruction state of one session: the live
-// graph (mutated only through Apply), its component tracker, and the
+// graph (mutated only through Apply), its touched-node tracker, and the
 // per-component result cache.
 //
 // An Engine is not safe for concurrent use; callers (marioh.Session, the
@@ -43,11 +53,14 @@ type Engine struct {
 	opts    core.Options
 	workers int
 
-	cache   map[uint64]*core.Result // fingerprint → the component's result, in original node ids
-	fpByKey map[int]uint64          // component key (min node) → fingerprint
+	// cache maps a component's key (its smallest node) to the component's
+	// result, in original node ids. Every entry projects exactly onto the
+	// component it was computed for.
+	cache map[int]*core.Result
 
 	applies   int
 	lastDirty int
+	comps     int // live components; < 0 until the next component scan
 }
 
 // New builds an Engine over g with a trained model and reconstruction
@@ -67,8 +80,8 @@ func New(g *graph.Graph, m *core.Model, opts core.Options, workers int) *Engine 
 		model:   m,
 		opts:    opts,
 		workers: workers,
-		cache:   map[uint64]*core.Result{},
-		fpByKey: map[int]uint64{},
+		cache:   map[int]*core.Result{},
+		comps:   -1,
 	}
 }
 
@@ -82,9 +95,14 @@ func (e *Engine) Applies() int { return e.applies }
 // recomputed.
 func (e *Engine) LastDirty() int { return e.lastDirty }
 
-// CachedComponents returns the number of per-component results currently
-// cached (the live components of the graph after the last Apply).
-func (e *Engine) CachedComponents() int { return len(e.cache) }
+// Components returns the number of live (edge-bearing) components of the
+// graph.
+func (e *Engine) Components() int {
+	if e.comps < 0 {
+		e.comps = len(e.tracker.Components())
+	}
+	return e.comps
+}
 
 // Apply mutates the graph with a batch of delta ops and returns the full
 // reconstruction of the mutated graph, recomputing only the components
@@ -99,43 +117,42 @@ func (e *Engine) Apply(ctx context.Context, ops []graph.DeltaOp) (*core.Result, 
 	// Count the apply before mutating, so an attempt that dies mid-batch
 	// is still visible to clients deciding whether a batch landed.
 	e.applies++
-	for _, op := range ops {
-		e.tracker.Apply(op)
-	}
+	e.Mutate(ops)
 
+	g := e.tracker.Graph()
 	comps := e.tracker.Components()
+	e.comps = len(comps)
 
-	// Resolve every live component to a fingerprint: untouched components
-	// keep the one recorded for their key, touched ones are rehashed.
-	fps := make([]uint64, len(comps))
-	newFpByKey := make(map[int]uint64, len(comps))
+	// An untouched component is still the one its entry was computed for;
+	// a touched one keeps its entry only while the entry projects onto
+	// its current edges. The rest are dirty. Building a fresh map drops a
+	// dirty component's entry before its recompute, so a failed or
+	// cancelled one leaves nothing stale, and drops every entry whose key
+	// no live component carries.
+	kept := make(map[int]*core.Result, len(comps))
 	var dirty []int // indices into comps with no cached result
 	for i, comp := range comps {
 		key := comp[0]
-		fp, ok := e.fpByKey[key]
-		if !ok || e.touchedAny(comp) {
-			fp = e.fingerprint(comp)
-		}
-		fps[i] = fp
-		newFpByKey[key] = fp
-		if _, cached := e.cache[fp]; !cached {
+		if res, ok := e.cache[key]; ok && (!e.touchedAny(comp) || projectsOnto(res, g, comp)) {
+			kept[key] = res
+		} else {
 			dirty = append(dirty, i)
 		}
 	}
+	e.cache = kept
 	e.lastDirty = len(dirty)
-	// The touched set is reset only now that it has been fully consumed
-	// into the fingerprints. If a batch dies mid-mutation (a panic in a
-	// graph primitive, e.g. a cumulative int32 weight overflow), the
-	// partially-applied batch's marks survive into the next Apply, which
-	// rehashes the affected components instead of trusting stale cache
-	// entries — the byte-equality guarantee holds across failed batches.
+	// The touched set is reset only now that the check has consumed it.
+	// If a batch dies mid-mutation (a panic in a graph primitive, e.g. a
+	// cumulative int32 weight overflow), the partially-applied batch's
+	// marks survive into the next Apply, which re-checks the affected
+	// components instead of trusting their entries — the byte-equality
+	// guarantee holds across failed batches.
 	e.tracker.ResetTouched()
 
 	// Reconstruct the dirty components, each on its induced subgraph,
 	// through the piece runner. Per-component randomness is keyed by
 	// original node ids, so results are independent of worker count and
 	// completion order.
-	g := e.tracker.Graph()
 	piece := func(di int) shard.Piece {
 		sub, back := g.Subgraph(comps[dirty[di]])
 		return shard.Piece{Graph: sub, Nodes: back}
@@ -144,30 +161,20 @@ func (e *Engine) Apply(ctx context.Context, ops []graph.DeltaOp) (*core.Result, 
 	fresh, firstErr := core.RunPieces(ctx, len(dirty), piece, e.model, e.opts, e.workers,
 		func(p *core.Progress, _ int) { p.Dirty = dirtyCount })
 
-	// Install the refreshed components, then drop cache entries no live
-	// component references so session memory tracks the graph, not its
-	// history.
-	for di, res := range fresh {
-		if res != nil {
-			e.cache[fps[dirty[di]]] = res
-		}
-	}
-	e.fpByKey = newFpByKey
-	liveFps := make(map[uint64]bool, len(fps))
-	for _, fp := range fps {
-		liveFps[fp] = true
-	}
-	for fp := range e.cache {
-		if !liveFps[fp] {
-			delete(e.cache, fp)
-		}
-	}
-
 	// Merge per-component results in ascending component-key order; a
 	// component whose reconstruction failed or was cancelled is missing.
-	merge := make([]*core.Result, len(fps))
-	for i, fp := range fps {
-		merge[i] = e.cache[fp]
+	// A fresh result is cached only when it projects onto its component.
+	merge := make([]*core.Result, len(comps))
+	for i, comp := range comps {
+		merge[i] = e.cache[comp[0]]
+	}
+	for di, res := range fresh {
+		if i := dirty[di]; res != nil {
+			merge[i] = res
+			if projectsOnto(res, g, comps[i]) {
+				e.cache[comps[i][0]] = res
+			}
+		}
 	}
 	res := core.MergeResults(g.NumNodes(), merge)
 	res.DirtyComponents = len(dirty)
@@ -184,24 +191,37 @@ func (e *Engine) touchedAny(comp []int) bool {
 	return false
 }
 
-// fingerprint hashes a component's identity: its sorted node set and
-// every edge with its weight, chained through splitmix64. The cache keys
-// on this 64-bit value, so a collision between two distinct edge sets
-// would reuse the wrong result — at ~2^-64 per pair that is the usual
-// content-hash trade, and the byte-equality CI gate would surface it.
-func (e *Engine) fingerprint(comp []int) uint64 {
-	g := e.tracker.Graph()
-	h := splitmix64(uint64(len(comp)))
+// projectsOnto reports whether res's hypergraph projects exactly onto the
+// weighted edges of comp, a component of g: every hyperedge lies inside
+// comp, every pair it covers sums to that edge's weight in g, and the
+// pairs cover all of comp's edges.
+func projectsOnto(res *core.Result, g *graph.Graph, comp []int) bool {
+	degrees := 0
 	for _, u := range comp {
-		h = splitmix64(h ^ uint64(u))
-		g.NeighborWeights(u, func(v, w int) {
-			if u < v {
-				h = splitmix64(h ^ uint64(v))
-				h = splitmix64(h ^ uint64(w))
-			}
-		})
+		degrees += g.Degree(u)
 	}
-	return h
+	proj := make(map[[2]int]int, degrees/2)
+	inside := true
+	res.Hypergraph.Each(func(nodes []int, mult int) {
+		for i, u := range nodes {
+			if _, ok := slices.BinarySearch(comp, u); !ok {
+				inside = false
+				return
+			}
+			for _, v := range nodes[i+1:] {
+				proj[[2]int{u, v}] += mult
+			}
+		}
+	})
+	if !inside || 2*len(proj) != degrees {
+		return false
+	}
+	for p, w := range proj {
+		if g.Weight(p[0], p[1]) != w {
+			return false
+		}
+	}
+	return true
 }
 
 // splitmix64 is the SplitMix64 finalizer (shared idiom with core's

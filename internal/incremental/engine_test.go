@@ -149,12 +149,12 @@ func TestEngineMatchesFullRebuildUnderDeltas(t *testing.T) {
 			t.Fatalf("batch %d: session output diverges from sharded rebuild", bi)
 		}
 		if bi == 0 {
-			if got.DirtyComponents == 0 || got.DirtyComponents != eng.CachedComponents() {
-				t.Fatalf("initial build: dirty %d, cached %d", got.DirtyComponents, eng.CachedComponents())
+			if got.DirtyComponents == 0 || got.DirtyComponents != eng.Components() {
+				t.Fatalf("initial build: dirty %d, live %d", got.DirtyComponents, eng.Components())
 			}
-		} else if got.DirtyComponents >= eng.CachedComponents() {
+		} else if got.DirtyComponents >= eng.Components() {
 			t.Fatalf("batch %d: %d of %d components dirty — localized deltas should leave most cached",
-				bi, got.DirtyComponents, eng.CachedComponents())
+				bi, got.DirtyComponents, eng.Components())
 		}
 	}
 }
@@ -218,7 +218,7 @@ func TestEngineMergeAndSplit(t *testing.T) {
 	if _, err := eng.Apply(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	total := eng.CachedComponents()
+	total := eng.Components()
 	if total < 3 {
 		t.Fatalf("fixture should have ≥ 3 components, got %d", total)
 	}
@@ -236,8 +236,8 @@ func TestEngineMergeAndSplit(t *testing.T) {
 	if res.DirtyComponents != 1 {
 		t.Fatalf("merge dirtied %d components, want 1", res.DirtyComponents)
 	}
-	if eng.CachedComponents() != total-1 {
-		t.Fatalf("after merge: %d components cached, want %d", eng.CachedComponents(), total-1)
+	if eng.Components() != total-1 {
+		t.Fatalf("after merge: %d live components, want %d", eng.Components(), total-1)
 	}
 	want, err := core.ReconstructContext(context.Background(), shadow, m, opts)
 	if err != nil {
@@ -247,10 +247,9 @@ func TestEngineMergeAndSplit(t *testing.T) {
 		t.Fatal("merged-component output diverges from full rebuild")
 	}
 
-	// Cut the bridge again: the component splits back; both sides are
-	// rehashed but land on their pre-merge fingerprints only if those
-	// entries were still cached — they were evicted at the merge, so both
-	// sides recompute.
+	// Cut the bridge again: the component splits back into the two
+	// pre-merge components, but their entries were dropped at the merge
+	// (their keys stopped being live), so both sides recompute.
 	cut := graph.DeltaOp{Kind: graph.DeltaRemove, U: u, V: v}
 	applyToShadow(shadow, cut)
 	res, err = eng.Apply(context.Background(), []graph.DeltaOp{cut})
@@ -260,8 +259,8 @@ func TestEngineMergeAndSplit(t *testing.T) {
 	if res.DirtyComponents != 2 {
 		t.Fatalf("split dirtied %d components, want 2", res.DirtyComponents)
 	}
-	if eng.CachedComponents() != total {
-		t.Fatalf("after split: %d components cached, want %d", eng.CachedComponents(), total)
+	if eng.Components() != total {
+		t.Fatalf("after split: %d live components, want %d", eng.Components(), total)
 	}
 	want, err = core.ReconstructContext(context.Background(), shadow, m, opts)
 	if err != nil {
@@ -368,5 +367,82 @@ func TestEngineCancelledApplyIsRetryable(t *testing.T) {
 	}
 	if !bytes.Equal(render(t, res), render(t, want)) {
 		t.Fatal("retried Apply diverges from full rebuild")
+	}
+}
+
+// TestEngineTouchedEntryMustProject: an entry planted under another
+// component's key is never merged once an op touches that component. A
+// no-op touch (a DeltaSet to the current weight) leaves the edges as they
+// were, so only the projection check can reject the entry; Apply must
+// recompute the component and match a from-scratch rebuild.
+func TestEngineTouchedEntryMustProject(t *testing.T) {
+	g, m := multiComponentTarget(t)
+	opts := core.Options{Seed: 5}
+	shadow := g.Clone()
+	eng := New(g, m, opts, 0)
+	if _, err := eng.Apply(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	comps := eng.tracker.Components()
+	a, b := comps[0], comps[len(comps)-1]
+	eng.cache[a[0]] = eng.cache[b[0]]
+
+	u := a[0]
+	v := eng.Graph().Neighbors(u)[0]
+	touch := graph.DeltaOp{Kind: graph.DeltaSet, U: u, V: v, W: eng.Graph().Weight(u, v)}
+	res, err := eng.Apply(context.Background(), []graph.DeltaOp{touch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DirtyComponents != 1 {
+		t.Fatalf("no-op touch recomputed %d components, want 1 (the planted one)", res.DirtyComponents)
+	}
+	want, err := core.ReconstructContext(context.Background(), shadow, m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(render(t, res), render(t, want)) {
+		t.Fatal("Apply merged the planted entry instead of rebuilding its component")
+	}
+}
+
+// TestEngineTruncatedResultIsNeverCached: a component whose run stops at
+// MaxRounds with edges left does not project onto its component, so its
+// result is merged but not cached: the next empty Apply recomputes exactly
+// those components and returns the same bytes, which equal a from-scratch
+// run under the same MaxRounds.
+func TestEngineTruncatedResultIsNeverCached(t *testing.T) {
+	g, m := multiComponentTarget(t)
+	opts := core.Options{Seed: 6, MaxRounds: 1}
+	shadow := g.Clone()
+	eng := New(g, m, opts, 0)
+	first, err := eng.Apply(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := len(eng.tracker.Components())
+	truncated := live - len(eng.cache)
+	if truncated == 0 {
+		t.Fatal("fixture: every component finished within one round")
+	}
+	if eng.Components() != live {
+		t.Fatalf("Components() = %d, want the %d live components", eng.Components(), live)
+	}
+	second, err := eng.Apply(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.DirtyComponents != truncated {
+		t.Fatalf("second Apply recomputed %d components, want the %d truncated ones", second.DirtyComponents, truncated)
+	}
+	if !bytes.Equal(render(t, second), render(t, first)) {
+		t.Fatal("recomputing the truncated components changed the output")
+	}
+	want, err := core.ReconstructContext(context.Background(), shadow, m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(render(t, second), render(t, want)) {
+		t.Fatal("session output diverges from a from-scratch run under the same MaxRounds")
 	}
 }

@@ -49,8 +49,9 @@ func TestEngineStateRestoreRoundTrip(t *testing.T) {
 }
 
 // TestEngineStateOmitsTouchedFingerprints: after Mutate (the WAL-replay
-// entry point) the affected components' recorded fingerprints are stale;
-// State must drop them so a restore rehashes instead of trusting them.
+// entry point) the affected components' cache entries are unproven for
+// the mutated graph; State must leave them out so a restore recomputes
+// them instead of trusting them.
 func TestEngineStateOmitsTouchedFingerprints(t *testing.T) {
 	g, m := multiComponentTarget(t)
 	opts := core.Options{Seed: 1}
@@ -61,7 +62,7 @@ func TestEngineStateOmitsTouchedFingerprints(t *testing.T) {
 	}
 	before := len(eng.State().Comps)
 	if before == 0 {
-		t.Fatal("no component fingerprints after a clean Apply")
+		t.Fatal("no cached components after a clean Apply")
 	}
 
 	e0 := eng.Graph().Edges()[0]
@@ -71,7 +72,7 @@ func TestEngineStateOmitsTouchedFingerprints(t *testing.T) {
 
 	st := eng.State()
 	if len(st.Comps) != before-1 {
-		t.Fatalf("state kept %d component fingerprints, want %d (touched one dropped)", len(st.Comps), before-1)
+		t.Fatalf("state kept %d cached components, want %d (touched one dropped)", len(st.Comps), before-1)
 	}
 	fpBefore := eng.Fingerprint()
 
@@ -86,7 +87,7 @@ func TestEngineStateOmitsTouchedFingerprints(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.DirtyComponents == 0 {
-		t.Fatal("restore trusted a stale fingerprint for the mutated component")
+		t.Fatal("restore trusted a stale entry for the mutated component")
 	}
 	want, err := core.ReconstructContext(context.Background(), shadow, m, opts)
 	if err != nil {

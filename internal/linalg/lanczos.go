@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // MatVecFunc applies an implicit symmetric linear operator: y = A·x.
 // The callee must fill y completely (it may not rely on y's prior value).
@@ -124,27 +121,4 @@ func normalize(x []float64) {
 	for i := range x {
 		x[i] *= inv
 	}
-}
-
-// TopSingularValues returns the k largest singular values of an implicit
-// matrix given the Gram operator G = A·Aᵀ (n×n): the square roots of G's
-// largest eigenvalues, computed with Lanczos on −G (so "smallest" of the
-// negated operator are the largest of G).
-func TopSingularValues(n, k int, gram MatVecFunc, seed int64) []float64 {
-	neg := func(x, y []float64) {
-		gram(x, y)
-		for i := range y {
-			y[i] = -y[i]
-		}
-	}
-	vals, _ := LanczosSmallest(n, k, 0, neg, seed)
-	out := make([]float64, 0, len(vals))
-	for _, v := range vals {
-		ev := -v // eigenvalue of G
-		if ev < 0 {
-			ev = 0
-		}
-		out = append(out, math.Sqrt(ev))
-	}
-	return out
 }

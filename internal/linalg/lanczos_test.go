@@ -74,14 +74,3 @@ func TestLanczosDegenerate(t *testing.T) {
 		t.Fatalf("too many eigenvalues: %v", vals)
 	}
 }
-
-func TestTopSingularValues(t *testing.T) {
-	// A = [[3,0],[0,4]] → G = A·Aᵀ = diag(9,16); singular values {4, 3}.
-	g := NewMatrix(2, 2)
-	g.Set(0, 0, 9)
-	g.Set(1, 1, 16)
-	sv := TopSingularValues(2, 2, denseOp(g), 1)
-	if math.Abs(sv[0]-4) > 1e-6 || math.Abs(sv[1]-3) > 1e-6 {
-		t.Fatalf("singular values = %v, want [4 3]", sv)
-	}
-}

@@ -68,22 +68,6 @@ func (s *Sparse) MulDense(d *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns s · x.
-func (s *Sparse) MulVec(x []float64) []float64 {
-	if len(x) != s.ColsN {
-		panic("linalg: sparse·vec shape mismatch")
-	}
-	out := make([]float64, s.RowsN)
-	for r := 0; r < s.RowsN; r++ {
-		sum := 0.0
-		for p := s.rowPtr[r]; p < s.rowPtr[r+1]; p++ {
-			sum += s.vals[p] * x[s.colIdx[p]]
-		}
-		out[r] = sum
-	}
-	return out
-}
-
 // Each calls fn for every stored entry.
 func (s *Sparse) Each(fn func(row, col int, val float64)) {
 	for r := 0; r < s.RowsN; r++ {

@@ -65,13 +65,6 @@ func VariantNames() []string {
 	return out
 }
 
-// Variants returns the full variant descriptors in presentation order.
-func Variants() []Variant {
-	out := make([]Variant, len(variants))
-	copy(out, variants)
-	return out
-}
-
 // VariantByName resolves a variant by its registry key.
 func VariantByName(name string) (Variant, bool) {
 	for _, v := range variants {

@@ -74,7 +74,7 @@ type SessionStats struct {
 	// Nodes and Edges describe the session's current graph.
 	Nodes, Edges int
 	// Components is the number of live (edge-bearing) connected
-	// components, each with a cached reconstruction.
+	// components.
 	Components int
 	// Applies is the number of Apply calls served.
 	Applies int
@@ -285,7 +285,7 @@ func (s *Session) Stats() SessionStats {
 		return SessionStats{
 			Nodes:           g.NumNodes(),
 			Edges:           g.NumEdges(),
-			Components:      s.dur.CachedComponents(),
+			Components:      s.dur.Components(),
 			Applies:         s.dur.Applies(),
 			LastDirty:       s.dur.LastDirty(),
 			Durable:         true,
@@ -300,7 +300,7 @@ func (s *Session) Stats() SessionStats {
 	return SessionStats{
 		Nodes:      g.NumNodes(),
 		Edges:      g.NumEdges(),
-		Components: s.eng.CachedComponents(),
+		Components: s.eng.Components(),
 		Applies:    s.eng.Applies(),
 		LastDirty:  s.eng.LastDirty(),
 	}
