@@ -158,13 +158,7 @@ func cmdSession(ctx context.Context, args []string) error {
 			*dir, st.Applies, st.RecoveryOutcome, st.Replayed)
 		// A batch that reached the WAL before the crash was recovered;
 		// replay only the suffix the session never acknowledged.
-		if st.Applies >= len(batches) {
-			fmt.Printf("all %d batches already applied; re-emitting the final state\n", len(batches))
-			batches = [][]marioh.DeltaOp{nil}
-		} else if st.Applies > 0 {
-			fmt.Printf("skipping %d already-applied batches\n", st.Applies)
-			batches = batches[st.Applies:]
-		}
+		batches = skipApplied(batches, st.Applies)
 	case *dir != "":
 		dopts := marioh.DurableOptions{Dir: *dir, NoFsync: *noFsync, SnapshotEvery: *snapEvery, Logf: logNotice}
 		if sess, err = r.NewSession(ctx, marioh.SessionConfig{Graph: g, Durable: &dopts}); err != nil {
@@ -221,8 +215,8 @@ func cmdSession(ctx context.Context, args []string) error {
 	return f.Close()
 }
 
-// skipApplied mirrors local resume semantics for a remote session: the
-// first n batches of the stream already landed, so replay only the
+// skipApplied is the resume rule of local durable and remote sessions:
+// the first n batches of the stream already landed, so replay only the
 // suffix — or a single empty batch re-emitting the final state when
 // everything landed.
 func skipApplied(batches [][]marioh.DeltaOp, n int) [][]marioh.DeltaOp {

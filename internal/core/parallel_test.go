@@ -73,13 +73,25 @@ func TestScoreFanoutHonorsParallelism(t *testing.T) {
 	forceFanout(t)
 	m, g := pipelineTestSetup(t)
 	f := newCountingFeaturizer()
-	scored, _ := enumerateScored(context.Background(), g, withFeaturizer(m, f), nil, nil, 0, 1, nil)
+	scored, _ := enumerateScored(context.Background(), g, withFeaturizer(m, f), liveNodes(g), nil, 0, 1, nil)
 	if len(scored) < fanoutCliques {
 		t.Fatalf("only %d cliques; the round must exceed the default fan-out point", len(scored))
 	}
 	if len(f.seen) != 1 {
 		t.Fatalf("Parallelism 1 scored on %d workers, want 1", len(f.seen))
 	}
+}
+
+// liveNodes returns g's nodes that have an edge, ascending: the nodes a
+// round with nothing cached runs the seeds of.
+func liveNodes(g *graph.Graph) []int {
+	var nodes []int
+	for v, k := range componentKeys(g, nil) {
+		if k >= 0 {
+			nodes = append(nodes, v)
+		}
+	}
+	return nodes
 }
 
 // pipelineTestSetup trains a small model over the eu dataset's projected
@@ -123,12 +135,14 @@ type namedGraph struct {
 
 // TestPipelineEnumerateScoredMatchesSerial: with the fan-out forced at the
 // first clique, the loop's output at every worker count is the serial
-// EachMaximalClique stream, in order, with scores that bit-match serial
-// scoring — also under a budget equal to the largest component's clique
-// count, while one clique less fails the round (archipelago has many
-// components, so the count must be per component). (A cached round's
-// restriction to its dirty components is pinned by graph's
-// TestCliqueSeederWithinMatchesFilteredStream and end to end by
+// stream — the seeds of the live nodes run one by one in ascending order
+// — in order, with scores that bit-match serial scoring, also under a
+// budget equal to the largest component's clique count, while one clique
+// less fails the round (archipelago has many components, so the count
+// must be per component). The stream holds exactly the EachMaximalClique
+// set. (Seeds of whole components on a graph that lost edges since its
+// ranks were taken are pinned by graph's
+// TestCliqueSeederComponentSeedsAfterEdgeRemoval, and whole runs by
 // TestRoundCacheMatchesUncached.)
 func TestPipelineEnumerateScoredMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -144,11 +158,21 @@ func TestPipelineEnumerateScoredMatchesSerial(t *testing.T) {
 		{"eu", eu},
 	}
 	for _, tc := range graphs {
+		nodes := liveNodes(tc.g)
+		seeds := tc.g.CliqueSeeds(2)
+		var enum graph.CliqueEnum
 		var stream [][]int
-		tc.g.EachMaximalClique(2, func(c []int) bool {
-			stream = append(stream, append([]int(nil), c...))
-			return true
-		})
+		for _, u := range nodes {
+			seeds.EnumSeed(u, &enum, func(c []int) bool {
+				stream = append(stream, slices.Clone(c))
+				return true
+			})
+		}
+		set := slices.Clone(stream)
+		slices.SortFunc(set, cmpNodes)
+		if all := tc.g.MaximalCliques(2); !slices.EqualFunc(set, all, slices.Equal) {
+			t.Fatalf("%s: the seeds of the live nodes emitted %d cliques, want the %d of EachMaximalClique", tc.name, len(set), len(all))
+		}
 		var sc scorer
 		scores := make([]float64, len(stream))
 		for i, q := range stream {
@@ -163,7 +187,7 @@ func TestPipelineEnumerateScoredMatchesSerial(t *testing.T) {
 		for _, budget := range []int{0, most, most - 1} {
 			wantOver := budget > 0 && budget < most
 			for _, workers := range []int{1, 2, 3, 8, 64} {
-				got, over := enumerateScored(context.Background(), tc.g, m, nil, key, budget, workers, nil)
+				got, over := enumerateScored(context.Background(), tc.g, m, nodes, key, budget, workers, nil)
 				if over != wantOver {
 					t.Fatalf("%s: budget=%d workers=%d: over=%v, want %v (largest component: %d cliques)", tc.name, budget, workers, over, wantOver, most)
 				}
@@ -236,7 +260,7 @@ func TestPipelineLimitBoundsEnumeration(t *testing.T) {
 		for _, budget := range []int{1, 3, 10} {
 			for _, workers := range []int{1, 2, 3, 8} {
 				f := newCountingFeaturizer()
-				got, over := enumerateScored(context.Background(), tc.g, withFeaturizer(m, f), nil, key, budget, workers, nil)
+				got, over := enumerateScored(context.Background(), tc.g, withFeaturizer(m, f), liveNodes(tc.g), key, budget, workers, nil)
 				if !over || got != nil {
 					t.Fatalf("%s: budget=%d workers=%d: over=%v with %d cliques, want the round failed", tc.name, budget, workers, over, len(got))
 				}
@@ -259,7 +283,7 @@ func TestRoundCancelledBeforeScoring(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if scored, _ := enumerateScored(ctx, g, cm, nil, nil, 0, 2, nil); len(scored) != 0 || f.calls.Load() != 0 {
+	if scored, _ := enumerateScored(ctx, g, cm, liveNodes(g), nil, 0, 2, nil); len(scored) != 0 || f.calls.Load() != 0 {
 		t.Fatalf("cancelled loop returned %d cliques after %d scoring calls, want none", len(scored), f.calls.Load())
 	}
 	var before, after bytes.Buffer

@@ -1,23 +1,25 @@
-// The round's enumerate-and-score step: one Fanout over the seeds of
-// graph.CliqueSeeder, the independent Bron–Kerbosch subtrees of the
-// degeneracy ordering. Each worker claims the next seed index,
+// The round's enumerate-and-score step: one Fanout over the live nodes of
+// the components the round cache does not hold, each the seed of an
+// independent Bron–Kerbosch subtree (graph.CliqueSeeder). A run ranks its
+// graph's nodes once, at its first enumeration; the ranks stay valid
+// because rounds only remove edges. Each worker claims the next node,
 // enumerates that seed's maximal cliques, scores each one in place with
-// its own scorer, and files the scored cliques in the seed's bucket. A
-// round whose cache holds some components runs only the seeds of the
-// others (CliqueSeeder.Within). ScoreCliques runs through the same loop
-// over a given list, one clique per seed.
+// its own scorer, and files the scored cliques in the seed's bucket.
+// ScoreCliques runs through the same loop over a given list, one clique
+// per seed.
 //
 // Before the first claim the loop builds one graph.PairTable over the
-// enumerated components, which every worker reads ω and MHH off: the
-// graph does not change while the loop runs, and the maximal cliques of a
-// dense round share their pairs many times over, so each edge's MHH is
-// computed once instead of once per clique that holds it.
+// enumerated nodes, which every worker reads ω and MHH off: the graph
+// does not change while the loop runs, and the maximal cliques of a dense
+// round share their pairs many times over, so each edge's MHH is computed
+// once instead of once per clique that holds it.
 //
 // Determinism: a clique's score depends only on the graph and the clique
 // (a scorer is pure scratch, and every table yields the same integers),
 // and a seed's sub-stream is the same whoever enumerates it, so joining
-// the buckets in seed order yields the serial enumeration stream, scored,
-// at every worker count. Under a clique budget the loop counts each
+// the buckets in claim order yields the same scored stream at every
+// worker count. The round consumes each component's clique set, never
+// this order (see search). Under a clique budget the loop counts each
 // component's cliques as their buckets finish and fails the round once a
 // count passes it; a round that passes returns the whole stream.
 package core
@@ -75,14 +77,16 @@ func (a *nodeArena) alloc(n int) []int {
 }
 
 // roundScratch is the worker state of one reconstruction's rounds: one
-// scorer per worker index. It lives for the whole reconstruction, so the
-// node-indexed arrays of the scorers' pair tables are allocated once per
-// run rather than once per round. A round uses it one step at a time —
-// the filter, the loop's workers, then the component search's — never
-// from two steps at once, so the table the filter and the loop's workers
-// read can be the first worker's, which that worker rebuilds for Phase 2.
+// scorer per worker index, and the run's clique seeder. It lives for the
+// whole reconstruction, so the node-indexed arrays of the scorers' pair
+// tables and the seeder's ranks are allocated once per run rather than
+// once per round. A round uses it one step at a time — the filter, the
+// loop's workers, then the component search's — never from two steps at
+// once, so the table the filter and the loop's workers read can be the
+// first worker's, which that worker rebuilds for Phase 2.
 type roundScratch struct {
 	scorers []*scorer
+	seeds   *graph.CliqueSeeder // the run's ranks, taken at its first enumeration
 }
 
 // workers returns n scorers, one per worker index, creating missing
@@ -104,23 +108,27 @@ func resolveWorkers(parallelism int) int {
 }
 
 // enumerateScored enumerates the maximal cliques (min size 2) of the
-// components of g that hold nodes — all of g when nodes is nil — and
-// scores each as maximal, in g's enumeration order, using at most
-// workers goroutines. nodes must be a union of whole components; the pair
-// table covers only them. budget > 0 bounds each component's cliques,
-// with key labelling the components (see componentKeys): the bool
-// reports that one has more, and the cliques are then dropped. ctx is
-// polled before each seed claim; after cancellation the result is partial
-// and must be dropped. rs supplies the workers' scratch; nil uses a fresh
+// components of g that hold nodes and scores each as maximal, using at
+// most workers goroutines. nodes must be the live nodes of a union of
+// whole components; seed i is nodes[i], so the cliques come in the order
+// of nodes at every worker count, and the pair table covers only nodes.
+// budget > 0 bounds each component's cliques, with key labelling the
+// components (see componentKeys): the bool reports that one has more, and
+// the cliques are then dropped. ctx is polled before each seed claim;
+// after cancellation the result is partial and must be dropped. rs
+// supplies the workers' scratch and the run's seeder; nil uses a fresh
 // one.
 func enumerateScored(ctx context.Context, g *graph.Graph, m *Model, nodes, key []int, budget, workers int, rs *roundScratch) ([]scoredClique, bool) {
-	s := g.CliqueSeeds(2)
-	if nodes != nil {
-		s = s.Within(nodes)
+	if rs == nil {
+		rs = new(roundScratch)
 	}
+	if rs.seeds == nil {
+		rs.seeds = g.CliqueSeeds(2)
+	}
+	s := rs.seeds
 	l := &seedLoop{ctx: ctx, g: g, m: m, cover: nodes, budget: budget, key: key, rs: rs,
-		seed: func(w *seedWorker, i int) { s.EnumSeed(i, &w.enum, w.emit) }}
-	return l.run(s.NumSeeds(), workers, 0)
+		seed: func(w *seedWorker, i int) { s.EnumSeed(nodes[i], &w.enum, w.emit) }}
+	return l.run(len(nodes), workers, 0)
 }
 
 // ScoreCliques evaluates the classifier on each clique (treated as
@@ -129,7 +137,7 @@ func enumerateScored(ctx context.Context, g *graph.Graph, m *Model, nodes, key [
 // the round's loop, one clique per seed, at the default parallelism
 // (GOMAXPROCS).
 func ScoreCliques(g *graph.Graph, m *Model, cliques [][]int) []float64 {
-	l := &seedLoop{ctx: context.Background(), g: g, m: m,
+	l := &seedLoop{ctx: context.Background(), g: g, m: m, rs: new(roundScratch),
 		seed: func(w *seedWorker, i int) { w.score(cliques[i]) }}
 	scored, _ := l.run(len(cliques), resolveWorkers(0), len(cliques))
 	out := make([]float64, len(scored))
@@ -144,8 +152,8 @@ type seedLoop struct {
 	ctx   context.Context
 	g     *graph.Graph
 	m     *Model
-	cover []int         // the pair table's nodes; nil = all of g
-	rs    *roundScratch // nil = a fresh one
+	cover []int // the pair table's nodes; nil = all of g
+	rs    *roundScratch
 	// budget > 0 bounds each component's cliques; key labels each node's
 	// component.
 	budget int
@@ -183,9 +191,6 @@ type seedLoop struct {
 // skipped when ctx is already cancelled or the featurizer reads no pair
 // statistics.
 func (l *seedLoop) run(n, workers, known int) ([]scoredClique, bool) {
-	if l.rs == nil {
-		l.rs = new(roundScratch)
-	}
 	l.buckets = make([][]scoredClique, n)
 	scs := l.rs.workers(max(min(workers, n), 1))
 	var table *graph.PairTable

@@ -102,7 +102,9 @@ type SearchOptions struct {
 // same round run on each component (or shard) separately.
 //
 // With a cache, the components it holds keep their cliques and the round
-// enumerates the others' seeds only.
+// runs the seeds of the others' live nodes only. BidirectionalSearch
+// ranks g's nodes itself; a reconstruction run ranks once, at its first
+// round, and reuses the ranks in every later one.
 func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergraph.Hypergraph) int {
 	accepted, _ := search(g, m, opts, rec)
 	return accepted
@@ -112,7 +114,9 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 // it enumerates has more than opts.budget maximal cliques, it fails with
 // ErrCliqueBudget before the phases begin, leaving g and rec untouched. A
 // cached component was within the budget when it was enumerated, and its
-// cliques have not changed since.
+// cliques have not changed since. A component's cliques reach the phases
+// as a set: both sort them by (score, nodes), a strict total order, so
+// the order the loop emits them in cannot move an acceptance.
 func search(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergraph.Hypergraph) (int, error) {
 	ctx := opts.Ctx
 	if ctx == nil {
@@ -125,30 +129,28 @@ func search(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergraph.Hyperg
 	if rs == nil {
 		rs = new(roundScratch)
 	}
+	cache := opts.cache
+	if cache == nil {
+		cache = new(roundCache)
+	}
 
 	// Group this round's cliques by the component they live in, starting
-	// with the live components the cache holds; dirty collects the nodes
-	// of the others. Cliques never span components, so the first node's
-	// key labels a clique.
+	// with the live components the cache holds; nodes collects the live
+	// nodes of the others, whose seeds the round runs. Cliques never span
+	// components, so the first node's key labels a clique.
 	groups := map[int][]scoredClique{}
-	var dirty []int
-	if opts.cache != nil && len(opts.cache.comps) > 0 {
-		for v, k := range key {
-			if k < 0 {
-				continue
-			}
-			if sc, ok := opts.cache.comps[k]; ok {
-				groups[k] = sc
-			} else {
-				dirty = append(dirty, v)
-			}
+	var nodes []int
+	for v, k := range key {
+		if k < 0 {
+			continue
+		}
+		if sc, ok := cache.comps[k]; ok {
+			groups[k] = sc
+		} else {
+			nodes = append(nodes, v)
 		}
 	}
-	if len(groups) == 0 || len(dirty) > 0 {
-		nodes := dirty
-		if len(groups) == 0 {
-			nodes = nil // nothing cached: enumerate all of g
-		}
+	if len(nodes) > 0 {
 		scored, over := enumerateScored(ctx, g, m, nodes, key, opts.budget, workers, rs)
 		if over {
 			return 0, fmt.Errorf("%w: a component has more than %d maximal cliques in round %d",
@@ -177,17 +179,15 @@ func search(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergraph.Hyperg
 		accepted += dumpStalledComponents(g, rec, key, acceptedBy)
 	}
 
-	if opts.cache != nil {
-		if opts.cache.comps == nil {
-			opts.cache.comps = map[int][]scoredClique{}
-		}
-		clear(opts.cache.comps)
-		for k, sc := range groups {
-			// A component that accepted (or dumped) nothing is unchanged:
-			// its enumeration and scores stay valid verbatim.
-			if acceptedBy[k] == 0 {
-				opts.cache.comps[k] = sc
-			}
+	if cache.comps == nil {
+		cache.comps = map[int][]scoredClique{}
+	}
+	clear(cache.comps)
+	for k, sc := range groups {
+		// A component that accepted (or dumped) nothing is unchanged: its
+		// enumeration and scores stay valid verbatim.
+		if acceptedBy[k] == 0 {
+			cache.comps[k] = sc
 		}
 	}
 	return accepted, nil

@@ -72,26 +72,31 @@ func (g *Graph) MaximalCliquesLimit(minSize, limit int) [][]int {
 func (g *Graph) EachMaximalClique(minSize int, fn func(clique []int) bool) {
 	s := g.CliqueSeeds(minSize)
 	var sc CliqueEnum
-	for i := 0; i < s.NumSeeds(); i++ {
-		if !s.EnumSeed(i, &sc, fn) {
+	for _, u := range s.order {
+		if !s.EnumSeed(u, &sc, fn) {
 			return
 		}
 	}
 }
 
 // CliqueSeeder exposes the per-seed structure of the Bron–Kerbosch
-// enumeration: the degeneracy ordering is computed once, and each seed
-// vertex's expansion — an independent subtree of the search — can then be
-// run on its own, with caller-provided scratch. That per-seed granularity
-// is the unit of work of the round's enumerate-and-score loop in
-// internal/core, whose workers claim seeds from a shared counter.
+// enumeration: the nodes are ranked once, in degeneracy order, and each
+// node's expansion over its later-ranked neighbors — an independent
+// subtree of the search — can then be run on its own, with
+// caller-provided scratch. That per-node granularity is the unit of work
+// of the round's enumerate-and-score loop in internal/core, whose workers
+// claim seeds from a shared counter.
 //
-// Seeds are indexed 0..NumSeeds()-1 in degeneracy order. Running every
-// seed in index order through one CliqueEnum reproduces exactly the
-// EachMaximalClique stream; the per-seed sub-streams are independent of
-// each other, so they may also be run concurrently (with one CliqueEnum
-// per goroutine) and concatenated by seed index to recover the identical
-// stream. The graph must not be mutated while a seeder is in use.
+// Under any total order of the nodes, each maximal clique is emitted by
+// exactly one seed, its lowest-ranked node, and a seed's subtree never
+// leaves its connected component. So the seeds of a union of whole
+// components, run in any order or concurrently (one CliqueEnum per
+// goroutine), emit exactly those components' maximal cliques, each once;
+// EachMaximalClique runs every seed in rank order. The degeneracy order
+// only bounds a seed's work, and the ranks stay valid while the graph
+// only loses edges: a seed's later neighbors now were later neighbors
+// when the ranks were taken, so the bound still holds. The graph must not
+// be mutated while a seed runs.
 type CliqueSeeder struct {
 	g       *Graph
 	minSize int
@@ -113,22 +118,6 @@ func (g *Graph) CliqueSeeds(minSize int) *CliqueSeeder {
 	return &CliqueSeeder{g: g, minSize: minSize, order: order, rank: rank}
 }
 
-// NumSeeds returns the number of seed vertices (every node, in degeneracy
-// order).
-func (s *CliqueSeeder) NumSeeds() int { return len(s.order) }
-
-// Within returns a seeder over the seeds of the given distinct nodes, kept
-// in s's degeneracy order; s must be unrestricted. When nodes is a union
-// of whole connected components, its seeds enumerate exactly those
-// components' maximal cliques, in the order the full enumeration emits
-// them: a seed's subtree never leaves its component, and each seed still
-// splits its neighbors by their rank in the whole graph's ordering.
-func (s *CliqueSeeder) Within(nodes []int) *CliqueSeeder {
-	order := slices.Clone(nodes)
-	slices.SortFunc(order, func(a, b int) int { return s.rank[a] - s.rank[b] })
-	return &CliqueSeeder{g: s.g, minSize: s.minSize, order: order, rank: s.rank}
-}
-
 // CliqueEnum is the reusable scratch of one enumeration worker. The zero
 // value is ready to use; a CliqueEnum must not be shared between
 // concurrently running EnumSeed calls.
@@ -136,17 +125,18 @@ type CliqueEnum struct {
 	e bkEnum
 }
 
-// EnumSeed enumerates the maximal cliques whose Bron–Kerbosch subtree is
-// rooted at seed i, calling fn for each exactly as EachMaximalClique does
-// (the slice is reused; copy it to retain it). It reports whether
-// enumeration ran to completion — false means fn returned false.
-func (s *CliqueSeeder) EnumSeed(i int, sc *CliqueEnum, fn func(clique []int) bool) bool {
+// EnumSeed enumerates the maximal cliques whose lowest-ranked node is u —
+// the Bron–Kerbosch subtree rooted at u — calling fn for each exactly as
+// EachMaximalClique does (the slice is reused; copy it to retain it). It
+// reports whether enumeration ran to completion — false means fn
+// returned false.
+func (s *CliqueSeeder) EnumSeed(u int, sc *CliqueEnum, fn func(clique []int) bool) bool {
 	e := &sc.e
 	e.g = s.g
 	e.minSize = s.minSize
 	e.fn = fn
 	e.stopped = false
-	e.seed(s.order[i], s.rank)
+	e.seed(u, s.rank)
 	e.fn = nil
 	return !e.stopped
 }

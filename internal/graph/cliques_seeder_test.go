@@ -35,14 +35,15 @@ func randomTestGraph(t *testing.T, n int, p float64, seed int64) *Graph {
 }
 
 // seederParallelCliques enumerates g's maximal cliques the way the round's
-// enumerate-and-score loop does: workers claim seed indices from an atomic
-// counter and share one CliqueSeeder, each with its own CliqueEnum, and
-// collect every seed's cliques in that seed's bucket. Joining the buckets
-// in seed order, cutting the first limit cliques (limit < 0: all) and
-// sorting them must give MaximalCliquesLimit's result.
+// enumerate-and-score loop does: workers claim the nodes of the degeneracy
+// order from an atomic counter and share one CliqueSeeder, each with its
+// own CliqueEnum, and collect every seed's cliques in that seed's bucket.
+// Joining the buckets in that order, cutting the first limit cliques
+// (limit < 0: all) and sorting them must give MaximalCliquesLimit's
+// result.
 func seederParallelCliques(g *Graph, minSize, limit, workers int) [][]int {
 	s := g.CliqueSeeds(minSize)
-	buckets := make([][][]int, s.NumSeeds())
+	buckets := make([][][]int, len(s.order))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -52,10 +53,10 @@ func seederParallelCliques(g *Graph, minSize, limit, workers int) [][]int {
 			var sc CliqueEnum
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= s.NumSeeds() {
+				if i >= len(s.order) {
 					return
 				}
-				s.EnumSeed(i, &sc, func(c []int) bool {
+				s.EnumSeed(s.order[i], &sc, func(c []int) bool {
 					buckets[i] = append(buckets[i], append([]int(nil), c...))
 					return true
 				})
@@ -75,8 +76,8 @@ func seederParallelCliques(g *Graph, minSize, limit, workers int) [][]int {
 }
 
 // TestMaximalCliquesParallelMatchesSerial: one CliqueSeeder shared by
-// concurrent workers, joined in seed order, reproduces MaximalCliquesLimit
-// at every worker count and every limit.
+// concurrent workers, joined in degeneracy order, reproduces
+// MaximalCliquesLimit at every worker count and every limit.
 func TestMaximalCliquesParallelMatchesSerial(t *testing.T) {
 	graphs := map[string]*Graph{
 		"sparse":    randomTestGraph(t, 60, 0.05, 1),
@@ -101,9 +102,9 @@ func TestMaximalCliquesParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCliqueSeederStreamMatchesEachMaximalClique pins the seeder contract
-// the round's enumerate-and-score loop is built on: running every seed in index order
-// reproduces the EachMaximalClique stream element for element.
+// TestCliqueSeederStreamMatchesEachMaximalClique pins the stream that
+// MaximalCliquesLimit cuts: running the seed of every node in degeneracy
+// order reproduces the EachMaximalClique stream element for element.
 func TestCliqueSeederStreamMatchesEachMaximalClique(t *testing.T) {
 	g := randomTestGraph(t, 40, 0.15, 7)
 	var want [][]int
@@ -114,12 +115,12 @@ func TestCliqueSeederStreamMatchesEachMaximalClique(t *testing.T) {
 	s := g.CliqueSeeds(2)
 	var sc CliqueEnum
 	var got [][]int
-	for i := 0; i < s.NumSeeds(); i++ {
-		if !s.EnumSeed(i, &sc, func(c []int) bool {
+	for _, u := range s.order {
+		if !s.EnumSeed(u, &sc, func(c []int) bool {
 			got = append(got, append([]int(nil), c...))
 			return true
 		}) {
-			t.Fatalf("EnumSeed(%d) reported an early stop without fn asking for one", i)
+			t.Fatalf("EnumSeed(%d) reported an early stop without fn asking for one", u)
 		}
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -127,57 +128,69 @@ func TestCliqueSeederStreamMatchesEachMaximalClique(t *testing.T) {
 	}
 }
 
-// TestCliqueSeederWithinMatchesFilteredStream: restricting a seeder to a
-// union of whole components yields exactly the full stream's cliques of
-// those components, in the full stream's order, for every subset of the
-// components of a multi-component graph.
-func TestCliqueSeederWithinMatchesFilteredStream(t *testing.T) {
-	g := randomTestGraph(t, 90, 0.04, 11)
-	comps := g.ConnectedComponents()
-	if len(comps) < 3 {
-		t.Fatalf("want a multi-component graph, got %d components", len(comps))
-	}
-	compOf := make([]int, g.NumNodes())
-	for c, nodes := range comps {
-		for _, u := range nodes {
-			compOf[u] = c
+// TestCliqueSeederComponentSeedsAfterEdgeRemoval pins the contract the
+// round engine runs on: ranks taken once stay valid while the graph only
+// loses edges, and the seeds of the nodes of a union of whole components,
+// run in any order, emit exactly those components' current maximal
+// cliques, each once. The graph loses random edges in three steps after
+// the seeder is built, like a run's rounds; after each, every subset of
+// up to six component groups runs its seeds in shuffled order. The graph
+// starts as six dense random blocks of 15 nodes, which the removals split
+// further.
+func TestCliqueSeederComponentSeedsAfterEdgeRemoval(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g := New(90)
+	for u := 0; u < 90; u++ {
+		for v := u + 1; v/15 == u/15; v++ {
+			if rng.Float64() < 0.4 {
+				g.AddWeight(u, v, 1+rng.Intn(3))
+			}
 		}
 	}
-	var full [][]int
-	g.EachMaximalClique(2, func(c []int) bool {
-		full = append(full, append([]int(nil), c...))
-		return true
-	})
 	s := g.CliqueSeeds(2)
-	for mask := 1; mask < 1<<min(len(comps), 6); mask++ {
-		var nodes []int
-		keep := map[int]bool{}
-		for c := range comps {
-			if mask>>(c%6)&1 == 1 {
-				keep[c] = true
-				nodes = append(nodes, comps[c]...)
+	for step := 0; step < 3; step++ {
+		for _, e := range g.Edges() {
+			if rng.Intn(5) == 0 {
+				g.RemoveEdge(e.U, e.V)
 			}
 		}
-		var want [][]int
-		for _, q := range full {
-			if keep[compOf[q[0]]] {
-				want = append(want, q)
+		comps := g.components(false)
+		if len(comps) < 3 {
+			t.Fatalf("step %d: want a multi-component graph, got %d components", step, len(comps))
+		}
+		compOf := make([]int, g.NumNodes())
+		for c, nodes := range comps {
+			for _, u := range nodes {
+				compOf[u] = c
 			}
 		}
-		w := s.Within(nodes)
-		if w.NumSeeds() != len(nodes) {
-			t.Fatalf("mask %b: %d seeds, want %d", mask, w.NumSeeds(), len(nodes))
-		}
+		all := g.MaximalCliques(2)
 		var sc CliqueEnum
-		var got [][]int
-		for i := 0; i < w.NumSeeds(); i++ {
-			w.EnumSeed(i, &sc, func(c []int) bool {
-				got = append(got, append([]int(nil), c...))
-				return true
-			})
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("mask %b: restricted stream diverged: got %d cliques, want %d", mask, len(got), len(want))
+		for mask := 1; mask < 1<<min(len(comps), 6); mask++ {
+			var nodes []int
+			for c := range comps {
+				if mask>>(c%6)&1 == 1 {
+					nodes = append(nodes, comps[c]...)
+				}
+			}
+			var want [][]int
+			for _, q := range all {
+				if mask>>(compOf[q[0]]%6)&1 == 1 {
+					want = append(want, q)
+				}
+			}
+			rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+			var got [][]int
+			for _, u := range nodes {
+				s.EnumSeed(u, &sc, func(c []int) bool {
+					got = append(got, append([]int(nil), c...))
+					return true
+				})
+			}
+			slices.SortFunc(got, cmpIntSlice)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d, mask %b: seeds emitted %d cliques, want those components' %d", step, mask, len(got), len(want))
+			}
 		}
 	}
 }
