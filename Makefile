@@ -9,7 +9,7 @@ BENCH_SUBSTRATE ?= BenchmarkHasEdge|BenchmarkMaximalCliques|BenchmarkScoreClique
 # Flags for the bench-regression gate (CI overrides warn-only on pushes).
 BENCHDIFF_FLAGS ?= -warn-only
 
-.PHONY: all build fmt fmt-fix vet lint lint-triage test race smoke shard-check incr-check crash-check load-check bench bench-substrate bench-json bench-json-force bench-regress check
+.PHONY: all build fmt fmt-fix vet lint lint-triage test race smoke shard-check incr-check crash-check load-check bench bench-substrate bench-json bench-json-force bench-regress layout check
 
 all: check build
 
@@ -140,5 +140,21 @@ bench-regress:
 	fi; \
 	$(GO) run ./cmd/benchdiff -against latest -new "$$tmp" $(BENCHDIFF_FLAGS); \
 	st=$$?; rm -f "$$tmp"; exit $$st
+
+# Where the linker placed the MLP kernel in the end-to-end benchmark's
+# binary. layerInto's inner loop runs about 30% slower at 32 than at 0
+# mod 64, which alone moves eu-dense by 10-13%, and a size change anywhere
+# can move it. Builds perfbench exactly as perfbench/run.sh does (same
+# flags, environment and output path) and prints the address and the
+# offset mod 64, so a comparison of two revisions can state both.
+layout:
+	@out="$$(pwd)/.bench_build"; mkdir -p "$$out/gocache" "$$out/gotmp"; \
+	cd perfbench && \
+	GOCACHE="$$out/gocache" GOTMPDIR="$$out/gotmp" GOFLAGS=-mod=readonly \
+	GOPROXY=off GOTOOLCHAIN=local GOWORK=off \
+		$(GO) build -trimpath -o "$$out/perfbench" . || exit 1; \
+	addr=$$($(GO) tool nm "$$out/perfbench" | awk '$$3 == "marioh/internal/mlp.(*Net).layerInto" { print $$1 }'); \
+	if [ -z "$$addr" ]; then echo "layout: mlp.(*Net).layerInto not found in $$out/perfbench"; exit 1; fi; \
+	echo "mlp.(*Net).layerInto at 0x$$addr, offset mod 64 = $$(( 0x$$addr % 64 ))"
 
 check: fmt vet test

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"marioh/internal/core"
 	"marioh/internal/datasets"
 	"marioh/internal/graph"
+	"marioh/internal/incremental"
 )
 
 // The fixture mirrors the incremental engine tests: a model trained the
@@ -520,6 +522,61 @@ func TestDurabilityBrokenWALRefusesApplies(t *testing.T) {
 	if _, err := s.Apply(context.Background(), nil); !errors.Is(err, ErrStorage) {
 		t.Fatalf("broken session served an Apply: %v", err)
 	}
+}
+
+// TestDurabilityRefusesOverflowingBatch: a batch whose adds take a pair
+// past int32 is refused with incremental.ErrBadDelta before it is mutated
+// or logged — the graph's bytes, the applies counter and the WAL record
+// count stay put and the session does not latch broken — and the next
+// batch, and a resume of the directory, still equal a from-scratch
+// rebuild.
+func TestDurabilityRefusesOverflowingBatch(t *testing.T) {
+	g, m := fixture(t)
+	opts := core.Options{Seed: 4}
+	walk := makeWalk(g, 1, 4)
+	dir := filepath.Join(t.TempDir(), "sess")
+	s, err := Create(dir, g, m, opts, 0, Options{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Apply(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	graphBytes := func() []byte {
+		var buf bytes.Buffer
+		if err := s.Graph().Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	before, records := graphBytes(), s.Stats().WALRecords
+
+	e := walk.shadows[0].Edges()[0]
+	half := math.MaxInt32/2 + 1
+	bad := []graph.DeltaOp{
+		{Kind: graph.DeltaAdd, U: e.U, V: e.V, W: half},
+		{Kind: graph.DeltaAdd, U: e.U, V: e.V, W: half},
+	}
+	if _, err := s.Apply(context.Background(), bad); !errors.Is(err, incremental.ErrBadDelta) {
+		t.Fatalf("overflowing batch = %v, want ErrBadDelta", err)
+	}
+	if !bytes.Equal(graphBytes(), before) || s.Applies() != 1 || s.Stats().WALRecords != records {
+		t.Fatalf("refused batch left a trace: applies %d, WAL records %d (was %d)",
+			s.Applies(), s.Stats().WALRecords, records)
+	}
+
+	res, err := s.Apply(context.Background(), walk.batches[0])
+	if err != nil {
+		t.Fatalf("apply after the refused batch: %v", err)
+	}
+	want := golden(t, walk.shadows[1], m, opts)
+	if !bytes.Equal(render(t, res), want) {
+		t.Fatal("apply after the refused batch diverges from full rebuild")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resumeAndCheck(t, dir, m, opts, Options{}, 2, OutcomeClean, want).Close()
 }
 
 // TestWALStreamDecode covers the framing layer directly: clean streams

@@ -374,9 +374,11 @@ func replayChain(e *incremental.Engine, recs []walRecord, from uint64) (int, boo
 // and the post-mutation fingerprint are appended (and fsync'd, unless
 // disabled) to the WAL, and only then does the engine reconstruct — so
 // by the time the result is returned the batch is recoverable. Mirrors
-// incremental.Engine.Apply semantics: on reconstruction error or
-// cancellation the mutation has landed (and is logged) and a retry with
-// an empty batch resumes where it stopped.
+// incremental.Engine.Apply semantics: a batch the engine's Check refuses
+// returns its error (wrapping incremental.ErrBadDelta) before anything is
+// mutated or logged, and the session stays healthy; on reconstruction
+// error or cancellation the mutation has landed (and is logged) and a
+// retry with an empty batch resumes where it stopped.
 func (s *Session) Apply(ctx context.Context, ops []graph.DeltaOp) (*core.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -385,6 +387,9 @@ func (s *Session) Apply(ctx context.Context, ops []graph.DeltaOp) (*core.Result,
 	}
 	if s.broken != nil {
 		return nil, s.broken
+	}
+	if err := s.eng.Check(ops); err != nil {
+		return nil, err
 	}
 
 	func() {

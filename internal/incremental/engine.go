@@ -33,6 +33,9 @@ package incremental
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math"
 	"runtime"
 	"slices"
 
@@ -104,16 +107,79 @@ func (e *Engine) Components() int {
 	return e.comps
 }
 
+// ErrBadDelta marks a delta batch refused before it changed anything.
+var ErrBadDelta = errors.New("incremental: bad delta batch")
+
+// Check reports why Apply would refuse ops, without changing anything: an
+// op graph.ReadDeltas would reject (an unknown kind, a self-loop, a
+// negative node, an add weight ≤ 0, a set weight < 0, a weight past
+// int32), or an add that takes its pair's weight past math.MaxInt32,
+// following the pair's weight through the batch from its current value.
+// The error wraps ErrBadDelta. Apply and the durable session run Check
+// before they count, log or mutate a batch, so a refused batch leaves no
+// trace.
+func (e *Engine) Check(ops []graph.DeltaOp) error {
+	g := e.tracker.Graph()
+	weights := make(map[[2]int]int, len(ops))
+	for i, op := range ops {
+		// ReadDeltas' rule, restated rather than shared: graph's code sits
+		// ahead of the MLP kernel in the linked binary, so growing it moves
+		// the kernel (see `make layout`). For the same reason ops are
+		// formatted through String, not as interface values, which would
+		// add a (*DeltaOp).String wrapper to graph's code.
+		var bad string
+		switch {
+		case op.Kind > graph.DeltaSet:
+			bad = fmt.Sprintf("unknown kind %d", op.Kind)
+		case op.U == op.V || op.U < 0 || op.V < 0:
+			bad = "bad edge"
+		case op.Kind == graph.DeltaAdd && op.W <= 0:
+			bad = "add weight must be > 0"
+		case op.Kind == graph.DeltaSet && op.W < 0:
+			bad = "set weight must be ≥ 0"
+		case op.W > math.MaxInt32:
+			bad = "weight overflows int32"
+		}
+		if bad != "" {
+			return fmt.Errorf("%w: op %d (%s): %s", ErrBadDelta, i+1, op.String(), bad)
+		}
+		pair := [2]int{min(op.U, op.V), max(op.U, op.V)}
+		w, ok := weights[pair]
+		if !ok && pair[1] < g.NumNodes() {
+			w = g.Weight(op.U, op.V)
+		}
+		switch op.Kind {
+		case graph.DeltaAdd:
+			w += op.W
+		case graph.DeltaRemove:
+			w = 0
+		case graph.DeltaSet:
+			w = op.W
+		}
+		if w > math.MaxInt32 {
+			return fmt.Errorf("%w: op %d (%s): weight of {%d, %d} would reach %d, past int32",
+				ErrBadDelta, i+1, op.String(), op.U, op.V, w)
+		}
+		weights[pair] = w
+	}
+	return nil
+}
+
 // Apply mutates the graph with a batch of delta ops and returns the full
 // reconstruction of the mutated graph, recomputing only the components
 // whose edge set changed. An empty batch is valid and reconstructs
 // whatever is not cached yet — on a fresh Engine, the whole graph.
 //
-// On error or cancellation the graph mutation has already happened and
-// the merged partial result is returned with the first error; components
-// that finished stay cached, so a retry resumes where the failed Apply
-// stopped.
+// A batch Check refuses is returned as its error, with a nil result and
+// nothing changed: the graph, the apply count and the cache stay as they
+// were. On any other error or cancellation the graph mutation has already
+// happened and the merged partial result is returned with the first
+// error; components that finished stay cached, so a retry resumes where
+// the failed Apply stopped.
 func (e *Engine) Apply(ctx context.Context, ops []graph.DeltaOp) (*core.Result, error) {
+	if err := e.Check(ops); err != nil {
+		return nil, err
+	}
 	// Count the apply before mutating, so an attempt that dies mid-batch
 	// is still visible to clients deciding whether a batch landed.
 	e.applies++
@@ -142,11 +208,12 @@ func (e *Engine) Apply(ctx context.Context, ops []graph.DeltaOp) (*core.Result, 
 	e.cache = kept
 	e.lastDirty = len(dirty)
 	// The touched set is reset only now that the check has consumed it.
-	// If a batch dies mid-mutation (a panic in a graph primitive, e.g. a
-	// cumulative int32 weight overflow), the partially-applied batch's
-	// marks survive into the next Apply, which re-checks the affected
-	// components instead of trusting their entries — the byte-equality
-	// guarantee holds across failed batches.
+	// If Mutate dies mid-batch (a panic in a graph primitive, e.g. a
+	// cumulative int32 weight overflow, which Check keeps out of Apply but
+	// Mutate does not check for), the partially-applied batch's marks
+	// survive into the next Apply, which re-checks the affected components
+	// instead of trusting their entries — the byte-equality guarantee
+	// holds across failed batches.
 	e.tracker.ResetTouched()
 
 	// Reconstruct the dirty components, each on its induced subgraph,

@@ -3,6 +3,7 @@ package incremental
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -298,7 +299,9 @@ func TestEngineProgressCarriesDirtyCount(t *testing.T) {
 // primitive after mutating earlier ops (here: a cumulative int32 weight
 // overflow, which every op passes wire validation for) must not poison
 // the cache — the next Apply re-derives the touched components and still
-// matches a from-scratch rebuild of the partially-mutated graph.
+// matches a from-scratch rebuild of the partially-mutated graph. Apply
+// refuses such a batch up front (TestEngineRefusesBadBatch), so the batch
+// goes through Mutate, the unchecked WAL-replay entry point.
 func TestEnginePanicMidBatchKeepsEquivalence(t *testing.T) {
 	g, m := multiComponentTarget(t)
 	opts := core.Options{Seed: 4}
@@ -326,7 +329,7 @@ func TestEnginePanicMidBatchKeepsEquivalence(t *testing.T) {
 				t.Fatal("expected the overflow panic")
 			}
 		}()
-		_, _ = eng.Apply(context.Background(), batch)
+		eng.Mutate(batch)
 	}()
 
 	res, err := eng.Apply(context.Background(), nil)
@@ -342,6 +345,92 @@ func TestEnginePanicMidBatchKeepsEquivalence(t *testing.T) {
 	}
 	if res.DirtyComponents == 0 {
 		t.Fatal("post-panic Apply trusted stale cache entries for the mutated components")
+	}
+}
+
+// TestEngineRefusesBadBatch: a batch with an op the delta reader would
+// reject, or whose adds take a pair past int32 counting from the graph's
+// current weight, is refused whole with ErrBadDelta — the graph's bytes
+// and the apply count do not move — while a batch whose set brings the
+// running weight back under the bound is accepted, and the next Apply
+// still matches a from-scratch rebuild.
+func TestEngineRefusesBadBatch(t *testing.T) {
+	g, m := multiComponentTarget(t)
+	opts := core.Options{Seed: 6}
+	shadow := g.Clone()
+	eng := New(g, m, opts, 0)
+	if _, err := eng.Apply(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	graphBytes := func() []byte {
+		var buf bytes.Buffer
+		if err := eng.Graph().Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	before := graphBytes()
+
+	e := shadow.Edges()[0]
+	w0 := shadow.Weight(e.U, e.V)
+	half := math.MaxInt32/2 + 1
+	n := shadow.NumNodes()
+	for _, tc := range []struct {
+		name  string
+		batch []graph.DeltaOp
+	}{
+		{"adds past int32", []graph.DeltaOp{
+			{Kind: graph.DeltaAdd, U: e.U, V: e.V, W: 1},
+			{Kind: graph.DeltaAdd, U: e.V, V: e.U, W: half},
+			{Kind: graph.DeltaAdd, U: e.U, V: e.V, W: half},
+		}},
+		{"set then add past int32", []graph.DeltaOp{
+			{Kind: graph.DeltaSet, U: e.U, V: e.V, W: math.MaxInt32},
+			{Kind: graph.DeltaAdd, U: e.U, V: e.V, W: 1},
+		}},
+		{"current weight plus add past int32", []graph.DeltaOp{
+			{Kind: graph.DeltaAdd, U: e.U, V: e.V, W: math.MaxInt32 - w0 + 1},
+		}},
+		{"new pair past int32", []graph.DeltaOp{
+			{Kind: graph.DeltaAdd, U: n, V: n + 1, W: half},
+			{Kind: graph.DeltaAdd, U: n + 1, V: n, W: half},
+		}},
+		{"self-loop", []graph.DeltaOp{{Kind: graph.DeltaAdd, U: e.U, V: e.V, W: 1}, {Kind: graph.DeltaAdd, U: 2, V: 2, W: 1}}},
+		{"negative node", []graph.DeltaOp{{Kind: graph.DeltaRemove, U: -1, V: 3}}},
+		{"zero add", []graph.DeltaOp{{Kind: graph.DeltaAdd, U: e.U, V: e.V, W: 0}}},
+		{"negative set", []graph.DeltaOp{{Kind: graph.DeltaSet, U: e.U, V: e.V, W: -1}}},
+		{"weight overflow", []graph.DeltaOp{{Kind: graph.DeltaSet, U: e.U, V: e.V, W: math.MaxInt32 + 1}}},
+		{"unknown kind", []graph.DeltaOp{{Kind: graph.DeltaSet + 1, U: e.U, V: e.V, W: 1}}},
+	} {
+		if _, err := eng.Apply(context.Background(), tc.batch); !errors.Is(err, ErrBadDelta) {
+			t.Fatalf("%s: Apply = %v, want ErrBadDelta", tc.name, err)
+		}
+		if !bytes.Equal(graphBytes(), before) || eng.Applies() != 1 {
+			t.Fatalf("%s: refused batch changed the engine (applies %d)", tc.name, eng.Applies())
+		}
+	}
+
+	ok := []graph.DeltaOp{
+		{Kind: graph.DeltaAdd, U: e.U, V: e.V, W: half},
+		{Kind: graph.DeltaSet, U: e.U, V: e.V, W: 2},
+		{Kind: graph.DeltaAdd, U: e.V, V: e.U, W: half},
+		{Kind: graph.DeltaRemove, U: e.U, V: e.V},
+		{Kind: graph.DeltaAdd, U: e.U, V: e.V, W: math.MaxInt32},
+		{Kind: graph.DeltaSet, U: e.U, V: e.V, W: w0 + 1},
+	}
+	for _, op := range ok {
+		applyToShadow(shadow, op)
+	}
+	res, err := eng.Apply(context.Background(), ok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.ReconstructContext(context.Background(), shadow, m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(render(t, res), render(t, want)) || eng.Applies() != 2 {
+		t.Fatalf("Apply after refused batches diverges from full rebuild (applies %d)", eng.Applies())
 	}
 }
 

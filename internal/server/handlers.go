@@ -28,20 +28,57 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) error {
 	return nil
 }
 
-// submit queues an async job and attaches the metrics/log watcher.
-func (s *Server) submit(kind JobKind, run runFunc) (*Job, error) {
-	return s.submitMeta(kind, JobMeta{}, run)
-}
+// A route that runs a job claims what the job holds (the tenant's job
+// slot and queued bytes, plus the session's apply slot for an apply) and
+// hands its release to enqueue or runInline as onFinish. From then on the
+// lifecycle releases it exactly once: at once if the queue refuses the
+// job, otherwise before the job reads as terminal.
 
-// submitMeta is submit with admission accounting attached; on rejection
-// meta.OnFinish is not called (the caller still owns its slot).
-func (s *Server) submitMeta(kind JobKind, meta JobMeta, run runFunc) (*Job, error) {
-	job, err := s.queue.SubmitMeta(kind, meta, run)
+// enqueue queues a job for the worker pool and answers 202 with it;
+// queued, when not nil, sees the job before the answer is written. If
+// the queue refuses the job, enqueue releases onFinish at once and
+// answers the refusal.
+func (s *Server) enqueue(w http.ResponseWriter, kind JobKind, onFinish func(), run runFunc, queued func(*Job)) {
+	job, err := s.queue.Submit(kind, onFinish, run)
 	if err != nil {
-		return nil, err
+		if onFinish != nil {
+			onFinish()
+		}
+		s.writeError(w, errStatus(err), err)
+		return
 	}
 	s.watch(job)
-	return job, nil
+	if queued != nil {
+		queued(job)
+	}
+	s.writeJSON(w, http.StatusAccepted, job.Info())
+}
+
+// runInline registers a job and runs it on the calling goroutine under
+// ctx, returning the job and the workload's outcome. If the queue refuses
+// the job, runInline releases onFinish at once and returns a nil job with
+// the refusal. A route answers a failed outcome with failedStatus.
+func (s *Server) runInline(ctx context.Context, kind JobKind, onFinish func(), run runFunc) (*Job, any, error) {
+	job, err := s.queue.NewJob(kind, onFinish, run)
+	if err != nil {
+		if onFinish != nil {
+			onFinish()
+		}
+		return nil, nil, err
+	}
+	s.watch(job)
+	result, err := s.queue.RunInline(ctx, job)
+	return job, result, err
+}
+
+// failedStatus is the HTTP status of a failed inline request: a
+// cancelled or timed-out one (the client is usually gone) answers 503,
+// every other error its errStatus.
+func failedStatus(err error) int {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return http.StatusServiceUnavailable
+	}
+	return errStatus(err)
 }
 
 // watch logs and counts a job's terminal transition, then re-checks the
@@ -61,18 +98,17 @@ func (s *Server) watch(job *Job) {
 	}()
 }
 
-// acquireJob claims a tenant job slot charging bytes of queued payload,
-// writing the 429 itself on rejection. The caller must release the slot
-// exactly once (directly or via JobMeta.OnFinish); ok reports whether
-// the slot was granted.
-func (s *Server) acquireJob(w http.ResponseWriter, r *http.Request, bytes int64) (tenant string, release func(), ok bool) {
-	tenant = tenantFrom(r)
-	release, err := s.admission.AcquireJob(tenant, bytes)
+// acquireJob claims the request tenant's job slot charging bytes of
+// queued payload, writing the 429 itself on rejection. The caller must
+// release the slot exactly once, directly or as a job's onFinish; ok
+// reports whether the slot was granted.
+func (s *Server) acquireJob(w http.ResponseWriter, r *http.Request, bytes int64) (release func(), ok bool) {
+	release, err := s.admission.AcquireJob(tenantFrom(r), bytes)
 	if err != nil {
 		s.reject(w, err)
-		return tenant, nil, false
+		return nil, false
 	}
-	return tenant, release, true
+	return release, true
 }
 
 // publisher adapts a job to a ProgressFunc, threading the test hook in
@@ -105,15 +141,6 @@ func reconstructResult(res *marioh.Result) (ReconstructResult, error) {
 	}, nil
 }
 
-// shardingOptions turns a request's shard count into the WithSharding
-// option; the request fans its shards over its own parallelism.
-func shardingOptions(spec OptionSpec) []marioh.Option {
-	if spec.Shards == 0 {
-		return nil
-	}
-	return []marioh.Option{marioh.WithSharding(marioh.ShardingOptions{Shards: spec.Shards})}
-}
-
 // handleTrain implements POST /v1/train: always asynchronous, answering
 // 202 with the job; the trained model lands in the registry under save_as
 // (default: the job ID).
@@ -143,12 +170,12 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tenant, relJob, ok := s.acquireJob(w, r, int64(len(req.Source)))
+	relJob, ok := s.acquireJob(w, r, int64(len(req.Source)))
 	if !ok {
 		return
 	}
 
-	job, err := s.submitMeta(JobTrain, JobMeta{Tenant: tenant, OnFinish: relJob}, func(ctx context.Context, job *Job) (any, error) {
+	s.enqueue(w, JobTrain, relJob, func(ctx context.Context, job *Job) (any, error) {
 		rec, err := marioh.New(opts...)
 		if err != nil {
 			return nil, err
@@ -174,36 +201,25 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 			SampleSeconds: model.Stats.SampleTime.Seconds(),
 			TrainSeconds:  model.Stats.TrainTime.Seconds(),
 		}, nil
-	})
-	if err != nil {
-		relJob()
-		s.writeError(w, errStatus(err), err)
-		return
-	}
-	s.writeJSON(w, http.StatusAccepted, job.Info())
+	}, nil)
 }
 
-// reconstructRun builds the workload shared by the sync path, the async
-// path and batch entries.
-func (s *Server) reconstructRun(opts []marioh.Option, m *marioh.Model, g *marioh.Graph) runFunc {
-	return func(ctx context.Context, job *Job) (any, error) {
-		ropts := append(append([]marioh.Option(nil), opts...),
-			marioh.WithModel(m), marioh.WithProgress(s.publisher(job)))
-		rec, err := marioh.New(ropts...)
-		if err != nil {
-			return nil, err
-		}
-		res, err := rec.Reconstruct(ctx, g)
-		if err != nil {
-			return nil, err
-		}
-		s.metrics.Stage("filter", res.Times.Filtering)
-		s.metrics.Stage("search", res.Times.Bidirectional)
-		if res.Shards > 0 {
-			s.metrics.ShardRun(res.Shards)
-		}
-		return reconstructResult(res)
+// reconstructor builds a reconstruct or batch job's Reconstructor: the
+// request's options and model, publishing progress into the job.
+func (s *Server) reconstructor(job *Job, m *marioh.Model, opts []marioh.Option) (*marioh.Reconstructor, error) {
+	return marioh.New(append(append([]marioh.Option(nil), opts...),
+		marioh.WithModel(m), marioh.WithProgress(s.publisher(job)))...)
+}
+
+// recordResult counts a finished reconstruction's stages and converts it
+// to its wire form.
+func (s *Server) recordResult(res *marioh.Result) (ReconstructResult, error) {
+	s.metrics.Stage("filter", res.Times.Filtering)
+	s.metrics.Stage("search", res.Times.Bidirectional)
+	if res.Shards > 0 {
+		s.metrics.ShardRun(res.Shards)
 	}
+	return reconstructResult(res)
 }
 
 // handleReconstruct implements POST /v1/reconstruct: synchronous for
@@ -220,37 +236,45 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, errors.New("reconstruct: use /v1/reconstruct/batch for multiple targets"))
 		return
 	}
-	g, m, opts, err := s.reconstructInputs(req.Model, req.Target, req.Options)
+	if req.Target == "" {
+		s.writeError(w, http.StatusBadRequest, errors.New("reconstruct: target graph is required"))
+		return
+	}
+	g, err := parseGraph(req.Target)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	m, opts, err := s.reconstructModel(req)
 	if err != nil {
 		s.writeError(w, errStatus(err), err)
 		return
 	}
-	opts = append(opts, shardingOptions(req.Options)...)
+	run := func(ctx context.Context, job *Job) (any, error) {
+		rec, err := s.reconstructor(job, m, opts)
+		if err != nil {
+			return nil, err
+		}
+		res, err := rec.Reconstruct(ctx, g)
+		if err != nil {
+			return nil, err
+		}
+		return s.recordResult(res)
+	}
 
 	async := g.NumEdges() > s.cfg.SyncEdgeLimit
 	if req.Async != nil {
 		async = *req.Async
 	}
-	run := s.reconstructRun(opts, m, g)
-	if async {
-		tenant, relJob, ok := s.acquireJob(w, r, int64(len(req.Target)))
-		if !ok {
-			return
-		}
-		job, err := s.submitMeta(JobReconstruct, JobMeta{Tenant: tenant, OnFinish: relJob}, run)
-		if err != nil {
-			relJob()
-			s.writeError(w, errStatus(err), err)
-			return
-		}
-		s.writeJSON(w, http.StatusAccepted, job.Info())
+	// The tenant's job slot covers an async job until it finishes, and a
+	// synchronous request for its whole duration, leading the computation
+	// or waiting on an identical one in flight.
+	relJob, ok := s.acquireJob(w, r, int64(len(req.Target)))
+	if !ok {
 		return
 	}
-
-	// Synchronous path: the tenant's job slot covers the request duration
-	// (leading the computation or waiting on an identical one in flight).
-	tenant, relJob, ok := s.acquireJob(w, r, int64(len(req.Target)))
-	if !ok {
+	if async {
+		s.enqueue(w, JobReconstruct, relJob, run, nil)
 		return
 	}
 	defer relJob()
@@ -264,29 +288,17 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	val, _, err := s.dedup.Do(r.Context(), key, func(fctx context.Context) (any, int64, error) {
-		job, err := s.queue.NewJobMeta(JobReconstruct, JobMeta{Tenant: tenant}, run)
-		if err != nil {
-			return nil, 0, err
-		}
-		s.watch(job)
 		// fctx lives as long as any interested caller — the leader
 		// disconnecting does not abort a computation others wait on.
-		s.queue.RunInline(fctx, job)
-		result, err := job.Result()
+		job, result, err := s.runInline(fctx, JobReconstruct, nil, run)
 		if err != nil {
 			return nil, 0, err
 		}
 		rr := result.(ReconstructResult)
-		resp := ReconstructResponse{JobID: job.ID, Result: rr}
-		return resp, resultCost(rr), nil
+		return ReconstructResponse{JobID: job.ID, Result: rr}, resultCost(rr), nil
 	})
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// The client is usually gone; 499-style close for the record.
-			status = http.StatusServiceUnavailable
-		}
-		s.writeError(w, status, err)
+		s.writeError(w, failedStatus(err), err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, val.(ReconstructResponse))
@@ -318,28 +330,25 @@ func (s *Server) dedupKey(model string, g *marioh.Graph, spec OptionSpec) (strin
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// reconstructInputs parses and resolves the shared parts of reconstruction
-// requests: the target graph, the registry model, and the options.
-func (s *Server) reconstructInputs(model, target string, spec OptionSpec) (*marioh.Graph, *marioh.Model, []marioh.Option, error) {
-	if model == "" {
-		return nil, nil, nil, errors.New("reconstruct: model is required (train first or PUT /v1/models/{name})")
+// reconstructModel resolves the registry model and the options of a
+// reconstruct or batch request; the request fans its shards over its
+// own parallelism.
+func (s *Server) reconstructModel(req ReconstructRequest) (*marioh.Model, []marioh.Option, error) {
+	if req.Model == "" {
+		return nil, nil, errors.New("reconstruct: model is required (train first or PUT /v1/models/{name})")
 	}
-	if target == "" {
-		return nil, nil, nil, errors.New("reconstruct: target graph is required")
-	}
-	g, err := parseGraph(target)
+	m, err := s.registry.Get(req.Model)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	m, err := s.registry.Get(model)
+	opts, err := req.Options.Options()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	opts, err := spec.Options()
-	if err != nil {
-		return nil, nil, nil, err
+	if req.Options.Shards != 0 {
+		opts = append(opts, marioh.WithSharding(marioh.ShardingOptions{Shards: req.Options.Shards}))
 	}
-	return g, m, opts, nil
+	return m, opts, nil
 }
 
 // handleBatch implements POST /v1/reconstruct/batch: always asynchronous,
@@ -354,11 +363,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, errors.New("batch: targets is required"))
 		return
 	}
-	if req.Model == "" {
-		s.writeError(w, http.StatusBadRequest, errors.New("batch: model is required"))
-		return
-	}
 	graphs := make([]*marioh.Graph, len(req.Targets))
+	var queued int64
 	for i, t := range req.Targets {
 		g, err := parseGraph(t)
 		if err != nil {
@@ -366,31 +372,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		graphs[i] = g
+		queued += int64(len(t))
 	}
-	m, err := s.registry.Get(req.Model)
+	m, opts, err := s.reconstructModel(req)
 	if err != nil {
 		s.writeError(w, errStatus(err), err)
 		return
 	}
-	opts, err := req.Options.Options()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	opts = append(opts, shardingOptions(req.Options)...)
-	var queued int64
-	for _, t := range req.Targets {
-		queued += int64(len(t))
-	}
-	tenant, relJob, ok := s.acquireJob(w, r, queued)
+	relJob, ok := s.acquireJob(w, r, queued)
 	if !ok {
 		return
 	}
 
-	job, err := s.submitMeta(JobBatch, JobMeta{Tenant: tenant, OnFinish: relJob}, func(ctx context.Context, job *Job) (any, error) {
-		ropts := append(append([]marioh.Option(nil), opts...),
-			marioh.WithModel(m), marioh.WithProgress(s.publisher(job)))
-		rec, err := marioh.New(ropts...)
+	s.enqueue(w, JobBatch, relJob, func(ctx context.Context, job *Job) (any, error) {
+		rec, err := s.reconstructor(job, m, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -400,25 +395,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		out := BatchResult{Results: make([]ReconstructResult, len(results))}
 		for i, res := range results {
-			s.metrics.Stage("filter", res.Times.Filtering)
-			s.metrics.Stage("search", res.Times.Bidirectional)
-			if res.Shards > 0 {
-				s.metrics.ShardRun(res.Shards)
-			}
-			rr, err := reconstructResult(res)
-			if err != nil {
+			if out.Results[i], err = s.recordResult(res); err != nil {
 				return nil, err
 			}
-			out.Results[i] = rr
 		}
 		return out, nil
-	})
-	if err != nil {
-		relJob()
-		s.writeError(w, errStatus(err), err)
-		return
-	}
-	s.writeJSON(w, http.StatusAccepted, job.Info())
+	}, nil)
 }
 
 // handleJobs implements GET /v1/jobs.
@@ -431,14 +413,21 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, out)
 }
 
-// handleJob implements GET /v1/jobs/{id}.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+// job resolves the request's {id} to a job, answering 404 when there is
+// none.
+func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	job, ok := s.queue.Get(r.PathValue("id"))
 	if !ok {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
 	}
-	s.writeJSON(w, http.StatusOK, job.Info())
+	return job, ok
+}
+
+// handleJob implements GET /v1/jobs/{id}.
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	if job, ok := s.job(w, r); ok {
+		s.writeJSON(w, http.StatusOK, job.Info())
+	}
 }
 
 // handleJobCancel implements DELETE /v1/jobs/{id}: cancellation is
@@ -447,14 +436,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // job is fetched before cancelling so a concurrent history eviction
 // cannot void the response snapshot.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	job, ok := s.queue.Get(id)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
-		return
+	if job, ok := s.job(w, r); ok {
+		s.queue.Cancel(job.ID)
+		s.writeJSON(w, http.StatusAccepted, job.Info())
 	}
-	s.queue.Cancel(id)
-	s.writeJSON(w, http.StatusAccepted, job.Info())
 }
 
 // handleJobEvents implements GET /v1/jobs/{id}/events: a Server-Sent
@@ -462,12 +447,9 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // with live ones, and terminates with a "done" event carrying the final
 // status. Client disconnects just unsubscribe; they never affect the job.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.queue.Get(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
+	if job, ok := s.job(w, r); ok {
+		s.streamJobEvents(w, r, job)
 	}
-	s.streamJobEvents(w, r, job)
 }
 
 // streamJobEvents writes a job's SSE progress stream: buffered replay,

@@ -186,6 +186,158 @@ func TestServerTenantSessionQuota(t *testing.T) {
 	}
 }
 
+// holdFirstReconstruction returns a progress hook that, once armed, blocks
+// the first progress event it sees until release is called (signalling
+// started), and lets every other event through. release may be called
+// more than once, so a test can also run it as a cleanup.
+func holdFirstReconstruction(armed *atomic.Bool, started chan struct{}) (hook marioh.ProgressFunc, release func()) {
+	gate := make(chan struct{})
+	release = sync.OnceFunc(func() { close(gate) })
+	var held atomic.Bool
+	return func(marioh.Progress) {
+		if armed.Load() && held.CompareAndSwap(false, true) {
+			close(started)
+			<-gate
+		}
+	}, release
+}
+
+// wantQuotaRejection asserts a 429 quota_exceeded answer with Retry-After.
+func wantQuotaRejection(t *testing.T, what string, resp *http.Response) {
+	t.Helper()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		resp.Body.Close()
+		t.Fatalf("%s = %d, want 429", what, resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra == "" {
+		t.Fatalf("%s: no Retry-After header", what)
+	}
+	if e := decodeEnvelope(t, resp); e.Code != CodeQuotaExceeded {
+		t.Fatalf("%s: code %q, want %q", what, e.Code, CodeQuotaExceeded)
+	}
+}
+
+// TestServerTenantJobQuota drives TenantMaxJobs through the routes: while
+// a tenant's reconstruction holds its only job slot, its async and sync
+// reconstructions and its session applies answer 429 quota_exceeded,
+// another tenant is admitted, and once the held job reads terminal after
+// a cancel, the tenant's next request is admitted on its first try. With
+// a limit of 2 and one worker, a queued job cancelled before it starts
+// frees its slot.
+func TestServerTenantJobQuota(t *testing.T) {
+	ctx := context.Background()
+	src, tgt := testSource(t), testTarget(t)
+	post := func(t *testing.T, base, path, tenant string, req any) *http.Response {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doTenant(t, http.MethodPost, base+path, tenant, body)
+	}
+	async := true
+	asyncReq := ReconstructRequest{Model: "m", Target: graphText(t, tgt), Options: OptionSpec{Seed: 1}, Async: &async}
+	syncReq := ReconstructRequest{Model: "m", Target: graphText(t, tgt), Options: OptionSpec{Seed: 2}}
+	acceptedJob := func(t *testing.T, resp *http.Response) JobInfo {
+		t.Helper()
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("async reconstruct = %d, want 202", resp.StatusCode)
+		}
+		var info JobInfo
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	wait := func(t *testing.T, c *Client, id string) JobInfo {
+		t.Helper()
+		waitCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
+		defer cancel()
+		info, err := c.WaitJob(waitCtx, id, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+
+	t.Run("held", func(t *testing.T) {
+		var armed atomic.Bool
+		started := make(chan struct{})
+		hook, release := holdFirstReconstruction(&armed, started)
+		_, c := newTestServer(t, func(cfg *Config) {
+			cfg.TenantMaxJobs = 1
+			cfg.testProgressHook = hook
+		})
+		t.Cleanup(release) // runs before the server's drain
+		trainOn(t, c, src, "m", OptionSpec{Seed: 1, Epochs: 5})
+		alice := NewClient(c.Base)
+		alice.Tenant = "alice"
+		sess, err := alice.CreateSession(ctx, SessionRequest{Model: "m", Graph: graphText(t, tgt)})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		armed.Store(true)
+		held := acceptedJob(t, post(t, c.Base, "/v1/reconstruct", "alice", asyncReq))
+		<-started
+		wantQuotaRejection(t, "second async reconstruct", post(t, c.Base, "/v1/reconstruct", "alice", asyncReq))
+		wantQuotaRejection(t, "sync reconstruct", post(t, c.Base, "/v1/reconstruct", "alice", syncReq))
+		wantQuotaRejection(t, "session apply", post(t, c.Base, "/v1/sessions/"+sess.ID+"/apply", "alice", SessionApplyRequest{}))
+		other := post(t, c.Base, "/v1/reconstruct", "bob", syncReq)
+		other.Body.Close()
+		if other.StatusCode != http.StatusOK {
+			t.Fatalf("bob held back by alice's quota: %d", other.StatusCode)
+		}
+
+		if _, err := alice.CancelJob(ctx, held.ID); err != nil {
+			t.Fatal(err)
+		}
+		release()
+		if info := wait(t, alice, held.ID); !info.Status.Terminal() {
+			t.Fatalf("held job = %q", info.Status)
+		}
+		next := post(t, c.Base, "/v1/reconstruct", "alice", syncReq)
+		next.Body.Close()
+		if next.StatusCode != http.StatusOK {
+			t.Fatalf("alice's first request after her job finished = %d, want 200", next.StatusCode)
+		}
+	})
+
+	t.Run("queued cancel frees its slot", func(t *testing.T) {
+		var armed atomic.Bool
+		started := make(chan struct{})
+		hook, release := holdFirstReconstruction(&armed, started)
+		_, c := newTestServer(t, func(cfg *Config) {
+			cfg.Workers = 1
+			cfg.TenantMaxJobs = 2
+			cfg.testProgressHook = hook
+		})
+		t.Cleanup(release) // runs before the server's drain
+		trainOn(t, c, src, "m", OptionSpec{Seed: 1, Epochs: 5})
+		armed.Store(true)
+		running := acceptedJob(t, post(t, c.Base, "/v1/reconstruct", "alice", asyncReq))
+		<-started
+		queued := acceptedJob(t, post(t, c.Base, "/v1/reconstruct", "alice", asyncReq))
+		wantQuotaRejection(t, "third job", post(t, c.Base, "/v1/reconstruct", "alice", asyncReq))
+
+		info, err := c.CancelJob(ctx, queued.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Status != StatusCancelled {
+			t.Fatalf("queued job after cancel = %q, want cancelled", info.Status)
+		}
+		last := acceptedJob(t, post(t, c.Base, "/v1/reconstruct", "alice", asyncReq))
+		release()
+		for _, id := range []string{running.ID, last.ID} {
+			if info := wait(t, c, id); info.Status != StatusSucceeded {
+				t.Fatalf("job %s = %q: %s", id, info.Status, info.Error)
+			}
+		}
+	})
+}
+
 // TestServerTenantQueuedBytesQuota: TenantMaxQueuedBytes rejects a
 // request whose payload alone exceeds the tenant's byte quota, before
 // anything is queued — and the client never auto-retries a throttled

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -58,26 +59,25 @@ type runFunc func(ctx context.Context, job *Job) (any, error)
 type Job struct {
 	ID   string
 	Kind JobKind
-	// Tenant is the identity the job is accounted to; immutable after
-	// registration.
-	Tenant string
 
 	run runFunc
 	q   *Queue // owning queue; immutable after registration
 
-	mu       sync.Mutex
-	status   JobStatus                         // guarded by mu
-	err      error                             // guarded by mu
-	result   any                               // guarded by mu
-	created  time.Time                         // guarded by mu
-	started  time.Time                         // guarded by mu
-	finished time.Time                         // guarded by mu
-	events   []marioh.Progress                 // guarded by mu
-	subs     map[chan marioh.Progress]struct{} // guarded by mu
-	done     chan struct{}                     // closed exactly once by finish (with mu held)
-	runCtx   context.Context                   // guarded by mu; the context the workload runs under, tests synchronize on it
-	onFinish func()                            // guarded by mu; runs once after the terminal transition (tenant slot release)
-	retained int64                             // guarded by mu; budget bytes charged for the kept result
+	mu        sync.Mutex
+	status    JobStatus                         // guarded by mu
+	err       error                             // guarded by mu
+	result    any                               // guarded by mu
+	created   time.Time                         // guarded by mu
+	started   time.Time                         // guarded by mu
+	finished  time.Time                         // guarded by mu
+	events    []marioh.Progress                 // guarded by mu
+	subs      map[chan marioh.Progress]struct{} // guarded by mu
+	done      chan struct{}                     // closed exactly once by finish (with mu held)
+	runCtx    context.Context                   // guarded by mu; the context the workload runs under, tests synchronize on it
+	stop      context.CancelFunc                // guarded by mu; cancels runCtx; set when the job starts
+	onFinish  func()                            // guarded by mu; releases what the job holds, run by finish
+	finishing bool                              // guarded by mu; finish has begun, so the job never starts
+	retained  int64                             // guarded by mu; budget bytes charged for the kept result
 }
 
 // JobInfo is the JSON-serializable snapshot of a Job returned by the jobs
@@ -187,15 +187,26 @@ func (j *Job) Unsubscribe(ch <-chan marioh.Progress) {
 	}
 }
 
-// finish moves the job to a terminal state, stores the outcome, closes the
-// done channel and all subscriber channels, charges the retained result
-// against the memory budget, and releases the tenant's job slot.
+// finish ends the job. It runs onFinish first, so whatever the job held
+// is released before Status, Info or Done can show the job terminal: a
+// client that saw it finish may claim the same slots again at once. Then
+// it stores the outcome, closes the done channel and all subscriber
+// channels, and charges the retained result against the memory budget.
+// finish runs once per job: from execute once the workload returns, or
+// from cancel for a job that never started.
 func (j *Job) finish(status JobStatus, result any, err error) {
 	j.mu.Lock()
-	if j.status.Terminal() {
-		j.mu.Unlock()
-		return
+	j.finishing = true
+	hook := j.onFinish
+	j.onFinish = nil
+	j.mu.Unlock()
+	// The hook runs outside j.mu so it may take other locks freely.
+	if hook != nil {
+		hook()
 	}
+
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.status = status
 	j.result = result
 	j.err = err
@@ -204,46 +215,60 @@ func (j *Job) finish(status JobStatus, result any, err error) {
 		close(ch)
 	}
 	j.subs = nil
-	if j.q != nil && j.q.budget != nil {
+	if j.q.budget != nil {
 		j.retained = resultCost(result)
 		if j.retained > 0 {
 			j.q.budget.Charge(budgetPoolResults, j.retained)
 		}
 	}
-	hook := j.onFinish
-	j.onFinish = nil
 	close(j.done)
+}
+
+// cancel aborts the job: a running job has its context cancelled (and
+// finishes once the workload observes it), a queued one finishes as
+// cancelled at once and never starts.
+func (j *Job) cancel() {
+	j.mu.Lock()
+	stop := j.stop
+	queued := stop == nil && !j.finishing
+	if queued {
+		j.finishing = true // claimed here, so execute can no longer start it
+	}
 	j.mu.Unlock()
-	// The hook releases external accounting (tenant job slot, queued
-	// bytes); it runs outside j.mu so it may take other locks freely.
-	if hook != nil {
-		hook()
+	switch {
+	case stop != nil:
+		stop()
+	case queued:
+		j.finish(StatusCancelled, nil, context.Canceled)
 	}
 }
 
-// execute runs the workload under ctx, classifying the outcome: a workload
-// error equal to ctx.Err() counts as cancellation, not failure. A panicking
-// workload fails its own job instead of killing the worker goroutine (and
-// with it the daemon) — malformed inputs that slip past request validation
-// must never be able to crash the process from the async lane.
-func (j *Job) execute(ctx context.Context) {
+// execute runs the workload under a child of parent, classifying the
+// outcome: a workload error equal to ctx.Err() counts as cancellation, not
+// failure. A panicking workload fails its own job instead of killing the
+// worker goroutine (and with it the daemon) — malformed inputs that slip
+// past request validation must never be able to crash the process from
+// the async lane. The panic's stack goes to the queue's log; the job's
+// error, which clients read, carries only the panic value.
+func (j *Job) execute(parent context.Context) {
+	ctx, stop := context.WithCancel(parent)
+	defer stop()
 	j.mu.Lock()
-	if j.status.Terminal() { // cancelled while queued
+	if j.finishing { // cancelled while queued
 		j.mu.Unlock()
 		return
 	}
 	j.status = StatusRunning
 	j.started = time.Now()
-	j.runCtx = ctx
+	j.runCtx, j.stop = ctx, stop
 	run := j.run
 	j.mu.Unlock()
 
 	result, err := func() (result any, err error) {
 		defer func() {
 			if p := recover(); p != nil {
-				// Keep the stack: the whole point of surviving the panic
-				// is being able to find it afterwards.
-				result, err = nil, fmt.Errorf("job panicked: %v\n%s", p, debug.Stack())
+				j.q.logf("mariohd: job %s (%s) panicked: %v\n%s", j.ID, j.Kind, p, debug.Stack())
+				result, err = nil, fmt.Errorf("job panicked: %v", p)
 			}
 		}()
 		return run(ctx, j)
@@ -266,9 +291,11 @@ type Queue struct {
 	jobs chan *Job
 
 	// budget, when set (before any traffic), meters retained job results
-	// under budgetPoolResults; onEvict observes each result eviction.
+	// under budgetPoolResults; onEvict observes each result eviction; logf
+	// receives the stacks of panicking workloads.
 	budget  *admission.Budget
 	onEvict func()
+	logf    func(format string, args ...any)
 
 	mu         sync.Mutex
 	byID       map[string]*Job // guarded by mu
@@ -277,8 +304,7 @@ type Queue struct {
 	history    int             // immutable after NewQueue; terminal jobs retained for inspection
 	root       context.Context
 	rootCancel context.CancelFunc
-	cancels    map[string]context.CancelFunc // guarded by mu
-	closed     bool                          // guarded by mu
+	closed     bool // guarded by mu
 
 	wg sync.WaitGroup
 }
@@ -294,22 +320,12 @@ func resultCost(v any) int64 {
 	switch r := v.(type) {
 	case ReconstructResult:
 		return int64(len(r.Hypergraph)) + meta
-	case *ReconstructResult:
-		return int64(len(r.Hypergraph)) + meta
 	case BatchResult:
 		var sum int64
 		for i := range r.Results {
 			sum += int64(len(r.Results[i].Hypergraph)) + meta
 		}
 		return sum
-	case *BatchResult:
-		return resultCost(*r)
-	case SessionApplyResponse:
-		return int64(len(r.Result.Hypergraph)) + meta
-	case *SessionApplyResponse:
-		return int64(len(r.Result.Hypergraph)) + meta
-	case TrainResult, *TrainResult:
-		return meta
 	case nil:
 		return 0
 	default:
@@ -338,9 +354,9 @@ func NewQueue(root context.Context, workers, depth, history int) *Queue {
 		jobs:       make(chan *Job, depth),
 		byID:       map[string]*Job{},
 		history:    history,
-		cancels:    map[string]context.CancelFunc{},
 		root:       rootCtx,
 		rootCancel: rootCancel,
+		logf:       log.Printf,
 	}
 	for i := 0; i < workers; i++ {
 		q.wg.Add(1)
@@ -352,57 +368,37 @@ func NewQueue(root context.Context, workers, depth, history int) *Queue {
 func (q *Queue) work() {
 	defer q.wg.Done()
 	for job := range q.jobs {
-		ctx, cancel := context.WithCancel(q.root)
-		q.mu.Lock()
-		q.cancels[job.ID] = cancel
-		q.mu.Unlock()
-		job.execute(ctx)
-		cancel()
-		q.mu.Lock()
-		delete(q.cancels, job.ID)
-		q.mu.Unlock()
+		job.execute(q.root)
 	}
 }
 
-// JobMeta is the admission accounting attached to a job at registration:
-// the tenant it is billed to and a hook released exactly once when the
-// job reaches a terminal state (tenant job slot + queued bytes).
-type JobMeta struct {
-	Tenant   string
-	OnFinish func()
-}
-
-// NewJob registers a job without queueing it, for workloads executed
-// inline on a request goroutine (the synchronous /v1/reconstruct path).
-// The caller runs it with RunInline.
-func (q *Queue) NewJob(kind JobKind, run runFunc) (*Job, error) {
-	return q.NewJobMeta(kind, JobMeta{}, run)
-}
-
-// NewJobMeta is NewJob with admission accounting attached.
-func (q *Queue) NewJobMeta(kind JobKind, meta JobMeta, run runFunc) (*Job, error) {
+// NewJob registers a job without queueing it, for a workload the caller
+// runs inline on its own goroutine with RunInline. onFinish, when not nil,
+// releases what the job holds: it runs exactly once, when the job
+// finishes, before the job reads as terminal. If NewJob fails, onFinish
+// never runs and the caller still owns what it claimed.
+func (q *Queue) NewJob(kind JobKind, onFinish func(), run runFunc) (*Job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return nil, ErrShuttingDown
 	}
-	return q.register(kind, meta, run), nil
+	return q.register(kind, onFinish, run), nil
 }
 
 // register allocates and indexes a job, evicting the oldest terminal jobs
 // beyond the history bound; callers hold q.mu.
-func (q *Queue) register(kind JobKind, meta JobMeta, run runFunc) *Job {
+func (q *Queue) register(kind JobKind, onFinish func(), run runFunc) *Job {
 	q.nextID++
 	job := &Job{
 		ID:       fmt.Sprintf("j-%06d", q.nextID),
 		Kind:     kind,
-		Tenant:   meta.Tenant,
 		run:      run,
 		q:        q,
 		status:   StatusQueued,
 		created:  time.Now(),
 		done:     make(chan struct{}),
-		onFinish: meta.OnFinish,
+		onFinish: onFinish,
 	}
 	q.byID[job.ID] = job
 	q.order = append(q.order, job.ID)
@@ -476,38 +472,31 @@ func (q *Queue) ShedResults(n int64) int64 {
 
 // RunInline executes a NewJob-registered job on the calling goroutine,
 // bound to both ctx (typically the HTTP request context, so a client
-// disconnect cancels the job) and the queue root. It returns when the job
-// finishes.
-func (q *Queue) RunInline(ctx context.Context, job *Job) {
-	joint, cancel := context.WithCancel(ctx)
+// disconnect cancels the job) and the queue root, and returns the
+// workload's outcome. By then the job is terminal and its onFinish has
+// run.
+func (q *Queue) RunInline(ctx context.Context, job *Job) (any, error) {
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	stop := context.AfterFunc(q.root, cancel)
-	defer stop()
-	q.mu.Lock()
-	q.cancels[job.ID] = cancel
-	q.mu.Unlock()
-	job.execute(joint)
-	q.mu.Lock()
-	delete(q.cancels, job.ID)
-	q.mu.Unlock()
+	defer context.AfterFunc(q.root, cancel)()
+	job.execute(ctx)
+	<-job.Done() // a job cancelled before it started finishes on the canceller's goroutine
+	return job.Result()
 }
 
 // Submit registers a job and enqueues it for the worker pool, returning
-// ErrQueueFull when the bounded buffer is at capacity.
-func (q *Queue) Submit(kind JobKind, run runFunc) (*Job, error) {
-	return q.SubmitMeta(kind, JobMeta{}, run)
-}
-
-// SubmitMeta is Submit with admission accounting attached. On rejection
-// meta.OnFinish is NOT called — the job was never registered, so the
-// caller still owns its admission slot.
-func (q *Queue) SubmitMeta(kind JobKind, meta JobMeta, run runFunc) (*Job, error) {
+// ErrQueueFull when the bounded buffer is at capacity and ErrShuttingDown
+// once Drain began. onFinish is NewJob's: it runs exactly once, before the
+// job reads as terminal, also for a job cancelled before it starts. A
+// refused job leaves no trace and never runs onFinish, so the caller
+// still owns what it claimed.
+func (q *Queue) Submit(kind JobKind, onFinish func(), run runFunc) (*Job, error) {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
 		return nil, ErrShuttingDown
 	}
-	job := q.register(kind, meta, run)
+	job := q.register(kind, onFinish, run)
 	select {
 	case q.jobs <- job:
 		q.mu.Unlock()
@@ -533,19 +522,11 @@ func (q *Queue) Get(id string) (*Job, bool) {
 // a running one has its context cancelled (and reaches the cancelled state
 // once the workload observes it). It reports whether the job exists.
 func (q *Queue) Cancel(id string) bool {
-	q.mu.Lock()
-	job, ok := q.byID[id]
-	cancel := q.cancels[id]
-	q.mu.Unlock()
-	if !ok {
-		return false
+	job, ok := q.Get(id)
+	if ok {
+		job.cancel()
 	}
-	if cancel != nil {
-		cancel()
-		return true
-	}
-	job.finish(StatusCancelled, nil, context.Canceled)
-	return true
+	return ok
 }
 
 // Jobs lists every known job in submission order.

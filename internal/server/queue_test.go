@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ func TestQueueDrainRunsAcceptedJobs(t *testing.T) {
 	q := NewQueue(context.Background(), 2, 32, 0)
 	var jobs []*Job
 	for i := 0; i < 10; i++ {
-		job, err := q.Submit(JobReconstruct, quickJob)
+		job, err := q.Submit(JobReconstruct, nil, quickJob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +53,7 @@ func TestQueueDrainRunsAcceptedJobs(t *testing.T) {
 			t.Fatalf("job %s result = %v", job.ID, result)
 		}
 	}
-	if _, err := q.Submit(JobTrain, quickJob); !errors.Is(err, ErrShuttingDown) {
+	if _, err := q.Submit(JobTrain, nil, quickJob); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("submit after drain = %v, want ErrShuttingDown", err)
 	}
 }
@@ -60,16 +61,24 @@ func TestQueueDrainRunsAcceptedJobs(t *testing.T) {
 // TestQueuePanickingJobFailsWithoutKillingWorker: a workload panic must
 // fail its own job and leave the worker alive to run the next one — a
 // crafted request that slips past validation must never take down the
-// daemon from the async lane.
+// daemon from the async lane. The stack goes to the log; the job's error,
+// which reaches clients, holds only the panic value.
 func TestQueuePanickingJobFailsWithoutKillingWorker(t *testing.T) {
 	q := NewQueue(context.Background(), 1, 8, 0)
-	bad, err := q.Submit(JobReconstruct, func(context.Context, *Job) (any, error) {
+	var logMu sync.Mutex
+	var logged strings.Builder
+	q.logf = func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		fmt.Fprintf(&logged, format, args...)
+	}
+	bad, err := q.Submit(JobReconstruct, nil, func(context.Context, *Job) (any, error) {
 		panic("boom")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := q.Submit(JobReconstruct, quickJob)
+	good, err := q.Submit(JobReconstruct, nil, quickJob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +88,15 @@ func TestQueuePanickingJobFailsWithoutKillingWorker(t *testing.T) {
 	}
 	if _, err := bad.Result(); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("panicking job error = %v, want the panic value", err)
+	}
+	if _, err := bad.Result(); strings.Contains(err.Error(), "goroutine") || strings.Contains(err.Error(), ".go:") {
+		t.Fatalf("panicking job error carries a stack frame: %q", err)
+	}
+	logMu.Lock()
+	stack := logged.String()
+	logMu.Unlock()
+	if !strings.Contains(stack, "boom") || !strings.Contains(stack, "goroutine") {
+		t.Fatalf("panic stack not logged: %q", stack)
 	}
 	// The single worker survived and services the next job.
 	<-good.Done()
@@ -94,7 +112,7 @@ func TestQueuePanickingJobFailsWithoutKillingWorker(t *testing.T) {
 // running jobs are cancelled rather than leaking.
 func TestQueueDrainTimeoutCancelsStuckJobs(t *testing.T) {
 	q := NewQueue(context.Background(), 1, 8, 0)
-	job, err := q.Submit(JobReconstruct, blockUntilCtx)
+	job, err := q.Submit(JobReconstruct, nil, blockUntilCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,18 +131,18 @@ func TestQueueDrainTimeoutCancelsStuckJobs(t *testing.T) {
 // no orphan job behind.
 func TestQueueBoundedRejectsWhenFull(t *testing.T) {
 	q := NewQueue(context.Background(), 1, 1, 0)
-	running, err := q.Submit(JobReconstruct, blockUntilCtx)
+	running, err := q.Submit(JobReconstruct, nil, blockUntilCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Wait until the worker picked the job up so the buffer is empty.
 	waitStatus(t, running, StatusRunning)
 
-	queued, err := q.Submit(JobReconstruct, blockUntilCtx)
+	queued, err := q.Submit(JobReconstruct, nil, blockUntilCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Submit(JobReconstruct, blockUntilCtx); !errors.Is(err, ErrQueueFull) {
+	if _, err := q.Submit(JobReconstruct, nil, blockUntilCtx); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit = %v, want ErrQueueFull", err)
 	}
 	if n := len(q.Jobs()); n != 2 {
@@ -144,6 +162,98 @@ func TestQueueBoundedRejectsWhenFull(t *testing.T) {
 	waitStatus(t, running, StatusCancelled)
 	if err := q.Drain(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueueFinishHookRunsBeforeTerminal pins the release order every route
+// relies on: onFinish runs exactly once and before the job reads as
+// terminal — for a job run inline, one run by a worker, and a queued one
+// cancelled before it starts (which then never runs) — so a client that
+// saw its job finish finds the job's slots free. A refused Submit never
+// runs it: the caller still owns what it claimed.
+func TestQueueFinishHookRunsBeforeTerminal(t *testing.T) {
+	q := NewQueue(context.Background(), 1, 1, 0)
+	type hooked struct {
+		job   *Job // set before the job can finish
+		calls atomic.Int32
+	}
+	onFinish := func(h *hooked) func() {
+		return func() {
+			h.calls.Add(1)
+			if st := h.job.Status(); st.Terminal() {
+				t.Errorf("job %s reads %q inside onFinish", h.job.ID, st)
+			}
+			if info := h.job.Info(); info.Status.Terminal() || info.Finished != nil {
+				t.Errorf("job %s info reads finished inside onFinish: %+v", h.job.ID, info)
+			}
+			select {
+			case <-h.job.Done():
+				t.Errorf("job %s is done inside onFinish", h.job.ID)
+			default:
+			}
+		}
+	}
+	var err error
+
+	inline := &hooked{}
+	if inline.job, err = q.NewJob(JobReconstruct, onFinish(inline), quickJob); err != nil {
+		t.Fatal(err)
+	}
+	q.RunInline(context.Background(), inline.job)
+	if n := inline.calls.Load(); n != 1 || inline.job.Status() != StatusSucceeded {
+		t.Fatalf("inline job: onFinish ran %d times, status %q", n, inline.job.Status())
+	}
+
+	queued := &hooked{}
+	gate := make(chan struct{})
+	queued.job, err = q.Submit(JobReconstruct, onFinish(queued), func(ctx context.Context, job *Job) (any, error) {
+		<-gate
+		return quickJob(ctx, job)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	<-queued.job.Done()
+	if n := queued.calls.Load(); n != 1 {
+		t.Fatalf("worker job: onFinish ran %d times by Done, want 1", n)
+	}
+
+	// Hold the only worker so the next job stays queued, then cancel it.
+	running, err := q.Submit(JobBatch, nil, blockUntilCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, running, StatusRunning)
+	cancelled := &hooked{}
+	cancelled.job, err = q.Submit(JobReconstruct, onFinish(cancelled), func(context.Context, *Job) (any, error) {
+		t.Error("a job cancelled while queued started")
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !q.Cancel(cancelled.job.ID) {
+		t.Fatal("cancel queued job")
+	}
+	if n := cancelled.calls.Load(); n != 1 || cancelled.job.Status() != StatusCancelled {
+		t.Fatalf("cancelled queued job: onFinish ran %d times, status %q", n, cancelled.job.Status())
+	}
+
+	// The cancelled job still fills the buffer, so this Submit is refused.
+	var refusedCalls atomic.Int32
+	if _, err := q.Submit(JobReconstruct, func() { refusedCalls.Add(1) }, quickJob); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submit into a full buffer = %v, want ErrQueueFull", err)
+	}
+	q.Cancel(running.ID)
+	if err := q.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := cancelled.calls.Load(); n != 1 {
+		t.Fatalf("cancelled queued job: onFinish ran %d times after drain, want 1", n)
+	}
+	if n := refusedCalls.Load(); n != 0 {
+		t.Fatalf("refused Submit ran onFinish %d times", n)
 	}
 }
 
@@ -183,7 +293,7 @@ func TestQueueConcurrentSubmitCancelDrain(t *testing.T) {
 					run = blockUntilCtx
 					kind = JobBatch
 				}
-				job, err := q.Submit(kind, run)
+				job, err := q.Submit(kind, nil, run)
 				if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrShuttingDown) {
 					continue
 				}
@@ -238,7 +348,7 @@ func TestQueueConcurrentSubmitCancelDrain(t *testing.T) {
 // SSE: late subscribers get the full replay, and channels close on finish.
 func TestQueueSubscribeReplaysAndCloses(t *testing.T) {
 	q := NewQueue(context.Background(), 1, 8, 0)
-	job, err := q.Submit(JobReconstruct, func(ctx context.Context, job *Job) (any, error) {
+	job, err := q.Submit(JobReconstruct, nil, func(ctx context.Context, job *Job) (any, error) {
 		for i := 1; i <= 5; i++ {
 			job.publish(marioh.Progress{Round: i})
 		}
@@ -270,7 +380,7 @@ func TestQueueSubscribeReplaysAndCloses(t *testing.T) {
 // shutdown) does too.
 func TestQueueRunInlineHonorsCallerContext(t *testing.T) {
 	q := NewQueue(context.Background(), 1, 8, 0)
-	job, err := q.NewJob(JobReconstruct, blockUntilCtx)
+	job, err := q.NewJob(JobReconstruct, nil, blockUntilCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +412,7 @@ func TestQueueRunInlineHonorsCallerContext(t *testing.T) {
 // never evicted regardless of age.
 func TestQueueHistoryEvictsTerminalJobs(t *testing.T) {
 	q := NewQueue(context.Background(), 1, 8, 3)
-	blocked, err := q.Submit(JobBatch, blockUntilCtx)
+	blocked, err := q.Submit(JobBatch, nil, blockUntilCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +420,7 @@ func TestQueueHistoryEvictsTerminalJobs(t *testing.T) {
 
 	var done []*Job
 	for i := 0; i < 5; i++ {
-		job, err := q.NewJob(JobReconstruct, quickJob)
+		job, err := q.NewJob(JobReconstruct, nil, quickJob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +451,7 @@ func TestQueueHistoryEvictsTerminalJobs(t *testing.T) {
 func TestQueueIDsAreSequential(t *testing.T) {
 	q := NewQueue(context.Background(), 1, 8, 0)
 	for i := 1; i <= 3; i++ {
-		job, err := q.NewJob(JobTrain, quickJob)
+		job, err := q.NewJob(JobTrain, nil, quickJob)
 		if err != nil {
 			t.Fatal(err)
 		}

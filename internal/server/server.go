@@ -184,6 +184,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	}
 	s.queue.budget = budget
 	s.queue.onEvict = s.metrics.ResultEvicted
+	s.queue.logf = cfg.Logf
 	s.sessions.budget = budget
 	if cfg.DataDir != "" {
 		s.loadParkedSessions()

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"marioh"
+	"marioh/internal/durability"
 )
 
 // testSource is a small deterministic supervision hypergraph.
@@ -395,6 +397,56 @@ func TestServerSyncDisconnectCancelsJob(t *testing.T) {
 	}
 	if got := recJob.Status(); got != StatusCancelled {
 		t.Fatalf("job status = %q, want cancelled", got)
+	}
+}
+
+// TestServerFailedInlineStatus pins the one status rule a failed inline
+// request answers with: cancellation is 503, everything else maps through
+// errStatus, so a drained queue is 503 shutting_down, a storage fault 500
+// storage and a workload error 400 bad_request.
+func TestServerFailedInlineStatus(t *testing.T) {
+	for _, tc := range []struct {
+		err    error
+		status int
+		code   string
+	}{
+		{context.Canceled, http.StatusServiceUnavailable, ""},
+		{fmt.Errorf("round 3: %w", context.DeadlineExceeded), http.StatusServiceUnavailable, ""},
+		{ErrShuttingDown, http.StatusServiceUnavailable, CodeShuttingDown},
+		{fmt.Errorf("%w: append: disk full", durability.ErrStorage), http.StatusInternalServerError, CodeStorage},
+		{fmt.Errorf("round 1: %w", marioh.ErrCliqueBudget), http.StatusBadRequest, CodeBadRequest},
+		{fmt.Errorf("%w: op 2: overflow", marioh.ErrBadDelta), http.StatusBadRequest, CodeBadRequest},
+	} {
+		status := failedStatus(tc.err)
+		if status != tc.status {
+			t.Errorf("failedStatus(%v) = %d, want %d", tc.err, status, tc.status)
+		}
+		if code := errCode(status, tc.err); tc.code != "" && code != tc.code {
+			t.Errorf("failedStatus(%v) answers code %q, want %q", tc.err, code, tc.code)
+		}
+	}
+}
+
+// TestServerSyncReconstructAfterDrainIsShuttingDown: once the queue has
+// drained, a synchronous reconstruction cannot register its job and
+// answers 503 shutting_down, the refusal's own status.
+func TestServerSyncReconstructAfterDrainIsShuttingDown(t *testing.T) {
+	s, c := newTestServer(t, nil)
+	trainOn(t, c, testSource(t), "m", OptionSpec{Seed: 1, Epochs: 5})
+	if err := s.queue.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(ReconstructRequest{Model: "m", Target: graphText(t, testTarget(t)), Options: OptionSpec{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := doTenant(t, http.MethodPost, c.Base+"/v1/reconstruct", "", body)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		resp.Body.Close()
+		t.Fatalf("sync reconstruct after drain = %d, want 503", resp.StatusCode)
+	}
+	if e := decodeEnvelope(t, resp); e.Code != CodeShuttingDown {
+		t.Fatalf("sync reconstruct after drain: code %q, want %q", e.Code, CodeShuttingDown)
 	}
 }
 

@@ -765,14 +765,21 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, out)
 }
 
-// handleSessionGet implements GET /v1/sessions/{id}.
-func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
+// session resolves the request's {id} to a session, answering 404 when
+// there is none.
+func (s *Server) session(w http.ResponseWriter, r *http.Request) (*serverSession, bool) {
 	ss, ok := s.sessions.Get(r.PathValue("id"))
 	if !ok {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown session %q", r.PathValue("id")))
-		return
 	}
-	s.writeJSON(w, http.StatusOK, ss.info())
+	return ss, ok
+}
+
+// handleSessionGet implements GET /v1/sessions/{id}.
+func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
+	if ss, ok := s.session(w, r); ok {
+		s.writeJSON(w, http.StatusOK, ss.info())
+	}
 }
 
 // handleSessionDelete implements DELETE /v1/sessions/{id}. A durable
@@ -811,9 +818,8 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 // goroutine by default, queued with {"async": true}), and answer with the
 // full reconstruction of the mutated graph.
 func (s *Server) handleSessionApply(w http.ResponseWriter, r *http.Request) {
-	ss, ok := s.sessions.Get(r.PathValue("id"))
+	ss, ok := s.session(w, r)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown session %q", r.PathValue("id")))
 		return
 	}
 	var req SessionApplyRequest
@@ -841,9 +847,8 @@ func (s *Server) handleSessionApply(w http.ResponseWriter, r *http.Request) {
 	}
 	// An apply is a job like any other for the tenant's quotas: claim a
 	// concurrent-job slot and charge the delta bytes before any work.
-	relJob, err := s.admission.AcquireJob(tenantFrom(r), int64(len(req.Deltas)))
-	if err != nil {
-		s.reject(w, err)
+	relJob, ok := s.acquireJob(w, r, int64(len(req.Deltas)))
+	if !ok {
 		return
 	}
 	// One apply at a time per session: deltas are ordered mutations, and
@@ -855,27 +860,23 @@ func (s *Server) handleSessionApply(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errStatus(err), err)
 		return
 	}
-	// The slot is freed exactly once per acquisition, on whichever comes
-	// first: the workload's defer, the job's terminal state (covers an
-	// async job cancelled while still queued, whose workload never runs),
-	// or a failed submission. Releasing re-checks the memory bounds: a
-	// session that was too busy to evict is fair game afterwards.
-	var relOnce sync.Once
+	// release frees both slots. Until the job exists the route calls it
+	// directly; then the job's lifecycle runs it as onFinish. Releasing
+	// re-checks the memory bounds: a session that was too busy to evict
+	// is fair game afterwards.
 	release := func() {
-		relOnce.Do(func() {
-			ss.release()
-			relJob()
-			// Refresh the on-disk meta so a crash before the next park
-			// still leaves an accurate applies counter for the parked
-			// listing (and for clients computing a Seq guard against it).
-			if ss.durable() && ss.loaded() {
-				if err := ss.writeMeta(); err != nil {
-					s.cfg.Logf("mariohd: session %s: writing meta: %v", ss.ID, err)
-				}
+		ss.release()
+		relJob()
+		// Refresh the on-disk meta so a crash before the next park
+		// still leaves an accurate applies counter for the parked
+		// listing (and for clients computing a Seq guard against it).
+		if ss.durable() && ss.loaded() {
+			if err := ss.writeMeta(); err != nil {
+				s.cfg.Logf("mariohd: session %s: writing meta: %v", ss.ID, err)
 			}
-			s.enforceLimit("")
-			s.enforceBudget("")
-		})
+		}
+		s.enforceLimit("")
+		s.enforceBudget("")
 	}
 
 	sess, err := s.ensureLoaded(r.Context(), ss)
@@ -898,7 +899,6 @@ func (s *Server) handleSessionApply(w http.ResponseWriter, r *http.Request) {
 	}
 
 	run := func(ctx context.Context, job *Job) (any, error) {
-		defer release()
 		ss.pub.Store(s.publisher(job))
 		defer ss.pub.Store(marioh.ProgressFunc(nil))
 		res, err := sess.Apply(ctx, marioh.Delta{Ops: ops})
@@ -928,37 +928,16 @@ func (s *Server) handleSessionApply(w http.ResponseWriter, r *http.Request) {
 		async = *req.Async
 	}
 	if async {
-		job, err := s.submit(JobSession, run)
-		if err != nil {
-			release()
-			s.writeError(w, errStatus(err), err)
-			return
-		}
-		ss.touch(job.ID) // stamp eagerly so /events can find the job at once
-		go func() {
-			<-job.Done()
-			release()
-		}()
-		s.writeJSON(w, http.StatusAccepted, job.Info())
+		// Stamp the session before answering, so /events finds the job
+		// at once.
+		s.enqueue(w, JobSession, release, run, func(job *Job) { ss.touch(job.ID) })
 		return
 	}
-
-	job, err := s.queue.NewJob(JobSession, run)
+	// By the time the job is done, release has refreshed the cached stats
+	// the response snapshots.
+	job, result, err := s.runInline(r.Context(), JobSession, release, run)
 	if err != nil {
-		release()
-		s.writeError(w, errStatus(err), err)
-		return
-	}
-	s.watch(job)
-	s.queue.RunInline(r.Context(), job)
-	release() // refresh cached stats before snapshotting the response
-	result, err := job.Result()
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			status = http.StatusServiceUnavailable
-		}
-		s.writeError(w, status, err)
+		s.writeError(w, failedStatus(err), err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, SessionApplyResponse{
@@ -971,9 +950,8 @@ func (s *Server) handleSessionApply(w http.ResponseWriter, r *http.Request) {
 // handleSessionEvents implements GET /v1/sessions/{id}/events: the SSE
 // progress stream of the session's most recent apply job.
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
-	ss, ok := s.sessions.Get(r.PathValue("id"))
+	ss, ok := s.session(w, r)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown session %q", r.PathValue("id")))
 		return
 	}
 	ss.mu.Lock()

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"sync"
@@ -313,6 +314,48 @@ func TestServerSessionApplyHardening(t *testing.T) {
 	}
 	if _, _, err := c.ApplySession(ctx, info.ID, SessionApplyRequest{}); err != nil {
 		t.Fatalf("apply after slot release: %v", err)
+	}
+}
+
+// TestServerSessionApplyRefusesOverflowingBatch: two adds that each pass
+// the delta reader but together take a pair past int32 are refused whole
+// with 400 bad_request, before anything lands: the error carries no stack,
+// the applies counter stays at 0, and a retry guarded by seq 0 succeeds.
+func TestServerSessionApplyRefusesOverflowingBatch(t *testing.T) {
+	ctx := context.Background()
+	_, c := newTestServer(t, nil)
+	trainOn(t, c, testSource(t), "m1", OptionSpec{Seed: 1, Epochs: 5})
+	info, err := c.CreateSession(ctx, SessionRequest{Model: "m1", Graph: graphText(t, testTarget(t))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(SessionApplyRequest{Deltas: "+ 0 1 2000000000\n+ 0 1 2000000000\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := doTenant(t, http.MethodPost, c.Base+"/v1/sessions/"+info.ID+"/apply", "", body)
+	if resp.StatusCode != http.StatusBadRequest {
+		resp.Body.Close()
+		t.Fatalf("overflowing batch = %d, want 400", resp.StatusCode)
+	}
+	e := decodeEnvelope(t, resp)
+	if e.Code != CodeBadRequest || strings.Contains(e.Message, "goroutine") {
+		t.Fatalf("overflowing batch answered %q: %q", e.Code, e.Message)
+	}
+	got, err := c.Session(ctx, info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Applies != 0 {
+		t.Fatalf("refused batch counted: applies %d", got.Applies)
+	}
+	seq := 0
+	applied, _, err := c.ApplySession(ctx, info.ID, SessionApplyRequest{Deltas: "+ 0 1 2\n", Seq: &seq})
+	if err != nil {
+		t.Fatalf("seq 0 retry after the refused batch: %v", err)
+	}
+	if applied.Session.Applies != 1 {
+		t.Fatalf("retry applies = %d, want 1", applied.Session.Applies)
 	}
 }
 

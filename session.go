@@ -44,6 +44,11 @@ func ReadDeltas(r io.Reader) ([]DeltaOp, error) { return graph.ReadDeltas(r) }
 // WriteDeltas serializes a delta stream in the format ReadDeltas parses.
 func WriteDeltas(w io.Writer, ops []DeltaOp) error { return graph.WriteDeltas(w, ops) }
 
+// ErrBadDelta is the error Session.Apply refuses a delta batch with
+// before changing anything; match it with errors.Is. The message names
+// the first offending op.
+var ErrBadDelta = incremental.ErrBadDelta
+
 // Session is a long-lived incremental reconstruction: it holds a
 // projected graph, the reconstructed hypergraph of every connected
 // component, and the per-component enumeration state, and recomputes only
@@ -251,6 +256,13 @@ func (r *Reconstructor) resumeSession(o DurableOptions) (*Session, error) {
 // session cache. Result.DirtyComponents reports how many components were
 // recomputed, and Progress events emitted during the Apply carry the same
 // count in their Dirty field.
+//
+// A batch is refused whole, with ErrBadDelta and a nil Result, when one of
+// its ops is one ReadDeltas would reject or when its adds take a pair's
+// weight past math.MaxInt32 (following the weight through the batch from
+// its current value). A refused batch changes nothing: the graph, the
+// Applies counter and a durable session's log stay as they were, so the
+// session keeps serving.
 //
 // Cancelling ctx stops the recomputation; the deltas are already applied,
 // and the partial result is returned with ctx's error. Components that
