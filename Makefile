@@ -2,14 +2,14 @@ GO ?= go
 
 # Substrate micro-benchmarks: the adjacency-engine hot paths tracked across
 # PRs (compare runs with benchstat; see README "Benchmarks"), plus the
-# shard-engine reconstruction bench (serial vs -shards N on the
-# multi-component graph; see README "Sharding").
+# reconstruction of the multi-component graph (BenchmarkShardedReconstruct,
+# named for the sharded engine it once also timed).
 BENCH_SUBSTRATE ?= BenchmarkHasEdge|BenchmarkMaximalCliques|BenchmarkScoreCliques|BenchmarkFeatures|BenchmarkDegeneracyOrdering|BenchmarkCommonNeighborCount|BenchmarkSumMinCommonWeight|BenchmarkMLPForward|BenchmarkParallelScoring|BenchmarkShardedReconstruct|BenchmarkIncrementalApply|BenchmarkCorpusReconstruct|BenchmarkParallelRound|BenchmarkSubcliqueScoring
 
 # Flags for the bench-regression gate (CI overrides warn-only on pushes).
 BENCHDIFF_FLAGS ?= -warn-only
 
-.PHONY: all build fmt fmt-fix vet lint lint-triage test race smoke shard-check incr-check crash-check load-check bench bench-substrate bench-json bench-json-force bench-regress layout check
+.PHONY: all build fmt fmt-fix vet lint lint-triage test race smoke parallel-check incr-check crash-check load-check bench bench-substrate bench-json bench-json-force bench-regress layout check
 
 all: check build
 
@@ -57,23 +57,25 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -run 'Batch|Cancel|Progress|Parallel|Pipeline|Server|Queue|Registry|Shard|Session|Engine|Durability|WAL|Snapshot' ./...
+	$(GO) test -race -run 'Batch|Cancel|Progress|Parallel|Pipeline|Server|Queue|Registry|Session|Engine|Durability|WAL|Snapshot' ./...
 
 # End-to-end mariohd smoke test: boot the daemon, round-trip a
 # reconstruction against a golden CLI run, exercise graceful shutdown.
 smoke:
 	./scripts/smoke.sh
 
-# Shard/serial equivalence matrix: reconstruct bundled datasets with
-# -shards 1/4/16 and require byte-identical output versus the serial
-# golden run (mirrored by the CI shard-equivalence job).
-shard-check:
-	./scripts/shard-check.sh
+# Parallelism equivalence matrix: reconstruct bundled datasets and corpus
+# families at -parallel 2, 8 and the default and require byte-identical
+# output versus the -parallel 1 golden run (mirrored by the CI
+# parallel-equivalence job).
+parallel-check:
+	./scripts/parallel-check.sh
 
 # Incremental/serial equivalence matrix: replay generated delta streams
 # through a session (batch by batch, verified against from-scratch
-# rebuilds) and require byte-identical output versus the serial and
-# sharded goldens of the mutated graph, plus the >= 5x speedup floor
+# rebuilds) and require byte-identical output versus the goldens of the
+# mutated graph at the default parallelism and -parallel 1/2/8, plus the
+# >= 5x speedup floor
 # (mirrored by the CI incremental-equivalence job; smoke.sh repeats the
 # session flow against a live mariohd).
 incr-check:

@@ -2,6 +2,7 @@ package marioh_test
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -94,8 +95,11 @@ func BenchmarkIncrementalApply(b *testing.B) {
 // TestIncrementalSessionSpeedup is the acceptance floor behind the
 // benchmark: with ~1% of components dirty, a session apply must be at
 // least 5x faster than a full re-reconstruction of the mutated graph.
-// The real margin on this fixture is well above 20x, so the assertion
-// tolerates slow shared CI machines.
+// On a quiet 2-CPU machine the margin on this fixture is about 7x. One
+// timed sample per side would let a burst of load on either side decide
+// the ratio, so the test runs three interleaved rounds, each applying a
+// fresh batch to both the session and the rebuild graph and checking
+// their bytes, and compares the fastest apply with the fastest rebuild.
 func TestIncrementalSessionSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison; skipped in -short")
@@ -113,33 +117,36 @@ func TestIncrementalSessionSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	work := st.g.Clone()
-	batch := sessionDirtyBatch(st.g, 1, 25)
-	for _, op := range batch.Ops {
-		work.AddWeight(op.U, op.V, op.W)
-	}
+	sessionTime, fullTime := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for round := 1; round <= 3; round++ {
+		batch := sessionDirtyBatch(st.g, round, 25)
+		for _, op := range batch.Ops {
+			work.AddWeight(op.U, op.V, op.W)
+		}
 
-	t0 := time.Now()
-	res, err := sess.Apply(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessionTime := time.Since(t0)
+		t0 := time.Now()
+		res, err := sess.Apply(context.Background(), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessionTime = min(sessionTime, time.Since(t0))
 
-	t0 = time.Now()
-	full, err := r.Reconstruct(context.Background(), work)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullTime := time.Since(t0)
+		t0 = time.Now()
+		full, err := r.Reconstruct(context.Background(), work)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullTime = min(fullTime, time.Since(t0))
 
-	if dirtyFrac := float64(res.DirtyComponents) / float64(sess.Stats().Components); dirtyFrac > 0.10 {
-		t.Fatalf("batch dirtied %.1f%% of components; the fixture should stay under 10%%", 100*dirtyFrac)
-	}
-	if !res.Hypergraph.Equal(full.Hypergraph) {
-		t.Fatal("session apply and full rebuild disagree")
+		if dirtyFrac := float64(res.DirtyComponents) / float64(sess.Stats().Components); dirtyFrac > 0.10 {
+			t.Fatalf("round %d: batch dirtied %.1f%% of components; the fixture should stay under 10%%", round, 100*dirtyFrac)
+		}
+		if !res.Hypergraph.Equal(full.Hypergraph) {
+			t.Fatalf("round %d: session apply and full rebuild disagree", round)
+		}
 	}
 	if speedup := float64(fullTime) / float64(sessionTime); speedup < 5 {
-		t.Fatalf("session apply %.3fs vs full rebuild %.3fs: %.1fx speedup, want >= 5x",
+		t.Fatalf("fastest session apply %.3fs vs fastest full rebuild %.3fs: %.1fx speedup, want >= 5x",
 			sessionTime.Seconds(), fullTime.Seconds(), speedup)
 	}
 }

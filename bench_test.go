@@ -174,30 +174,19 @@ func (s *trainedSetup) reconstructor(b *testing.B, opts ...marioh.Option) *mario
 
 // BenchmarkReconstruct times the default path on the paper's datasets.
 // dblp, mag-topcs and foursquare are mostly isolated nodes and small
-// components, the inputs sharding targets, so each also runs under
-// WithSharding with 4 shards (<name>-shards=4): the rows compare the
-// default path with sharding on the same machine.
+// components.
 func BenchmarkReconstruct(b *testing.B) {
 	for _, name := range []string{"crime", "hosts", "eu", "dblp", "mag-topcs", "foursquare"} {
 		s := setup(b, name)
-		b.Run(name, s.reconstructBench())
-		switch name {
-		case "dblp", "mag-topcs", "foursquare":
-			b.Run(name+"-shards=4", s.reconstructBench(marioh.WithSharding(marioh.ShardingOptions{Shards: 4})))
-		}
-	}
-}
-
-// reconstructBench times reconstructions of the setup's target with opts.
-func (s *trainedSetup) reconstructBench(opts ...marioh.Option) func(*testing.B) {
-	return func(b *testing.B) {
-		r := s.reconstructor(b, opts...)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := r.Reconstruct(context.Background(), s.gT); err != nil {
-				b.Fatal(err)
+		b.Run(name, func(b *testing.B) {
+			r := s.reconstructor(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Reconstruct(context.Background(), s.gT); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 // budgetPath is one way to reconstruct a graph through the public API.
 type budgetPath struct {
 	name string
-	opts []marioh.Option
 	run  func(ctx context.Context, r *marioh.Reconstructor, g *marioh.Graph) (*marioh.Result, error)
 }
 
@@ -35,10 +34,10 @@ func sessionPath(ctx context.Context, r *marioh.Reconstructor, g *marioh.Graph) 
 // default path at parallelism 1 reconstructs the graph, found by
 // bisection (core's TestParallelCliqueBudgetMatchesOracle pins it to the
 // largest maximal-clique count of any component in any round). At M,
-// Reconstruct, WithSharding at 1 and 4 shards and a Session's first
-// Apply return the unlimited run's bytes; at M−1 each fails with
-// ErrCliqueBudget; both at parallelism 1, 2 and 8, over eu and every
-// corpus family. A budget of 0 means none, so M−1 is skipped where M is 1.
+// Reconstruct and a Session's first Apply return the unlimited run's
+// bytes; at M−1 each fails with ErrCliqueBudget; both at parallelism 1,
+// 2 and 8, over eu and every corpus family. A budget of 0 means none, so
+// M−1 is skipped where M is 1.
 func TestParallelCliqueBudgetAcrossPaths(t *testing.T) {
 	ctx := context.Background()
 	train := func(name string, epochs int) *marioh.Model {
@@ -64,19 +63,13 @@ func TestParallelCliqueBudgetAcrossPaths(t *testing.T) {
 	for _, f := range corpus.Families {
 		inputs = append(inputs, input{f.Name, f.Gen(1), hosts})
 	}
-	paths := []budgetPath{
-		{"Reconstruct", nil, reconstructPath},
-		{"WithSharding(1)", []marioh.Option{marioh.WithSharding(marioh.ShardingOptions{Shards: 1})}, reconstructPath},
-		{"WithSharding(4)", []marioh.Option{marioh.WithSharding(marioh.ShardingOptions{Shards: 4})}, reconstructPath},
-		{"Session", nil, sessionPath},
-	}
+	paths := []budgetPath{{"Reconstruct", reconstructPath}, {"Session", sessionPath}}
 
 	for _, in := range inputs {
 		run := func(p budgetPath, par, budget int) ([]byte, error) {
 			t.Helper()
-			opts := append([]marioh.Option{marioh.WithModel(in.m), marioh.WithSeed(1),
-				marioh.WithParallelism(par), marioh.WithMaxCliqueLimit(budget)}, p.opts...)
-			r, err := marioh.New(opts...)
+			r, err := marioh.New(marioh.WithModel(in.m), marioh.WithSeed(1),
+				marioh.WithParallelism(par), marioh.WithMaxCliqueLimit(budget))
 			if err != nil {
 				t.Fatal(err)
 			}

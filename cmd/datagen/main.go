@@ -9,8 +9,8 @@
 // emits scenario-corpus families from internal/corpus: per family the base
 // projected graph as <name>.target.graph and, with -deltas N, the family's
 // adversarial delta stream as <name>.target.deltas. These are the graphs
-// the shell-level equivalence gates (shard-check, incr-check, crash-check)
-// replay end to end.
+// the shell-level equivalence gates (parallel-check, incr-check,
+// crash-check) replay end to end.
 //
 // Usage:
 //

@@ -157,7 +157,6 @@ type serviceFlags struct {
 	ratio    *float64
 	alpha    *float64
 	parallel *int
-	shards   *int
 	progress *bool
 }
 
@@ -168,8 +167,7 @@ func addServiceFlags(fs *flag.FlagSet) *serviceFlags {
 		theta:    fs.Float64("theta", 0.9, "initial classification threshold"),
 		ratio:    fs.Float64("r", 40, "negative prediction processing ratio (%)"),
 		alpha:    fs.Float64("alpha", 1.0/20, "threshold adjust ratio"),
-		parallel: fs.Int("parallel", 0, "worker bound for batch targets, shards, session components and the round engine (0 = GOMAXPROCS)"),
-		shards:   fs.Int("shards", 0, "shard-parallel reconstruction: shard count (0 = off, output is identical either way)"),
+		parallel: fs.Int("parallel", 0, "worker bound for batch targets, session components and the round engine (0 = GOMAXPROCS; output is identical at every setting)"),
 		progress: fs.Bool("progress", false, "print per-round progress to stderr"),
 	}
 }
@@ -183,16 +181,9 @@ func (sf *serviceFlags) options(extra ...marioh.Option) ([]marioh.Option, error)
 		marioh.WithAlpha(*sf.alpha),
 		marioh.WithParallelism(*sf.parallel),
 	}
-	if *sf.shards != 0 {
-		opts = append(opts, marioh.WithSharding(marioh.ShardingOptions{Shards: *sf.shards}))
-	}
 	if *sf.progress {
-		sharded := *sf.shards != 0
 		opts = append(opts, marioh.WithProgress(func(p marioh.Progress) {
 			tag := fmt.Sprintf("t%d", p.Target)
-			if sharded {
-				tag = fmt.Sprintf("t%d/s%d", p.Target, p.Shard)
-			}
 			if p.Round == 0 {
 				fmt.Fprintf(os.Stderr, "  [%s] filtered %d size-2 occurrences, %d edges remain\n",
 					tag, p.AcceptedRound, p.EdgesRemaining)

@@ -39,7 +39,6 @@ func cmdRemoteReconstruct(ctx context.Context, args []string) error {
 	out := fs.String("out", "reconstructed.hg", "output hypergraph file (batch runs insert the target index)")
 	seed := fs.Int64("seed", 1, "random seed")
 	variant := fs.String("variant", "", "algorithm variant (empty = server default)")
-	shards := fs.Int("shards", 0, "shard-parallel reconstruction on the server: shard count (0 = off)")
 	async := fs.Bool("async", false, "force asynchronous execution and poll the job")
 	if err := parse(fs, args); err != nil {
 		return err
@@ -48,7 +47,7 @@ func cmdRemoteReconstruct(ctx context.Context, args []string) error {
 		return usageError{msg: "remote-reconstruct: -model and -target are required"}
 	}
 	c := remoteClient(*base, *tenant)
-	opts := server.OptionSpec{Seed: *seed, Variant: *variant, Shards: *shards}
+	opts := server.OptionSpec{Seed: *seed, Variant: *variant}
 
 	paths := strings.Split(*targetPath, ",")
 	targets := make([]string, len(paths))
@@ -109,13 +108,9 @@ func cmdRemoteReconstruct(ctx context.Context, args []string) error {
 		if err := os.WriteFile(path, []byte(r.Hypergraph), 0o644); err != nil {
 			return err
 		}
-		sharded := ""
-		if r.Shards > 0 {
-			sharded = fmt.Sprintf(", %d shards", r.Shards)
-		}
 		fmt.Printf("reconstructed %d unique hyperedges (%d occurrences) in %d rounds "+
-			"(filter %.3fs, search %.3fs%s) -> %s\n",
-			r.Unique, r.Total, r.Rounds, r.FilterSeconds, r.SearchSeconds, sharded, path)
+			"(filter %.3fs, search %.3fs) -> %s\n",
+			r.Unique, r.Total, r.Rounds, r.FilterSeconds, r.SearchSeconds, path)
 	}
 	return nil
 }

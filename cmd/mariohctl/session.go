@@ -99,9 +99,6 @@ func cmdSession(ctx context.Context, args []string) error {
 	if *sessionID != "" && *base == "" {
 		return usageError{msg: "session: -session resumes a remote session; it needs -server"}
 	}
-	if *sf.shards != 0 {
-		return usageError{msg: "session: -shards does not apply; sessions recompute per component and never shard"}
-	}
 
 	var ops []marioh.DeltaOp
 	if *deltaPath != "" {

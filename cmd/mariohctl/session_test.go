@@ -1,10 +1,7 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"marioh"
@@ -49,23 +46,5 @@ func TestApplyOpTo(t *testing.T) {
 	applyOpTo(g, marioh.DeltaOp{Kind: marioh.DeltaRemove, U: 0, V: 5})
 	if g.NumEdges() != 0 {
 		t.Fatalf("remove left %d edges", g.NumEdges())
-	}
-}
-
-// TestSessionRejectsShards: sessions never shard, so a non-zero -shards
-// is a usage error, locally and with -server, raised before any file is
-// read or any daemon contacted (the paths here do not exist, and nothing
-// listens on the server address).
-func TestSessionRejectsShards(t *testing.T) {
-	missing := t.TempDir() + "/missing"
-	for _, args := range [][]string{
-		{"-shards", "4", "-model", missing + ".json", "-graph", missing + ".graph", "-deltas", missing + ".delta"},
-		{"-shards", "-1", "-server", "http://127.0.0.1:1", "-model", "m", "-graph", missing + ".graph", "-deltas", missing + ".delta"},
-	} {
-		err := cmdSession(context.Background(), args)
-		var ue usageError
-		if !errors.As(err, &ue) || !strings.Contains(err.Error(), "-shards") {
-			t.Fatalf("session %v: err = %v, want a usage error naming -shards", args, err)
-		}
 	}
 }

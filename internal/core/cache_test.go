@@ -75,11 +75,11 @@ func cacheTestInputs(t *testing.T) []cacheInput {
 }
 
 // TestRoundCacheMatchesUncached: the cached round engine behind every
-// entry point — ReconstructContext, ReconstructPiece and
-// ReconstructSharded — returns the cache-free oracle's bytes at every
-// parallelism, over eu and every corpus family. The run must also show
-// the cache at work: on some input the cached engine scores fewer maximal
-// cliques than the oracle, so some round reused a component's cliques.
+// entry point — ReconstructContext and ReconstructPiece — returns the
+// cache-free oracle's bytes at every parallelism, over eu and every
+// corpus family. The run must also show the cache at work: on some input
+// the cached engine scores fewer maximal cliques than the oracle, so some
+// round reused a component's cliques.
 func TestRoundCacheMatchesUncached(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	ctx := context.Background()
@@ -107,13 +107,6 @@ func TestRoundCacheMatchesUncached(t *testing.T) {
 			}
 			if !bytes.Equal(renderHG(t, piece.Hypergraph), want) {
 				t.Errorf("%s: Parallelism=%d: ReconstructPiece diverged from the oracle", in.name, par)
-			}
-			sharded, err := ReconstructSharded(ctx, in.g, in.m, opts, ShardOptions{Shards: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(renderHG(t, sharded.Hypergraph), want) {
-				t.Errorf("%s: Parallelism=%d: ReconstructSharded diverged from the oracle", in.name, par)
 			}
 		}
 		if cachedCount.calls.Load() < oracleCount.calls.Load() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -254,4 +255,29 @@ func TestMultiplicityPreservedReconstruction(t *testing.T) {
 	if got := res.Hypergraph.Multiplicity([]int{0, 1, 2}); got != 2 {
 		t.Fatalf("multiplicity = %d, want 2 (rec=%v)", got, res.Hypergraph.EdgesWithMult())
 	}
+}
+
+// renderHG serializes a hypergraph in its canonical text form.
+func renderHG(t *testing.T, h *hypergraph.Hypergraph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := h.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// bridgeChain builds a connected hypergraph of k triangle communities
+// chained by size-2 bridges, edges whose endpoints share no neighbour.
+func bridgeChain(k int) *hypergraph.Hypergraph {
+	h := hypergraph.New(3 * k)
+	for i := 0; i < k; i++ {
+		b := 3 * i
+		h.Add([]int{b, b + 1, b + 2})
+		h.Add([]int{b, b + 2})
+		if i > 0 {
+			h.Add([]int{b - 1, b})
+		}
+	}
+	return h
 }

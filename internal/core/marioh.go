@@ -91,10 +91,6 @@ type Progress struct {
 	// Target is the batch index of the graph being reconstructed; 0 for
 	// single-target runs. Set by marioh.(*Reconstructor).ReconstructBatch.
 	Target int
-	// Shard is the shard index the event belongs to; 0 for unsharded
-	// runs. Set by ReconstructSharded, whose per-shard events carry
-	// shard-local rounds and edge counts.
-	Shard int
 	// Round is the 1-based outer-loop round just completed; 0 reports the
 	// filtering step.
 	Round int
@@ -132,10 +128,6 @@ type Result struct {
 	// FilteredSize2 is the number of size-2 hyperedge occurrences the
 	// theoretically-guaranteed filtering emitted.
 	FilteredSize2 int
-	// Shards is the number of shards the run was partitioned into; 0 for
-	// the serial pipeline. For sharded runs, Times aggregates the
-	// per-shard breakdowns (durations are summed, Rounds is the maximum).
-	Shards int
 	// DirtyComponents is the number of components an incremental
 	// Session.Apply actually recomputed (the rest were merged from the
 	// session cache); 0 for non-incremental runs.
@@ -165,7 +157,7 @@ func ReconstructContext(ctx context.Context, g *graph.Graph, m *Model, opts Opti
 }
 
 // reconstructGraph is the round engine behind every entry point: the
-// serial pipeline, pieces, shards and session applies. origID maps g's
+// serial pipeline, pieces and session applies. origID maps g's
 // node ids back to the original graph when g is a piece (nil = g is the
 // original graph). Each run carries a round cache, so a round
 // re-enumerates and re-scores only the components that consumed edges
@@ -176,9 +168,8 @@ func ReconstructContext(ctx context.Context, g *graph.Graph, m *Model, opts Opti
 // keyed per component (see SearchOptions), and every feature is
 // component-local (see features.Featurizer), so reconstructing a union of
 // components equals the union of their reconstructions, round for round.
-// That property is what makes the cache exact and lets ReconstructSharded
-// split a graph across shards and merge per-shard results into the serial
-// pipeline's exact output.
+// That property is what makes the round cache and the session cache
+// exact: a component's result depends only on the component.
 func reconstructGraph(ctx context.Context, g *graph.Graph, m *Model, opts Options, origID []int) (*Result, error) {
 	opts.defaults()
 	work := g.Clone()

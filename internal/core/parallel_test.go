@@ -302,8 +302,64 @@ func TestRoundCancelledBeforeScoring(t *testing.T) {
 	}
 }
 
+// cancellingFeaturizer is features.Marioh that counts the cliques it
+// scores and cancels its context inside the at-th call.
+type cancellingFeaturizer struct {
+	features.Marioh
+	calls  *atomic.Int64
+	at     int64
+	cancel context.CancelFunc
+}
+
+func (f cancellingFeaturizer) AppendFeatures(dst []float64, s *features.Scratch, g *graph.Graph, q []int, maximal bool) []float64 {
+	if f.calls.Add(1) == f.at {
+		f.cancel()
+	}
+	return f.Marioh.AppendFeatures(dst, s, g, q, maximal)
+}
+
+// TestPipelineCancelStopsSeed: a cancel inside a seed's Bron–Kerbosch
+// subtree stops the seed within one poll interval, so each worker scores
+// at most cancelPollCliques cliques after it. The 36-node Moon–Moser
+// graph has 3^12 maximal cliques, and the cancel lands in the 20,000th
+// scoring call. In rank order the first seed holds 3^11 of them and the
+// loop's helpers never start; in reverse rank order the first seeds are
+// small, so the helpers start, and every worker is inside a growing
+// subtree when the cancel lands. Without the poll each case scores
+// hundreds to 157,147 more cliques. The test counts cliques, not wall
+// time.
+func TestPipelineCancelStopsSeed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	forceFanout(t)
+	m, _ := pipelineTestSetup(t)
+	mm := moonMoser(12)
+	rank, _ := mm.DegeneracyOrdering()
+	reversed := slices.Clone(rank)
+	slices.Reverse(reversed)
+	const at = 20000
+	for _, order := range []struct {
+		name  string
+		nodes []int
+	}{{"rank", rank}, {"reverse rank", reversed}} {
+		for _, workers := range []int{1, 2, 8} {
+			ctx, cancel := context.WithCancel(context.Background())
+			f := cancellingFeaturizer{calls: new(atomic.Int64), at: at, cancel: cancel}
+			enumerateScored(ctx, mm, withFeaturizer(m, f), order.nodes, nil, 0, workers, nil)
+			cancel()
+			after, bound := f.calls.Load()-at, int64(workers*cancelPollCliques)
+			if after < 0 {
+				t.Fatalf("%s order, workers=%d: scored %d cliques, want the cancel at the %dth", order.name, workers, f.calls.Load(), at)
+			}
+			if after > bound {
+				t.Errorf("%s order, workers=%d: scored %d cliques after the cancel, want at most %d", order.name, workers, after, bound)
+			}
+			t.Logf("%s order, workers=%d: %d cliques scored after the cancel", order.name, workers, after)
+		}
+	}
+}
+
 // TestParallelRoundEngineMatchesSerial drives full reconstructions — the
-// serial pipeline, the piece engine, and the sharded orchestrator — of eu
+// serial pipeline and the piece engine — of eu
 // and every corpus family at several parallelism settings, with the
 // fan-out forced at the first clique so the helpers and the per-component
 // search engage on every round however small, and requires the bytes of
@@ -336,13 +392,6 @@ func TestParallelRoundEngineMatchesSerial(t *testing.T) {
 			}
 			if !bytes.Equal(renderHG(t, piece.Hypergraph), want) {
 				t.Errorf("%s: Parallelism=%d cached piece engine diverged", name, par)
-			}
-			sharded, err := ReconstructSharded(context.Background(), g, m, opts, ShardOptions{Shards: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(renderHG(t, sharded.Hypergraph), want) {
-				t.Errorf("%s: Parallelism=%d sharded orchestrator diverged", name, par)
 			}
 		}
 	}

@@ -40,6 +40,11 @@ import (
 // whose misses score at most 56 cliques a round.
 const fanoutCliques = 256
 
+// cancelPollCliques is how many cliques a worker scores between its
+// polls of ctx inside a seed, which bounds the cliques it scores after a
+// cancel.
+const cancelPollCliques = 256
+
 // fanoutAt is the fan-out point the loop uses: fanoutCliques, except in
 // tests that lower it to force the fan-out on tiny rounds.
 var fanoutAt = fanoutCliques
@@ -114,10 +119,10 @@ func resolveWorkers(parallelism int) int {
 // of nodes at every worker count, and the pair table covers only nodes.
 // budget > 0 bounds each component's cliques, with key labelling the
 // components (see componentKeys): the bool reports that one has more, and
-// the cliques are then dropped. ctx is polled before each seed claim;
-// after cancellation the result is partial and must be dropped. rs
-// supplies the workers' scratch and the run's seeder; nil uses a fresh
-// one.
+// the cliques are then dropped. ctx is polled before each seed claim and
+// every cancelPollCliques cliques a worker scores; after cancellation the
+// result is partial and must be dropped. rs supplies the workers' scratch
+// and the run's seeder; nil uses a fresh one.
 func enumerateScored(ctx context.Context, g *graph.Graph, m *Model, nodes, key []int, budget, workers int, rs *roundScratch) ([]scoredClique, bool) {
 	if rs == nil {
 		rs = new(roundScratch)
@@ -277,8 +282,14 @@ func (l *seedLoop) newWorker(sc *scorer) *seedWorker {
 }
 
 // keep scores an enumerated clique, whose slice the enumerator reuses, by
-// copying it into the worker's arena first.
+// copying it into the worker's arena first. Every cancelPollCliques
+// cliques the worker has scored it polls ctx, and stops the seed once ctx
+// is done: one seed's subtree can hold millions of cliques, and a
+// cancelled round drops its cliques anyway (see search).
 func (w *seedWorker) keep(c []int) bool {
+	if len(w.out)%cancelPollCliques == 0 && w.l.ctx.Err() != nil {
+		return false
+	}
 	nodes := w.arena.alloc(len(c))
 	copy(nodes, c)
 	return w.score(nodes)

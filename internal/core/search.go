@@ -50,17 +50,17 @@ type SearchOptions struct {
 	DisableSubcliques bool
 	// Round is the 0-based global round index. Together with Seed it keys
 	// the per-component sub-clique sampling streams, which is what makes a
-	// round decompose exactly over connected components (and therefore
-	// over shards): the samples drawn for one component never depend on
-	// what other components — possibly living in other shards — are doing.
+	// round decompose exactly over connected components: the samples drawn
+	// for one component never depend on what other components — possibly
+	// cached, or outside a session's dirty piece — are doing.
 	Round int
 	// Seed is the run seed (Options.Seed).
 	Seed int64
-	// OrigID maps node ids of g to the ids of the original unsharded
-	// graph; nil means g is the original graph. The mapping must be
-	// order-preserving. Component sampling streams are keyed by original
-	// ids, so a shard draws exactly the samples the serial run draws for
-	// the same component.
+	// OrigID maps node ids of g to the ids of the original graph when g
+	// is a piece of it; nil means g is the original graph. The mapping
+	// must be order-preserving. Component sampling streams are keyed by
+	// original ids, so a piece draws exactly the samples the serial run
+	// draws for the same component.
 	OrigID []int
 	// Parallelism bounds the worker fan-out of the round (the
 	// enumerate-and-score loop and the per-component search); ≤ 0 =
@@ -69,7 +69,7 @@ type SearchOptions struct {
 	// StallDump, when true, dumps the remaining edges of every component
 	// that accepted nothing this round as size-2 hyperedges — the
 	// termination guarantee for bottomed-out (or α-frozen) thresholds,
-	// applied per component so it decomposes over shards. Dumped
+	// applied per component so it decomposes over components. Dumped
 	// occurrences count as accepted.
 	StallDump bool
 	// budget, when positive, bounds the maximal cliques of each component
@@ -99,7 +99,7 @@ type SearchOptions struct {
 // above θ, and accepts them the same way. Components never share edges, so
 // this per-component order produces exactly the same acceptances as any
 // interleaving — which is what makes the round equal to the union of the
-// same round run on each component (or shard) separately.
+// same round run on each component (or piece) separately.
 //
 // With a cache, the components it holds keep their cliques and the round
 // runs the seeds of the others' live nodes only. BidirectionalSearch
@@ -363,8 +363,8 @@ func ScoreSubcliques(g *graph.Graph, m *Model, parents [][]int, theta float64, s
 // bottomed out (or is frozen by α = 0) even when the classifier never
 // scores a clique above the threshold. The rule is evaluated per
 // component — never globally — so a stalled component is dumped at the
-// same round whether it is reconstructed in the full graph or inside a
-// shard.
+// same round whether it is reconstructed in the full graph, from the
+// round cache or inside a session's piece.
 func dumpStalledComponents(g *graph.Graph, rec *hypergraph.Hypergraph, key []int, acceptedBy map[int]int) int {
 	var doomed []graph.Edge
 	for _, e := range g.Edges() {
@@ -423,7 +423,7 @@ func componentKeys(g *graph.Graph, origID []int) []int {
 // sampleSeed derives the Phase-2 sampling stream of one component in one
 // round. Keying by (run seed, round, component) — instead of consuming one
 // global stream in clique order — makes sub-clique sampling independent of
-// how components are interleaved or partitioned across shards.
+// how components are interleaved, cached or cut into pieces.
 func sampleSeed(seed int64, round, compKey int) int64 {
 	h := splitmix64(uint64(seed))
 	h = splitmix64(h ^ uint64(round))

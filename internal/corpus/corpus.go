@@ -3,16 +3,16 @@
 // deterministic generator of a projected graph with a generator of an
 // adversarial edge-delta stream valid against it.
 //
-// The byte-identical output contract (serial == sharded == incremental ==
+// The byte-identical output contract (serial == parallel == incremental ==
 // recovered-after-crash) is only as strong as the graph shapes it is
 // proven on. Each Family in Families is engineered to stress one part of
-// the stack: dense bitset promote/demote churn, intra-component shard
-// cuts, overlapping-clique enumeration, component merge/split storms, exact
-// structural reverts. The golden-output tests pin every family's
+// the stack: dense bitset promote/demote churn, bridges that filtering
+// consumes whole, overlapping-clique enumeration, component merge/split
+// storms, exact structural reverts. The golden-output tests pin every family's
 // reconstruction bytes, the engine-vs-rebuild property tests and
 // FuzzDeltaSequence replay the delta streams through the incremental
 // engine with a from-scratch rebuild as oracle, and `datagen -family`
-// emits any family to disk so the shell-level gates (shard-check,
+// emits any family to disk so the shell-level gates (parallel-check,
 // incr-check, crash-check) run the same shapes end to end.
 //
 // Everything here is a pure function of (family, seed): both generators

@@ -10,8 +10,8 @@ import (
 // well under a second serially — small enough for per-batch -verify
 // rebuilds in the gates, large enough to exercise the pressure point
 // (powerlaw-hubs and hub-thrash cross the dense-bitset promote threshold,
-// bridge-chain splits into many shard atoms, archipelago has enough
-// components for the incremental cache to matter).
+// bridge-chain falls apart into many components after filtering,
+// archipelago has enough components for the incremental cache to matter).
 //
 // Generators are named functions (not closures over the Family vars) so
 // the delta generators can rebuild their base graph without creating an
@@ -140,8 +140,8 @@ var hubThrash = Family{
 }
 
 // genBridgeChain: a long chain of small 2-edge-connected blocks joined by
-// ω=1 bridges. A bridge shares no neighbour, so the partitioner cuts
-// every one and the single component splits into many atoms.
+// ω=1 bridges. A bridge shares no neighbour, so filtering consumes every
+// one and the single component splits into many residual components.
 func genBridgeChain(seed int64) *graph.Graph {
 	const blocks = 28
 	rng := rand.New(rand.NewSource(seed))
@@ -300,7 +300,7 @@ var starClique = Family{
 }
 
 // genArchipelago: many disjoint island communities — the multi-component
-// shape the incremental cache and LPT shard packing live on.
+// shape the incremental cache and the parallel component search live on.
 func genArchipelago(seed int64) *graph.Graph {
 	const islands = 12
 	rng := rand.New(rand.NewSource(seed))

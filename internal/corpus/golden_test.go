@@ -25,7 +25,7 @@ var (
 )
 
 // testModel trains the gate-standard classifier (hosts source, seed 1,
-// 15 epochs — the exact configuration scripts/shard-check.sh and friends
+// 15 epochs — the exact configuration scripts/parallel-check.sh and friends
 // use) once per test process. Golden bytes depend on it, so it must stay
 // in lockstep with the shell gates.
 func testModel() *core.Model {
@@ -89,44 +89,5 @@ func TestFamilyGoldenOutput(t *testing.T) {
 				t.Errorf("stale golden file %s names no family", name)
 			}
 		}
-	}
-}
-
-// TestFamilyGoldenShardEquivalence is the in-process mirror of
-// shard-check over the corpus: for every family, sharded reconstruction
-// at 1/4/16 shards (cut at every edge whose endpoints share no
-// neighbour) must reproduce the serial bytes exactly.
-func TestFamilyGoldenShardEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full equivalence matrix; skipped in -short")
-	}
-	m := testModel()
-	for _, f := range Families {
-		f := f
-		t.Run(f.Name, func(t *testing.T) {
-			opts := core.Options{Seed: 1}
-			serial, err := core.ReconstructContext(context.Background(), f.Gen(1), m, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want bytes.Buffer
-			if err := serial.Hypergraph.Write(&want); err != nil {
-				t.Fatal(err)
-			}
-			for _, shards := range []int{1, 4, 16} {
-				res, err := core.ReconstructSharded(context.Background(), f.Gen(1), m, opts,
-					core.ShardOptions{Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var got bytes.Buffer
-				if err := res.Hypergraph.Write(&got); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got.Bytes(), want.Bytes()) {
-					t.Fatalf("-shards %d diverges from serial bytes", shards)
-				}
-			}
-		})
 	}
 }

@@ -41,7 +41,7 @@ import (
 // in the component's Graph.Subgraph as in the whole graph. The round
 // engine relies on it everywhere — its cache reuses an unchanged
 // component's scores, the component search runs components on parallel
-// workers, and shards and sessions score a component inside a subgraph.
+// workers, and a session scores a dirty component inside a subgraph.
 // TestBuiltinsAreComponentLocal pins it for every built-in.
 type Featurizer interface {
 	// Name identifies the featurizer in logs and serialized models.

@@ -12,9 +12,8 @@ import (
 // TestBuiltinsAreComponentLocal: every built-in featurizer gives every
 // maximal clique of eu and of each corpus family the bit-identical vector
 // in its component's Graph.Subgraph as in the whole graph, maximal or
-// not. The round cache, the parallel component search, shards and
-// sessions all score a component apart from the rest of the graph and
-// rely on it. The whole-graph reads go through a pair table over all of
+// not. The round cache, the parallel component search and sessions all
+// score a component apart from the rest of the graph and rely on it. The whole-graph reads go through a pair table over all of
 // g, as a round's do; the subgraph reads build one per clique.
 func TestBuiltinsAreComponentLocal(t *testing.T) {
 	type input struct {

@@ -3,12 +3,12 @@
 // projected graph plus a cache of per-component reconstruction results,
 // and recomputes only the components a batch of deltas changed.
 //
-// The exactness argument is the same one the shard executor rests on:
-// every round of the reconstruction decomposes over connected components
-// (Phase-2 sampling, the stall fallback and all features are keyed by
-// component, see core.ReconstructPiece), so a full run's output is the
-// union of its components' outputs, and a component's output depends only
-// on its weighted edges, keyed by original node ids.
+// The exactness argument is the round engine's own: every round of the
+// reconstruction decomposes over connected components (Phase-2 sampling,
+// the stall fallback and all features are keyed by component, see
+// core.ReconstructPiece), so a full run's output is the union of its
+// components' outputs, and a component's output depends only on its
+// weighted edges, keyed by original node ids.
 //
 // The Engine caches each component's output under the component's key,
 // its smallest node, and proves every entry by its projection. A finished
@@ -25,10 +25,10 @@
 // a weight to its current value, an insert reverted within the batch)
 // stays a cache hit.
 //
-// The dirty components reconstruct through core.RunPieces, the piece
-// runner shards use too. The clique budget (Options.MaxCliqueLimit) is
-// per component, so an Apply fails with core.ErrCliqueBudget exactly
-// when a from-scratch run of the mutated graph would.
+// The dirty components reconstruct through core.RunPieces, each on its
+// induced subgraph. The clique budget (Options.MaxCliqueLimit) is per
+// component, so an Apply fails with core.ErrCliqueBudget exactly when a
+// from-scratch run of the mutated graph would.
 package incremental
 
 import (
@@ -41,7 +41,6 @@ import (
 
 	"marioh/internal/core"
 	"marioh/internal/graph"
-	"marioh/internal/shard"
 )
 
 // Engine is the incremental reconstruction state of one session: the live
@@ -220,13 +219,15 @@ func (e *Engine) Apply(ctx context.Context, ops []graph.DeltaOp) (*core.Result, 
 	// through the piece runner. Per-component randomness is keyed by
 	// original node ids, so results are independent of worker count and
 	// completion order.
-	piece := func(di int) shard.Piece {
-		sub, back := g.Subgraph(comps[dirty[di]])
-		return shard.Piece{Graph: sub, Nodes: back}
+	piece := func(di int) (*graph.Graph, []int) { return g.Subgraph(comps[dirty[di]]) }
+	opts := e.opts
+	if progress := opts.Progress; progress != nil {
+		opts.Progress = func(p core.Progress) {
+			p.Dirty = len(dirty)
+			progress(p)
+		}
 	}
-	dirtyCount := len(dirty)
-	fresh, firstErr := core.RunPieces(ctx, len(dirty), piece, e.model, e.opts, e.workers,
-		func(p *core.Progress, _ int) { p.Dirty = dirtyCount })
+	fresh, firstErr := core.RunPieces(ctx, len(dirty), piece, e.model, opts, e.workers)
 
 	// Merge per-component results in ascending component-key order; a
 	// component whose reconstruction failed or was cancelled is missing.

@@ -25,7 +25,7 @@ import (
 
 const doc = `flag map iterations whose order leaks into output
 
-Reconstruction output must be byte-identical regardless of shard count,
+Reconstruction output must be byte-identical regardless of worker count,
 delta history, or transport; a range over a map that appends, writes,
 hashes, encodes, sends, or accumulates non-commutatively makes it depend
 on Go's randomized iteration order. Sort the keys first (a later

@@ -8,7 +8,6 @@
 package server
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
@@ -33,11 +32,6 @@ type OptionSpec struct {
 	Supervision float64  `json:"supervision,omitempty"`
 	NegRatio    float64  `json:"negative_ratio,omitempty"`
 	Parallelism int      `json:"parallelism,omitempty"`
-	// Shards routes reconstruction through the shard-parallel engine
-	// (0 = serial; output is byte-identical either way). The shards fan
-	// out over the request's Parallelism. Session requests ignore it:
-	// sessions never shard.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Options resolves the spec into functional options for marioh.New and
@@ -45,9 +39,6 @@ type OptionSpec struct {
 // out-of-range values fail here — before a job is queued — with the
 // option's own error. Every non-zero field is forwarded to its validator.
 func (s OptionSpec) Options() ([]marioh.Option, error) {
-	if s.Shards < 0 {
-		return nil, fmt.Errorf("options: shards %d must be ≥ 0", s.Shards)
-	}
 	opts := []marioh.Option{marioh.WithSeed(s.Seed)}
 	if s.Variant != "" {
 		opts = append(opts, marioh.WithVariant(s.Variant))
@@ -133,8 +124,6 @@ type ReconstructResult struct {
 	FilteredSize2 int     `json:"filtered_size2"`
 	FilterSeconds float64 `json:"filter_seconds"`
 	SearchSeconds float64 `json:"search_seconds"`
-	// Shards is the shard count of a shard-parallel run; 0 = serial.
-	Shards int `json:"shards,omitempty"`
 	// Dirty is the number of components an incremental session apply
 	// recomputed; 0 for non-incremental runs.
 	Dirty int `json:"dirty,omitempty"`
@@ -156,7 +145,6 @@ type ReconstructResponse struct {
 // ProgressEvent is the SSE wire form of a marioh.Progress snapshot.
 type ProgressEvent struct {
 	Target         int     `json:"target"`
-	Shard          int     `json:"shard"`
 	Round          int     `json:"round"`
 	Dirty          int     `json:"dirty,omitempty"`
 	Theta          float64 `json:"theta"`
@@ -168,7 +156,6 @@ type ProgressEvent struct {
 func progressEvent(p marioh.Progress) ProgressEvent {
 	return ProgressEvent{
 		Target:         p.Target,
-		Shard:          p.Shard,
 		Round:          p.Round,
 		Dirty:          p.Dirty,
 		Theta:          p.Theta,

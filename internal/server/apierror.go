@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -22,6 +23,7 @@ const (
 	CodeQuotaExceeded = "quota_exceeded" // per-tenant job/session/bytes quota
 	CodeQueueFull     = "queue_full"
 	CodeShuttingDown  = "shutting_down"
+	CodeCancelled     = "cancelled" // the request's job was cancelled or timed out
 	CodeStorage       = "storage"
 	CodeInternal      = "internal"
 )
@@ -104,8 +106,11 @@ func errCode(status int, err error) string {
 	case http.StatusTooManyRequests:
 		return CodeRateLimited
 	case http.StatusServiceUnavailable:
-		if errors.Is(err, ErrShuttingDown) {
+		switch {
+		case errors.Is(err, ErrShuttingDown):
 			return CodeShuttingDown
+		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+			return CodeCancelled
 		}
 		return CodeQueueFull
 	case http.StatusInternalServerError:

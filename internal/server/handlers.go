@@ -137,7 +137,6 @@ func reconstructResult(res *marioh.Result) (ReconstructResult, error) {
 		FilteredSize2: res.FilteredSize2,
 		FilterSeconds: res.Times.Filtering.Seconds(),
 		SearchSeconds: res.Times.Bidirectional.Seconds(),
-		Shards:        res.Shards,
 	}, nil
 }
 
@@ -216,9 +215,6 @@ func (s *Server) reconstructor(job *Job, m *marioh.Model, opts []marioh.Option) 
 func (s *Server) recordResult(res *marioh.Result) (ReconstructResult, error) {
 	s.metrics.Stage("filter", res.Times.Filtering)
 	s.metrics.Stage("search", res.Times.Bidirectional)
-	if res.Shards > 0 {
-		s.metrics.ShardRun(res.Shards)
-	}
 	return reconstructResult(res)
 }
 
@@ -306,10 +302,9 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 
 // dedupKey derives the content address of a synchronous reconstruction:
 // the model's serialized hash, the canonical graph text, and the full
-// option spec. The hypergraph bytes are identical across execution-shape
-// knobs (shards, parallelism), but the response metadata (Shards, stage
-// timings) is not — so the whole spec keys the entry and only truly
-// identical requests share a response.
+// option spec. The hypergraph bytes are identical at every parallelism,
+// but the response's stage timings are not — so the whole spec keys the
+// entry and only truly identical requests share a response.
 func (s *Server) dedupKey(model string, g *marioh.Graph, spec OptionSpec) (string, error) {
 	mh, err := s.registry.Hash(model)
 	if err != nil {
@@ -331,8 +326,7 @@ func (s *Server) dedupKey(model string, g *marioh.Graph, spec OptionSpec) (strin
 }
 
 // reconstructModel resolves the registry model and the options of a
-// reconstruct or batch request; the request fans its shards over its
-// own parallelism.
+// reconstruct or batch request.
 func (s *Server) reconstructModel(req ReconstructRequest) (*marioh.Model, []marioh.Option, error) {
 	if req.Model == "" {
 		return nil, nil, errors.New("reconstruct: model is required (train first or PUT /v1/models/{name})")
@@ -344,9 +338,6 @@ func (s *Server) reconstructModel(req ReconstructRequest) (*marioh.Model, []mari
 	opts, err := req.Options.Options()
 	if err != nil {
 		return nil, nil, err
-	}
-	if req.Options.Shards != 0 {
-		opts = append(opts, marioh.WithSharding(marioh.ShardingOptions{Shards: req.Options.Shards}))
 	}
 	return m, opts, nil
 }

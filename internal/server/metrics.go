@@ -26,9 +26,6 @@ type Metrics struct {
 	jobs     map[string]int64      // guarded by mu; submitted/succeeded/failed/cancelled
 	stages   map[string]*stageStat // guarded by mu
 
-	shardedRuns     int64 // guarded by mu; reconstructions that went through the shard engine
-	shardsProcessed int64 // guarded by mu; total shards reconstructed across those runs
-
 	sessionsCreated int64 // guarded by mu; incremental sessions opened
 	sessionsEvicted int64 // guarded by mu; sessions dropped by the LRU bound
 	sessionApplies  int64 // guarded by mu; delta batches served by sessions
@@ -104,14 +101,6 @@ func (m *Metrics) Job(event string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.jobs[event]++
-}
-
-// ShardRun records one shard-parallel reconstruction of n shards.
-func (m *Metrics) ShardRun(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.shardedRuns++
-	m.shardsProcessed += int64(n)
 }
 
 // SessionOpen records one opened session.
@@ -235,11 +224,6 @@ func (m *Metrics) Render(w io.Writer, snap MetricsSnapshot) {
 	for _, ev := range sortedKeys(m.jobs) {
 		fmt.Fprintf(w, "marioh_job_events_total{event=%q} %d\n", ev, m.jobs[ev])
 	}
-
-	fmt.Fprintf(w, "# TYPE marioh_sharded_runs_total counter\n")
-	fmt.Fprintf(w, "marioh_sharded_runs_total %d\n", m.shardedRuns)
-	fmt.Fprintf(w, "# TYPE marioh_shards_processed_total counter\n")
-	fmt.Fprintf(w, "marioh_shards_processed_total %d\n", m.shardsProcessed)
 
 	fmt.Fprintf(w, "# TYPE marioh_sessions_open gauge\n")
 	fmt.Fprintf(w, "marioh_sessions_open %d\n", openSessions)

@@ -507,13 +507,13 @@ func TestServerDedupSingleflight(t *testing.T) {
 
 	// A request with different options is a different content address.
 	other, _, err := c.Reconstruct(ctx, ReconstructRequest{
-		Model: "m", Target: graphText(t, tgt), Options: OptionSpec{Seed: 3, Shards: 2},
+		Model: "m", Target: graphText(t, tgt), Options: OptionSpec{Seed: 3, Parallelism: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if other.Result.Hypergraph != goldenText {
-		t.Fatal("sharded run's hypergraph must still match the serial bytes")
+		t.Fatal("a parallelism-1 run's hypergraph must still match the default run's bytes")
 	}
 	if got := s.dedup.Stats().Misses; got != 2 {
 		t.Fatalf("distinct options shared a cache entry (misses = %d, want 2)", got)

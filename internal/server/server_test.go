@@ -401,8 +401,9 @@ func TestServerSyncDisconnectCancelsJob(t *testing.T) {
 }
 
 // TestServerFailedInlineStatus pins the one status rule a failed inline
-// request answers with: cancellation is 503, everything else maps through
-// errStatus, so a drained queue is 503 shutting_down, a storage fault 500
+// request answers with, and its code: cancellation and deadlines are 503
+// cancelled, everything else maps through errStatus, so a full queue is
+// 503 queue_full, a drained queue 503 shutting_down, a storage fault 500
 // storage and a workload error 400 bad_request.
 func TestServerFailedInlineStatus(t *testing.T) {
 	for _, tc := range []struct {
@@ -410,8 +411,9 @@ func TestServerFailedInlineStatus(t *testing.T) {
 		status int
 		code   string
 	}{
-		{context.Canceled, http.StatusServiceUnavailable, ""},
-		{fmt.Errorf("round 3: %w", context.DeadlineExceeded), http.StatusServiceUnavailable, ""},
+		{context.Canceled, http.StatusServiceUnavailable, CodeCancelled},
+		{fmt.Errorf("round 3: %w", context.DeadlineExceeded), http.StatusServiceUnavailable, CodeCancelled},
+		{ErrQueueFull, http.StatusServiceUnavailable, CodeQueueFull},
 		{ErrShuttingDown, http.StatusServiceUnavailable, CodeShuttingDown},
 		{fmt.Errorf("%w: append: disk full", durability.ErrStorage), http.StatusInternalServerError, CodeStorage},
 		{fmt.Errorf("round 1: %w", marioh.ErrCliqueBudget), http.StatusBadRequest, CodeBadRequest},
@@ -421,7 +423,7 @@ func TestServerFailedInlineStatus(t *testing.T) {
 		if status != tc.status {
 			t.Errorf("failedStatus(%v) = %d, want %d", tc.err, status, tc.status)
 		}
-		if code := errCode(status, tc.err); tc.code != "" && code != tc.code {
+		if code := errCode(status, tc.err); code != tc.code {
 			t.Errorf("failedStatus(%v) answers code %q, want %q", tc.err, code, tc.code)
 		}
 	}
@@ -695,10 +697,9 @@ func TestServerPersistentRegistry(t *testing.T) {
 	}
 }
 
-// TestServerShardedReconstructMatchesSerial: a reconstruct request with
-// shards set must fan out through the queue's task lane and still return
-// exactly the serial pipeline's bytes, with shard metadata in the result
-// and shard counters in /metrics.
+// TestServerShardedReconstructMatchesSerial: shards and shard_target are
+// no longer options. The decoder ignores unknown fields, so a client that
+// still sends them gets the default path's bytes.
 func TestServerShardedReconstructMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	src, tgt := testSource(t), testTarget(t)
@@ -711,51 +712,7 @@ func TestServerShardedReconstructMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Result.Shards != 0 {
-		t.Fatalf("serial result reports %d shards", serial.Result.Shards)
-	}
-	for _, shards := range []int{1, 4, 16} {
-		res, _, err := c.Reconstruct(ctx, ReconstructRequest{
-			Model: "m", Target: graphText(t, tgt),
-			Options: OptionSpec{Seed: 2, Shards: shards},
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if res.Result.Hypergraph != serial.Result.Hypergraph {
-			t.Fatalf("shards=%d: served reconstruction diverges from the serial pipeline", shards)
-		}
-		if res.Result.Shards < 1 {
-			t.Fatalf("shards=%d: result reports %d shards", shards, res.Result.Shards)
-		}
-	}
 
-	resp, err := http.Get(c.Base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	if !strings.Contains(text, "marioh_sharded_runs_total 3") {
-		t.Fatalf("metrics miss sharded run counter:\n%s", text)
-	}
-	if !strings.Contains(text, "marioh_shards_processed_total") {
-		t.Fatalf("metrics miss shards processed counter:\n%s", text)
-	}
-
-	// Negative shard counts are rejected before a job is queued.
-	if _, _, err := c.Reconstruct(ctx, ReconstructRequest{
-		Model: "m", Target: graphText(t, tgt), Options: OptionSpec{Shards: -1},
-	}); err == nil {
-		t.Fatal("negative shard count must be rejected")
-	}
-
-	// shard_target is no longer an option. The decoder ignores unknown
-	// fields, so a client that still sends it gets the same bytes.
 	body, err := json.Marshal(map[string]any{
 		"model": "m", "target": graphText(t, tgt),
 		"options": map[string]any{"seed": 2, "shards": 4, "shard_target": 4},
@@ -767,9 +724,9 @@ func TestServerShardedReconstructMatchesSerial(t *testing.T) {
 	defer legacy.Body.Close()
 	var got ReconstructResponse
 	if err := json.NewDecoder(legacy.Body).Decode(&got); err != nil || legacy.StatusCode != http.StatusOK {
-		t.Fatalf("request with shard_target = %d, %v", legacy.StatusCode, err)
+		t.Fatalf("request with shards and shard_target = %d, %v", legacy.StatusCode, err)
 	}
 	if got.Result.Hypergraph != serial.Result.Hypergraph {
-		t.Fatal("request with shard_target diverges from the serial pipeline")
+		t.Fatal("request with shards and shard_target diverges from the default path")
 	}
 }

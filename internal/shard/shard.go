@@ -1,5 +1,9 @@
-// Package shard implements the deterministic graph partitioner behind
-// MARIOH's shard-parallel reconstruction engine.
+// Package shard implements the deterministic graph partitioner of
+// MARIOH's former shard-parallel reconstruction engine. The engine is
+// deleted: the default path reconstructs components in parallel and was
+// at or below it on every input. No library, CLI or daemon code imports
+// this package; only perfbench's sharded replay probe (perfbench/replay.go)
+// does, and the package goes with that probe.
 //
 // A partition assigns every edge of the projected graph to exactly one
 // shard. It cuts exactly where MARIOH's filtering step does: an edge whose

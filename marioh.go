@@ -23,10 +23,10 @@
 // marioh.WithParallelism(n), and r.Pipeline(ctx, "crime") runs the full
 // generate→train→reconstruct→evaluate protocol on a named dataset.
 // Algorithm variants and featurizers are resolved by name: see
-// WithVariant and WithFeaturizer. The featurizer set is closed, so every
-// reconstruction path — the default one, WithSharding, ReconstructBatch
-// and Session — returns the same bytes for the same inputs, or the same
-// ErrCliqueBudget under WithMaxCliqueLimit.
+// WithVariant and WithFeaturizer. Reconstruct, ReconstructBatch and
+// Session all run one round engine, at any WithParallelism, and the
+// featurizer set is closed, so each returns the same bytes for the same
+// inputs, or the same ErrCliqueBudget under WithMaxCliqueLimit.
 //
 // The exported names are aliases of the implementation packages under
 // internal/, so the full method sets of Hypergraph, Graph and Model are

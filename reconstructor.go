@@ -55,7 +55,6 @@ type config struct {
 	parallelism int
 	progress    ProgressFunc
 	model       *Model
-	sharding    *ShardingOptions
 }
 
 func defaultConfig() config {
@@ -225,12 +224,12 @@ func WithNegativeRatio(v float64) Option {
 }
 
 // WithParallelism bounds the reconstructor's worker fan-out: the
-// ReconstructBatch targets, the shards of WithSharding, a session's dirty
-// components, and the round engine inside every reconstruction (the
-// enumerate-and-score loop and the per-component search — see README
-// "Parallel round engine"). Every level fans out through the same
-// ordered-claim scheduler. 0 (the default) uses GOMAXPROCS; 1 runs every
-// path serially. Output bytes are identical at every setting.
+// ReconstructBatch targets, a session's dirty components, and the round
+// engine inside every reconstruction (the enumerate-and-score loop and the
+// per-component search — see README "Parallel round engine"). Every level
+// fans out through the same ordered-claim scheduler. 0 (the default) uses
+// GOMAXPROCS; 1 runs every path serially. Output bytes are identical at
+// every setting.
 func WithParallelism(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -252,33 +251,20 @@ func WithProgress(fn ProgressFunc) Option {
 	}
 }
 
-// ShardingOptions configure the shard-parallel reconstruction engine; see
-// WithSharding.
+// ShardingOptions is the argument of the deprecated WithSharding.
+//
+// Deprecated: the sharded engine is gone; WithSharding ignores it.
 type ShardingOptions struct {
-	// Shards is the number of shards the target graph is partitioned
-	// into; 0 uses GOMAXPROCS. The reconstruction is byte-identical for
-	// every shard count, so this is purely a throughput knob. The shards
-	// fan out over WithParallelism workers.
 	Shards int
 }
 
-// WithSharding routes Reconstruct (and each target of ReconstructBatch)
-// through the shard-parallel engine: the target graph is deterministically
-// partitioned — cut at every edge whose endpoints share no neighbour,
-// which filtering removes in full before any clique is scored — and the
-// shards are reconstructed concurrently, each through the same cached
-// round engine as the default path, and merged. The output is
-// byte-identical to the unsharded pipeline for any shard count (asserted
-// by the shard-equivalence tests and CI job); Progress events
-// additionally carry the shard index.
-func WithSharding(o ShardingOptions) Option {
-	return func(c *config) error {
-		if o.Shards < 0 {
-			return fmt.Errorf("marioh: shard count %d must be ≥ 0", o.Shards)
-		}
-		c.sharding = &o
-		return nil
-	}
+// WithSharding does nothing. The sharded engine it selected returned the
+// default path's bytes and measured no faster outside noise: the default
+// path already reconstructs components in parallel (see WithParallelism).
+//
+// Deprecated: drop the option; the output does not change.
+func WithSharding(ShardingOptions) Option {
+	return func(*config) error { return nil }
 }
 
 // WithModel attaches a pre-trained model (e.g. one restored via
@@ -391,8 +377,7 @@ func (r *Reconstructor) SetModel(m *Model) error {
 	return nil
 }
 
-// Reconstruct runs MARIOH on one target projected graph — through the
-// shard-parallel engine when WithSharding is configured. Cancelling ctx
+// Reconstruct runs MARIOH on one target projected graph. Cancelling ctx
 // stops the run between rounds and mid-search; the partial result built so
 // far is returned together with ctx.Err().
 func (r *Reconstructor) Reconstruct(ctx context.Context, g *Graph) (*Result, error) {
@@ -403,16 +388,7 @@ func (r *Reconstructor) Reconstruct(ctx context.Context, g *Graph) (*Result, err
 	if g == nil {
 		return nil, errors.New("marioh: nil target graph")
 	}
-	return r.reconstruct(ctx, g, m, r.reconstructOptions(nil))
-}
-
-// reconstruct dispatches one target to the serial pipeline or the shard
-// orchestrator, per the configured sharding options.
-func (r *Reconstructor) reconstruct(ctx context.Context, g *Graph, m *Model, opts core.Options) (*Result, error) {
-	if s := r.cfg.sharding; s != nil {
-		return core.ReconstructSharded(ctx, g, m, opts, core.ShardOptions{Shards: s.Shards})
-	}
-	return core.ReconstructContext(ctx, g, m, opts)
+	return core.ReconstructContext(ctx, g, m, r.reconstructOptions(nil))
 }
 
 // ReconstructBatch reconstructs every target graph, fanned over
@@ -457,7 +433,7 @@ func (r *Reconstructor) ReconstructBatch(ctx context.Context, targets []*Graph) 
 	results := make([]*Result, len(targets))
 	var firstErr error
 	core.Fanout{Workers: r.cfg.parallelism}.Run(ctx, len(targets), func(_, i int) {
-		res, err := r.reconstruct(ctx, targets[i], m, r.reconstructOptions(progressFor(i)))
+		res, err := core.ReconstructContext(ctx, targets[i], m, r.reconstructOptions(progressFor(i)))
 		results[i] = res
 		if err != nil {
 			mu.Lock()

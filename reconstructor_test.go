@@ -1,7 +1,6 @@
 package marioh_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -332,7 +331,6 @@ func TestVariantsAndRegistry(t *testing.T) {
 	for _, bad := range []marioh.Option{
 		marioh.WithVariant("nope"),
 		marioh.WithFeaturizer("nope"),
-		marioh.WithSharding(marioh.ShardingOptions{Shards: -1}),
 		marioh.WithThetaInit(1.5),
 		marioh.WithR(-3),
 		marioh.WithAlpha(-1),
@@ -381,75 +379,6 @@ func TestExplicitZeroOptions(t *testing.T) {
 		if th != 0.9 {
 			t.Fatalf("α = 0 must freeze θ at 0.9, saw %v (history %v)", th, thetas)
 		}
-	}
-}
-
-// TestWithShardingMatchesSerial is the public-API acceptance criterion:
-// a WithSharding Reconstructor must produce byte-identical output to the
-// unsharded one, for every shard count, on library datasets.
-func TestWithShardingMatchesSerial(t *testing.T) {
-	train := mustDataset(t, "crime", 1).Source.Reduced()
-	tgt := mustDataset(t, "hosts", 1).Target.Reduced().Project()
-
-	render := func(r *marioh.Reconstructor) ([]byte, *marioh.Result) {
-		res, err := r.Reconstruct(context.Background(), tgt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := res.Hypergraph.Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes(), res
-	}
-	newTrained := func(opts ...marioh.Option) *marioh.Reconstructor {
-		r, err := marioh.New(append([]marioh.Option{marioh.WithSeed(1), marioh.WithEpochs(20)}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Train(context.Background(), train.Project(), train); err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-
-	want, serial := render(newTrained())
-	if serial.Shards != 0 {
-		t.Fatalf("serial run reports %d shards, want 0", serial.Shards)
-	}
-	for _, shards := range []int{1, 4, 16} {
-		got, res := render(newTrained(marioh.WithSharding(marioh.ShardingOptions{Shards: shards})))
-		if !bytes.Equal(got, want) {
-			t.Fatalf("shards=%d: output diverges from the serial pipeline", shards)
-		}
-		if res.Shards < 1 {
-			t.Fatalf("shards=%d: result reports %d shards", shards, res.Shards)
-		}
-	}
-
-	// Sharded batch runs reproduce sequential sharded runs, and progress
-	// events carry shard indices.
-	shardsSeen := map[int]bool{}
-	rb := newTrained(
-		marioh.WithSharding(marioh.ShardingOptions{Shards: 4}),
-		marioh.WithParallelism(2),
-		marioh.WithProgress(func(p marioh.Progress) { shardsSeen[p.Shard] = true }),
-	)
-	results, err := rb.ReconstructBatch(context.Background(), []*marioh.Graph{tgt, tgt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		var buf bytes.Buffer
-		if err := res.Hypergraph.Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("batch target %d: sharded batch diverges from serial pipeline", i)
-		}
-	}
-	if len(shardsSeen) < 2 {
-		t.Fatalf("expected progress from ≥ 2 shards, saw %v", shardsSeen)
 	}
 }
 

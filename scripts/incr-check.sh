@@ -7,12 +7,12 @@
 # edge-delta stream, then
 #
 #   1. materialize the mutated graph and produce from-scratch golden
-#      reconstructions of it — serial and with -shards 1/4/16, all of
-#      which must be byte-identical to each other
+#      reconstructions of it — at the default parallelism and with
+#      -parallel 1/2/8, all of which must be byte-identical to each other
 #   2. replay the delta stream through an incremental session in batches,
 #      with -verify re-running a from-scratch rebuild after EVERY batch
 #      and failing unless the session output matches byte for byte
-#   3. cmp the session's final output against the serial golden
+#   3. cmp the session's final output against the golden
 #
 # SEED overrides the generation/reconstruction seed (default 1); the
 # nightly job rotates it.
@@ -34,15 +34,15 @@ go build -o "$bin/datagen" ./cmd/datagen
 # and $work/<name>.target.deltas.
 check() {
     local name="$1" model="$2"
-    echo "   golden: full rebuild of the mutated graph (serial + shards 1/4/16)"
+    echo "   golden: full rebuild of the mutated graph (default + parallel 1/2/8)"
     "$bin/mariohctl" mutate -graph "$work/$name.target.graph" -deltas "$work/$name.target.deltas" \
         -out "$work/$name.mutated.graph"
     "$bin/mariohctl" apply -model "$model" -target "$work/$name.mutated.graph" \
         -seed "$SEED" -out "$work/$name.golden.hg"
-    for n in 1 4 16; do
+    for p in 1 2 8; do
         "$bin/mariohctl" apply -model "$model" -target "$work/$name.mutated.graph" \
-            -seed "$SEED" -shards "$n" -out "$work/$name.golden.shard$n.hg"
-        cmp "$work/$name.golden.hg" "$work/$name.golden.shard$n.hg"
+            -seed "$SEED" -parallel "$p" -out "$work/$name.golden.parallel$p.hg"
+        cmp "$work/$name.golden.hg" "$work/$name.golden.parallel$p.hg"
     done
 
     echo "   session: replay deltas in batches of 20 with per-batch verification"

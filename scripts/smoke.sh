@@ -7,9 +7,8 @@
 #   3. boot mariohd on a random port, poll /healthz
 #   4. push the model and reconstruct the same target through the server;
 #      the output must be byte-identical to the golden run
-#   5. reconstruct again with -shards 4 (the request fans its shards over
-#      its own parallelism): still byte-identical, and the shard counters
-#      move
+#   5. reconstruct again as a queued job (-async, polled to completion):
+#      still byte-identical to the golden run
 #   6. replay a delta stream through a durable server-side session, then
 #      kill -9 the daemon, restart it over the same -data-dir, resume the
 #      session and require byte-identical output (WAL crash recovery)
@@ -69,12 +68,11 @@ echo "   server output is byte-identical to the CLI golden run"
 
 curl -fsS "$base/metrics" | grep -q 'marioh_requests_total'
 
-echo "== sharded /v1/reconstruct (byte-identical)"
+echo "== queued /v1/reconstruct (byte-identical)"
 "$bin/mariohctl" remote-reconstruct -server "$base" -model smoke \
-    -target "$work/hosts.target.graph" -seed 1 -shards 4 -out "$work/server-shard.hg"
-cmp "$work/golden.hg" "$work/server-shard.hg"
-echo "   sharded server output is byte-identical to the serial golden run"
-curl -fsS "$base/metrics" | grep -q 'marioh_sharded_runs_total 1'
+    -target "$work/hosts.target.graph" -seed 1 -async -out "$work/server-async.hg"
+cmp "$work/golden.hg" "$work/server-async.hg"
+echo "   queued job output is byte-identical to the CLI golden run"
 
 echo "== incremental session over /v1/sessions (byte-identical after deltas)"
 # A reproducible delta stream against the same reduced target graph, plus

@@ -58,9 +58,10 @@ var ErrBadDelta = incremental.ErrBadDelta
 // calls, the returned reconstruction is byte-identical to a from-scratch
 // Reconstruct of the mutated graph with the same configuration (asserted
 // by the incremental-equivalence tests and the CI incr-check job). The
-// dirty components reconstruct through the piece runner shards use, over
-// WithParallelism workers. Under WithMaxCliqueLimit an Apply fails with
-// ErrCliqueBudget exactly when that rebuild would.
+// dirty components reconstruct through the round engine, each on its
+// induced subgraph, over WithParallelism workers. Under
+// WithMaxCliqueLimit an Apply fails with ErrCliqueBudget exactly when that
+// rebuild would.
 //
 // A Session is safe for concurrent use; Apply calls serialize.
 //
