@@ -174,11 +174,12 @@ func (s *trainedSetup) reconstructor(b *testing.B, opts ...marioh.Option) *mario
 
 // BenchmarkReconstruct times the default path on the paper's datasets.
 // dblp, mag-topcs and foursquare are mostly isolated nodes and small
-// components.
+// components. Each row trains its model inside its own b.Run, so a
+// -bench filter that selects one row trains only that dataset.
 func BenchmarkReconstruct(b *testing.B) {
 	for _, name := range []string{"crime", "hosts", "eu", "dblp", "mag-topcs", "foursquare"} {
-		s := setup(b, name)
 		b.Run(name, func(b *testing.B) {
+			s := setup(b, name)
 			r := s.reconstructor(b)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

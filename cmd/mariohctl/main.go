@@ -167,7 +167,7 @@ func addServiceFlags(fs *flag.FlagSet) *serviceFlags {
 		theta:    fs.Float64("theta", 0.9, "initial classification threshold"),
 		ratio:    fs.Float64("r", 40, "negative prediction processing ratio (%)"),
 		alpha:    fs.Float64("alpha", 1.0/20, "threshold adjust ratio"),
-		parallel: fs.Int("parallel", 0, "worker bound for batch targets, session components and the round engine (0 = GOMAXPROCS; output is identical at every setting)"),
+		parallel: fs.Int("parallel", 0, "worker bound for batch targets, session components and the round engine: its seed loop, component search and Phase 2 scoring (0 = GOMAXPROCS; output is identical at every setting)"),
 		progress: fs.Bool("progress", false, "print per-round progress to stderr"),
 	}
 }

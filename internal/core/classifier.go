@@ -213,16 +213,18 @@ var scorers = sync.Pool{New: func() any { return new(scorer) }}
 // scorer bundles the per-worker reusable buffers of the scoring hot path:
 // feature staging and the worker's pair table (feat.Table; see
 // roundScratch for who builds it over what), the MLP activations, Phase
-// 2's parent clique and subset sampler, and the buffer of the nodes
-// Phase 2's table covers. With one scorer per worker, steady-state clique
-// scoring performs zero heap allocations. A scorer must not be shared
-// between goroutines.
+// 2's parent clique and subset sampler, and, for the components the
+// worker searches, the nodes Phase 2's table covers and Phase 2's draw
+// buffer. With one scorer per worker, steady-state clique scoring
+// performs zero heap allocations. A scorer must not be shared between
+// goroutines.
 type scorer struct {
 	feat   features.Scratch
 	fwd    mlp.Scratch
 	parent features.Parent
 	perm   PermSampler
 	cover  []int
+	draws  subDraws
 }
 
 // scoreScratch is Score with caller-owned buffers; bit-identical results.

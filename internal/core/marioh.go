@@ -45,9 +45,10 @@ type Options struct {
 	MaxCliqueLimit int
 	Seed           int64
 	// Parallelism bounds the worker fan-out inside each round: the
-	// enumerate-and-score loop and the per-component search both use at
-	// most this many workers. 0 = one worker per GOMAXPROCS; 1 = fully
-	// serial (the reference pipeline). Output bytes are identical at every
+	// enumerate-and-score loop, the per-component search, and Phase 2's
+	// scoring in a round that searches one component each use at most
+	// this many workers. 0 = one worker per GOMAXPROCS; 1 = fully serial
+	// (the reference pipeline). Output bytes are identical at every
 	// setting — see README "Parallel round engine".
 	Parallelism int
 	// Progress, when non-nil, is invoked after every round of the outer

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -395,4 +396,206 @@ func TestParallelRoundEngineMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// phase2Input is one component's Phase 2 in a round: its parents, the
+// lowest-r% below-θ cliques in ascending score order, and the seed of its
+// sampling stream.
+type phase2Input struct {
+	parents []scoredClique
+	seed    int64
+}
+
+// phase2Inputs runs the first round of g up to Phase 2, as a run seeded
+// 1 does: it filters a copy of g, scores its maximal cliques, and runs
+// Phase 1 on every component. It returns that residual graph and every
+// component's Phase 2 input, in ascending component key.
+func phase2Inputs(g *graph.Graph, m *Model, theta, r float64) (*graph.Graph, []phase2Input) {
+	g = g.Clone()
+	Filter(g, hypergraph.New(g.NumNodes()))
+	key := componentKeys(g, nil)
+	cliques := g.MaximalCliques(2)
+	scores := ScoreCliques(g, m, cliques)
+	rest := map[int][]scoredClique{}
+	for i, q := range cliques {
+		if scores[i] <= theta {
+			rest[key[q[0]]] = append(rest[key[q[0]]], scoredClique{nodes: q, score: scores[i]})
+		}
+	}
+	BidirectionalSearch(g, m, SearchOptions{Theta: theta, DisableSubcliques: true, Parallelism: 1}, hypergraph.New(g.NumNodes()))
+	keys := make([]int, 0, len(rest))
+	for k := range rest {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	var inputs []phase2Input
+	for _, k := range keys {
+		cs := rest[k]
+		sortByScoreAsc(cs)
+		inputs = append(inputs, phase2Input{parents: cs[:int(float64(len(cs))*r/100)], seed: sampleSeed(1, 0, k)})
+	}
+	return g, inputs
+}
+
+// TestParallelPhase2MatchesSerial: Phase 2 at workers 1, 2, 3 and 8,
+// with the fan-out forced at the first draw, equals the serial walk that
+// draws and scores one sub-clique at a time, over the first round of eu
+// and of every corpus family. At a θ below every score it returns every
+// draw, with the walk's nodes and a score bit-equal to a full Compute of
+// the sub-clique, and leaves the stream where the walk leaves it; at
+// θ = 0.9 it returns the walk's above-θ draws in the walk's order. eu's
+// first round draws several blocks, so block boundaries are crossed too.
+func TestParallelPhase2MatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	m, eu := pipelineTestSetup(t)
+	graphs := []namedGraph{{"eu", eu}}
+	for _, f := range corpus.Families {
+		graphs = append(graphs, namedGraph{f.Name, f.Gen(1)})
+	}
+	forceFanout(t)
+	const theta = 0.9
+	same := func(a, b scoredClique) bool {
+		return slices.Equal(a.nodes, b.nodes) && math.Float64bits(a.score) == math.Float64bits(b.score)
+	}
+	for _, tc := range graphs {
+		g, inputs := phase2Inputs(tc.g, m, theta, 40)
+		fanned, blocks := 0, 0
+		for c, in := range inputs {
+			walk := newSampleRNG(in.seed)
+			var ps PermSampler
+			var ref scorer
+			var all, above []scoredClique
+			for _, p := range in.parents {
+				for k := 2; k <= len(p.nodes)-1; k++ {
+					sub := ps.Sample(p.nodes, k, walk)
+					d := scoredClique{nodes: sub, score: m.scoreScratch(g, sub, false, &ref)}
+					all = append(all, d)
+					if d.score > theta {
+						above = append(above, d)
+					}
+				}
+			}
+			if len(all) >= fanoutCliques {
+				fanned++
+			}
+			blocks = max(blocks, (len(all)+drawBlock-1)/drawBlock)
+			for _, workers := range []int{1, 2, 3, 8} {
+				scs := new(roundScratch).workers(workers)
+				for _, th := range []float64{-1, theta} {
+					want := above
+					if th < 0 {
+						want = all
+					}
+					rng := newSampleRNG(in.seed)
+					got, ok := exploreParents(context.Background(), g, m, in.parents, th, rng, scs, nil)
+					switch {
+					case !ok:
+						t.Fatalf("%s component %d, workers=%d, θ=%v: Phase 2 reported a cancel", tc.name, c, workers, th)
+					case rng.s != walk.s:
+						t.Fatalf("%s component %d, workers=%d, θ=%v: stream at %d after Phase 2, the walk's at %d", tc.name, c, workers, th, rng.s, walk.s)
+					case !slices.EqualFunc(got, want, same):
+						t.Fatalf("%s component %d, workers=%d, θ=%v: %d draws, want the walk's %d with its nodes and scores, in its order", tc.name, c, workers, th, len(got), len(want))
+					}
+				}
+			}
+		}
+		if tc.name == "eu" && (fanned == 0 || blocks < 2) {
+			t.Fatalf("eu: %d components reach the fan-out point and the largest draws %d blocks, want at least one and two", fanned, blocks)
+		}
+		t.Logf("%s: %d components in Phase 2, %d past the fan-out point, at most %d blocks", tc.name, len(inputs), fanned, blocks)
+	}
+}
+
+// drawCancellingFeaturizer reads features through an embedded Featurizer
+// interface, which hides Marioh's sub-clique path, so ComputeSub scores
+// every Phase 2 draw through AppendFeatures. It counts the draws it
+// scores and cancels its context inside the at-th.
+type drawCancellingFeaturizer struct {
+	features.Featurizer
+	calls  *atomic.Int64
+	at     int64
+	cancel context.CancelFunc
+}
+
+func (f drawCancellingFeaturizer) AppendFeatures(dst []float64, s *features.Scratch, g *graph.Graph, q []int, maximal bool) []float64 {
+	if !maximal && f.calls.Add(1) == f.at {
+		f.cancel()
+	}
+	return f.Featurizer.AppendFeatures(dst, s, g, q, maximal)
+}
+
+// TestPhase2CancelStopsParents: a cancel inside one of Phase 2's draws
+// stops it at the next parent each worker would claim, so at most
+// workers × (the largest parent's draw count) draws are scored after it,
+// and Phase 2 reports the cancel. The cancel lands a third of the way
+// into eu's first-round Phase 2, serial and fanned out.
+func TestPhase2CancelStopsParents(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	forceFanout(t)
+	m, eu := pipelineTestSetup(t)
+	g, inputs := phase2Inputs(eu, m, 0.9, 40)
+	var in phase2Input
+	draws, most := 0, 0
+	for _, c := range inputs {
+		n, top := 0, 0
+		for _, p := range c.parents {
+			n += max(len(p.nodes)-2, 0)
+			top = max(top, len(p.nodes)-2)
+		}
+		if n > draws {
+			in, draws, most = c, n, top
+		}
+	}
+	at := int64(draws / 3)
+	for _, workers := range []int{1, 2, 3, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		f := drawCancellingFeaturizer{Featurizer: features.Marioh{}, calls: new(atomic.Int64), at: at, cancel: cancel}
+		_, ok := exploreParents(ctx, g, withFeaturizer(m, f), in.parents, 0.9, newSampleRNG(in.seed), new(roundScratch).workers(workers), nil)
+		cancel()
+		after, bound := f.calls.Load()-at, int64(workers*most)
+		if ok || after < 0 {
+			t.Fatalf("workers=%d: ok=%v after %d of %d draws, want the cancel at the %dth reported", workers, ok, f.calls.Load(), draws, at)
+		}
+		if after > bound {
+			t.Errorf("workers=%d: scored %d draws after the cancel, want at most %d", workers, after, bound)
+		}
+		t.Logf("workers=%d: %d of %d draws scored after the cancel (largest parent: %d draws)", workers, after, draws, most)
+	}
+}
+
+// TestParallelScorersBoundedByInput: a Parallelism far above the work
+// makes a reconstruction no more scorers than the work has claims — one
+// per seed in the loop and, in a round that searches one component, one
+// per clique in Phase 2 — so a client-chosen worker count cannot grow
+// memory past the input. A one-component graph of 12 nodes and 6
+// maximal cliques, reconstructed round by round at Parallelism 1<<20 with
+// the fan-out forced, ends with no more scorers than nodes.
+func TestParallelScorersBoundedByInput(t *testing.T) {
+	forceFanout(t)
+	m, _ := pipelineTestSetup(t)
+	g := graph.New(12)
+	for _, q := range [][]int{{0, 1, 2}, {2, 3, 4}, {4, 5, 6, 7}, {7, 8}, {8, 9, 10}, {10, 11}} {
+		for i, u := range q {
+			for _, v := range q[i+1:] {
+				g.AddWeight(u, v, 1)
+			}
+		}
+	}
+	rs := new(roundScratch)
+	rec := hypergraph.New(g.NumNodes())
+	theta := 0.9
+	for round := 0; g.NumEdges() > 0; round++ {
+		if round == 40 {
+			t.Fatalf("%d edges left after %d rounds", g.NumEdges(), round)
+		}
+		opts := SearchOptions{Theta: theta, R: 100, Round: round, Seed: 1, Parallelism: 1 << 20, StallDump: theta == 0, scratch: rs}
+		if _, err := search(g, m, opts, rec); err != nil {
+			t.Fatal(err)
+		}
+		if len(rs.scorers) > g.NumNodes() {
+			t.Fatalf("round %d: %d scorers for %d nodes", round, len(rs.scorers), g.NumNodes())
+		}
+		theta = max(theta-0.1, 0)
+	}
+	t.Logf("%d scorers, %d hyperedges", len(rs.scorers), rec.NumTotal())
 }

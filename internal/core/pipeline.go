@@ -84,11 +84,13 @@ func (a *nodeArena) alloc(n int) []int {
 // roundScratch is the worker state of one reconstruction's rounds: one
 // scorer per worker index, and the run's clique seeder. It lives for the
 // whole reconstruction, so the node-indexed arrays of the scorers' pair
-// tables and the seeder's ranks are allocated once per run rather than
-// once per round. A round uses it one step at a time — the filter, the
-// loop's workers, then the component search's — never from two steps at
-// once, so the table the filter and the loop's workers read can be the
-// first worker's, which that worker rebuilds for Phase 2.
+// tables, the seeder's ranks and Phase 2's draw buffers are allocated once
+// per run rather than once per round. A round uses it one step at a time —
+// the filter, the loop's workers, then the component search's — never
+// from two steps at once, so the table the filter and the loop's workers
+// read can be the first worker's, which that worker rebuilds for Phase 2.
+// In a round that searches one component, every worker scores that
+// component's Phase 2 draws off that rebuilt table.
 type roundScratch struct {
 	scorers []*scorer
 	seeds   *graph.CliqueSeeder // the run's ranks, taken at its first enumeration

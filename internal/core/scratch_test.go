@@ -121,11 +121,9 @@ func TestExploreSubcliquesMatchesPerDrawScoring(t *testing.T) {
 			var sc, ref scorer
 			var got []scoredClique
 			if table {
-				got, _ = exploreParents(context.Background(), g, m, ps, -1, rngA, &sc, nil)
+				got, _ = exploreParents(context.Background(), g, m, ps, -1, rngA, []*scorer{&sc}, nil)
 			} else {
-				for _, q := range parents {
-					got = exploreSubcliques(g, m, q, -1, rngA, &sc, got)
-				}
+				got, _ = sc.draws.explore(context.Background(), g, m, ps, -1, rngA, []*scorer{&sc}, nil, nil)
 			}
 			checkDraws(t, fmt.Sprintf("%s (table=%v)", name, table), g, m, parents, got, rngA, rngB, &ref)
 		}
@@ -169,18 +167,17 @@ func TestPhase2AllocationsBounded(t *testing.T) {
 	}
 	for _, table := range []bool{false, true} {
 		var sc scorer
+		scs := []*scorer{&sc}
 		var rng sampleRNG
 		var subs []scoredClique
 		explore := func(theta float64) {
 			rng = sampleRNG{s: 11}
 			subs = subs[:0]
 			if table {
-				subs, _ = exploreParents(context.Background(), g, m, ps, theta, &rng, &sc, subs)
+				subs, _ = exploreParents(context.Background(), g, m, ps, theta, &rng, scs, subs)
 				return
 			}
-			for _, q := range parents {
-				subs = exploreSubcliques(g, m, q, theta, &rng, &sc, subs)
-			}
+			subs, _ = sc.draws.explore(context.Background(), g, m, ps, theta, &rng, scs, nil, subs)
 		}
 		explore(-1) // every draw: warms the scorer and sizes subs
 		draws := len(subs)

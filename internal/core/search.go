@@ -35,10 +35,12 @@ type roundCache struct {
 // SearchOptions configure one round of BidirectionalSearch.
 type SearchOptions struct {
 	// Ctx, when non-nil, is polled before each seed claim of the
-	// enumerate-and-score loop, between the phases of the round and while
-	// walking accepted cliques; cancellation makes the search return early
-	// with whatever it has accepted so far (nothing, if it strikes before
-	// the phases begin).
+	// enumerate-and-score loop and every 256 cliques a worker scores inside
+	// a seed, before each component's search, every 1,024 cliques of
+	// Phase 1's walk, between the phases, and before each Phase 2 parent
+	// is scored; cancellation makes the search return early with whatever
+	// it has accepted so far (nothing, if it strikes before the phases
+	// begin).
 	Ctx context.Context
 	// Theta is the current acceptance threshold θ.
 	Theta float64
@@ -63,8 +65,9 @@ type SearchOptions struct {
 	// draws for the same component.
 	OrigID []int
 	// Parallelism bounds the worker fan-out of the round (the
-	// enumerate-and-score loop and the per-component search); ≤ 0 =
-	// GOMAXPROCS, 1 = serial. Output bytes are identical at every setting.
+	// enumerate-and-score loop, the per-component search, and Phase 2's
+	// scoring when the round searches one component); ≤ 0 = GOMAXPROCS,
+	// 1 = serial. Output bytes are identical at every setting.
 	Parallelism int
 	// StallDump, when true, dumps the remaining edges of every component
 	// that accepted nothing this round as size-2 hyperedges — the
@@ -174,7 +177,7 @@ func search(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergraph.Hyperg
 	sort.Ints(keys)
 
 	acceptedBy := make(map[int]int, len(groups))
-	accepted := searchComponents(g, m, opts, rec, keys, groups, acceptedBy, rs.workers(min(workers, len(keys))))
+	accepted := searchComponents(g, m, opts, rec, keys, groups, acceptedBy, rs, workers)
 	if opts.StallDump && ctx.Err() == nil {
 		accepted += dumpStalledComponents(g, rec, key, acceptedBy)
 	}
@@ -194,7 +197,10 @@ func search(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergraph.Hyperg
 }
 
 // searchComponents runs searchComponent over the components of the
-// round, fanned over one worker per scorer. Safe because components never
+// round on up to workers workers, each with its scorer from rs. A round
+// that searches one component leaves every other worker idle, so that
+// component's Phase 2 scores on up to workers scorers, one per clique at
+// most. Safe because components never
 // share edges: each worker mutates only its component's adjacency rows
 // (the graph's global edge/weight counters are atomic), and every graph
 // read a component's search performs — scoring features, its pair
@@ -205,15 +211,23 @@ func search(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergraph.Hyperg
 // in-memory insertion order, the acceptance counts, and the cache
 // bookkeeping match the serial walk exactly. A component skipped by
 // cancellation stays out of acceptedBy.
-func searchComponents(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergraph.Hypergraph, keys []int, groups map[int][]scoredClique, acceptedBy map[int]int, scs []*scorer) int {
+func searchComponents(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergraph.Hypergraph, keys []int, groups map[int][]scoredClique, acceptedBy map[int]int, rs *roundScratch, workers int) int {
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// share is the scorers one component's search runs on. Phase 2's
+	// workers claim its parents, which are some of its cliques, so the
+	// scorers stay bounded by the input whatever Parallelism asks for.
+	share := 1
+	if len(keys) == 1 {
+		share = min(workers, len(groups[keys[0]]))
+	}
+	scs := rs.workers(max(min(workers, len(keys)), share))
 	results := make([][][]int, len(keys))
 	processed := make([]bool, len(keys))
-	Fanout{Workers: len(scs)}.Run(ctx, len(keys), func(w, i int) {
-		results[i] = searchComponent(g, m, opts, keys[i], groups[keys[i]], scs[w])
+	Fanout{Workers: workers}.Run(ctx, len(keys), func(w, i int) {
+		results[i] = searchComponent(g, m, opts, keys[i], groups[keys[i]], scs[w:w+share])
 		processed[i] = true
 	})
 	accepted := 0
@@ -234,8 +248,9 @@ func searchComponents(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergr
 // consuming accepted cliques from g and returning them in acceptance
 // order; the caller records them into the reconstruction. Mutations and
 // reads stay inside the component, which is what makes the parallel
-// fan-out above exact. sc is the calling worker's scratch.
-func searchComponent(g *graph.Graph, m *Model, opts SearchOptions, compKey int, cliques []scoredClique, sc *scorer) [][]int {
+// fan-out above exact. scs[0] is the calling worker's scratch, and the
+// rest are the idle workers' that Phase 2 may score on.
+func searchComponent(g *graph.Graph, m *Model, opts SearchOptions, compKey int, cliques []scoredClique, scs []*scorer) [][]int {
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -277,7 +292,7 @@ func searchComponent(g *graph.Graph, m *Model, opts SearchOptions, compKey int, 
 		return accepted
 	}
 	rng := newSampleRNG(sampleSeed(opts.Seed, opts.Round, compKey))
-	subs, ok := exploreParents(ctx, g, m, rest[:nNeg], opts.Theta, rng, sc, nil)
+	subs, ok := exploreParents(ctx, g, m, rest[:nNeg], opts.Theta, rng, scs, nil)
 	if !ok {
 		return accepted
 	}
@@ -291,53 +306,162 @@ func searchComponent(g *graph.Graph, m *Model, opts SearchOptions, compKey int, 
 	return accepted
 }
 
-// exploreParents is Phase 2's scoring step for one component: it explores
-// the parents in order on one stream and appends the draws scoring above
-// theta to subs. When m's featurizer reads pair statistics, it first
-// builds sc's pair table over the parents' nodes and attaches it for the
-// draws, detaching it before it returns. That is exact because Phase 1
-// is over and Phase 2 scores all of a component's draws before it
-// consumes an edge: pairs Phase 1 consumed are non-edges of the table's
-// graph, which it reads through the per-pair merges. ctx is polled every
-// 1024 parents; ok is false after cancellation, and subs must be dropped.
-func exploreParents(ctx context.Context, g *graph.Graph, m *Model, parents []scoredClique, theta float64, rng *sampleRNG, sc *scorer, subs []scoredClique) (_ []scoredClique, ok bool) {
+// exploreParents is Phase 2's scoring step for one component, run by the
+// worker that searches it, on scs[0]. It draws, scores and keeps the
+// parents' sub-cliques in blocks of parents (subDraws.explore), and
+// returns subs with the draws scoring above theta appended in draw order,
+// parent by parent and k ascending. A block's draws score on scs[0] alone
+// or, once they number fanoutAt, on every scorer of scs. eu-dense's rounds
+// of thousands of draws fan out; a serve-mixed miss draws at most 32 and
+// stays on the calling goroutine.
+//
+// When m's featurizer reads pair statistics, scs[0]'s pair table is built
+// over the parents' nodes first, and every scorer reads it, read-only,
+// until exploreParents returns. That is exact because Phase 1 is over and
+// Phase 2 scores all of a component's draws before it consumes an edge:
+// pairs Phase 1 consumed are non-edges of the table's graph, which it
+// reads through the per-pair merges. ctx is polled before each parent is
+// scored; ok is false after cancellation, and subs must be dropped.
+func exploreParents(ctx context.Context, g *graph.Graph, m *Model, parents []scoredClique, theta float64, rng *sampleRNG, scs []*scorer, subs []scoredClique) (_ []scoredClique, ok bool) {
+	sc := scs[0]
+	var t *graph.PairTable
 	if features.UsesPairTable(m.Feat) {
 		sc.cover = sc.cover[:0]
 		for _, c := range parents {
 			sc.cover = append(sc.cover, c.nodes...)
 		}
-		t := sc.feat.Table()
+		t = sc.feat.Table()
 		t.Build(g, sc.cover)
 		sc.feat.UseTable(t)
 		defer sc.feat.UseTable(nil)
 	}
-	for i, c := range parents {
-		if i&0x3ff == 0 && ctx.Err() != nil {
+	return sc.draws.explore(ctx, g, m, parents, theta, rng, scs, t, subs)
+}
+
+// drawBlock is how many draws Phase 2 holds at once: a block of parents
+// ends at the first parent that brings its draws to drawBlock. It is four
+// fan-out points, so each block of a big component still fans out, and
+// the buffer stays a few thousand draws however many parents a dense
+// component has.
+const drawBlock = 4 * fanoutCliques
+
+// subDraws is Phase 2's draw buffer for one block of a component's
+// parents: the positions of every parent's draws, one random k-subset per
+// size k ∈ [2, |q|−1], and each draw's score. The scorer of the worker
+// that searches the component keeps it across blocks and rounds, so a
+// warm buffer costs no allocation.
+type subDraws struct {
+	pos    []int      // every draw's ascending positions, parent by parent, k ascending
+	spans  []drawSpan // per parent: where its positions and its draws start
+	scores []float64  // per draw, in the order of pos
+}
+
+// drawSpan locates one parent's draws: its positions start at pos[pos]
+// and its scores at scores[draw]; its draw of size k is its (k−2)th.
+type drawSpan struct{ pos, draw int }
+
+// explore runs Phase 2 over parents one block at a time: it draws the
+// block's positions off rng on the calling goroutine, in parent order, so
+// the stream is consumed exactly as a parent-by-parent walk consumes it;
+// it scores the block's draws, on scs[0] alone or, once they number
+// fanoutAt, on every scorer of scs, whose workers claim parents through
+// Fanout and read t (nil when the featurizer reads no pair table); and it
+// appends the block's draws scoring above theta to subs. A draw's score
+// depends only on the graph, its parent and its positions, and lands in
+// the draw's own slot; the graph does not change until every block is
+// kept. So subs is the same at every worker count and block size. ctx is
+// polled before each parent is scored; ok is false after cancellation.
+func (d *subDraws) explore(ctx context.Context, g *graph.Graph, m *Model, parents []scoredClique, theta float64, rng *sampleRNG, scs []*scorer, t *graph.PairTable, subs []scoredClique) (_ []scoredClique, ok bool) {
+	for len(parents) > 0 {
+		n, draws := d.draw(parents, rng, &scs[0].perm, drawBlock)
+		block := parents[:n]
+		if draws >= fanoutAt && len(scs) > 1 {
+			d.fanout(ctx, g, m, block, scs, t)
+		} else {
+			for i, c := range block {
+				if ctx.Err() != nil {
+					break
+				}
+				d.score(g, m, c.nodes, i, scs[0])
+			}
+		}
+		if ctx.Err() != nil {
 			return subs, false
 		}
-		subs = exploreSubcliques(g, m, c.nodes, theta, rng, sc, subs)
+		subs = d.keep(block, theta, subs)
+		parents = parents[n:]
 	}
 	return subs, true
 }
 
-// exploreSubcliques is Phase 2's draw for one parent clique q: one random
-// k-subset per size k ∈ [2, |q|−1] from rng, each scored as non-maximal;
-// those scoring above theta are appended to subs. Every draw's features
-// are read off q's pairs, read once (features.ComputeSub) off sc's
-// attached table or off one built over q, and a draw gets its own node
-// slice only when it scores above theta. q must be sorted — enumeration
-// emits sorted cliques and the subgraph remap preserves order — so that
-// q at sorted positions is the sorted subset Sample would return.
-func exploreSubcliques(g *graph.Graph, m *Model, q []int, theta float64, rng *sampleRNG, sc *scorer, subs []scoredClique) []scoredClique {
+// draw fills d with the positions of the draws of parents' first n
+// parents off rng, in parent order and k ascending, through perm, and
+// returns n and their draw count: n ends the block at the first parent
+// that brings the draws to limit, or at the last parent. Each parent q
+// must be sorted, so that q at sorted positions is the sorted subset
+// Sample would return.
+func (d *subDraws) draw(parents []scoredClique, rng *sampleRNG, perm *PermSampler, limit int) (n, draws int) {
+	d.pos, d.spans = d.pos[:0], d.spans[:0]
+	for n < len(parents) && draws < limit {
+		q := parents[n].nodes
+		d.spans = append(d.spans, drawSpan{pos: len(d.pos), draw: draws})
+		for k := 2; k <= len(q)-1; k++ {
+			d.pos = append(d.pos, perm.SamplePositions(len(q), k, rng)...)
+			draws++
+		}
+		n++
+	}
+	d.scores = slices.Grow(d.scores[:0], draws)[:draws]
+	return n, draws
+}
+
+// score scores the draws of parent i, q, as non-maximal on sc. Every
+// draw's features are read off q's pairs, read once (features.ComputeSub)
+// off sc's attached table or off one built over q.
+func (d *subDraws) score(g *graph.Graph, m *Model, q []int, i int, sc *scorer) {
 	sc.parent.Reset(q)
+	sp := d.spans[i]
 	for k := 2; k <= len(q)-1; k++ {
-		pos := sc.perm.SamplePositions(len(q), k, rng)
-		if s := m.scoreSub(g, pos, sc); s > theta {
-			nodes := make([]int, k)
-			for i, j := range pos {
-				nodes[i] = q[j]
+		d.scores[sp.draw] = m.scoreSub(g, d.pos[sp.pos:sp.pos+k], sc)
+		sp.pos += k
+		sp.draw++
+	}
+}
+
+// fanout scores every parent's draws on the scorers of scs, one worker
+// each, which claim parents in ascending order through Fanout. The
+// helpers read t, scs[0]'s pair table (nil when the featurizer reads
+// none), until fanout returns. It is a function of its own so that its
+// closure, which goes to the heap, is built only when a block fans out:
+// the one-worker path allocates nothing.
+func (d *subDraws) fanout(ctx context.Context, g *graph.Graph, m *Model, parents []scoredClique, scs []*scorer, t *graph.PairTable) {
+	for _, sc := range scs[1:] {
+		sc.feat.UseTable(t)
+	}
+	Fanout{Workers: len(scs)}.Run(ctx, len(parents), func(w, i int) {
+		d.score(g, m, parents[i].nodes, i, scs[w])
+	})
+	for _, sc := range scs[1:] {
+		sc.feat.UseTable(nil)
+	}
+}
+
+// keep appends the draws scoring above theta to subs, parent by parent
+// and k ascending, each with a node slice of its own; the draws below it
+// cost nothing.
+func (d *subDraws) keep(parents []scoredClique, theta float64, subs []scoredClique) []scoredClique {
+	for i, c := range parents {
+		sp := d.spans[i]
+		for k := 2; k <= len(c.nodes)-1; k++ {
+			if s := d.scores[sp.draw]; s > theta {
+				nodes := make([]int, k)
+				for a, j := range d.pos[sp.pos : sp.pos+k] {
+					nodes[a] = c.nodes[j]
+				}
+				subs = append(subs, scoredClique{nodes: nodes, score: s})
 			}
-			subs = append(subs, scoredClique{nodes: nodes, score: s})
+			sp.pos += k
+			sp.draw++
 		}
 	}
 	return subs
@@ -346,14 +470,16 @@ func exploreSubcliques(g *graph.Graph, m *Model, q []int, theta float64, rng *sa
 // ScoreSubcliques is the exported form of Phase 2's scoring step, used by
 // benchmarks: it explores every parent (a sorted clique of g) as a round's
 // Phase 2 does for one component, pair table included, drawing from one
-// stream seeded by seed, and returns how many draws score above theta.
-// g is not modified.
+// stream seeded by seed, and returns how many draws score above theta. It
+// scores at the default parallelism (GOMAXPROCS), past the same fan-out
+// point as a round. g is not modified.
 func ScoreSubcliques(g *graph.Graph, m *Model, parents [][]int, theta float64, seed int64) int {
 	ps := make([]scoredClique, len(parents))
 	for i, q := range parents {
 		ps[i].nodes = q
 	}
-	subs, _ := exploreParents(context.Background(), g, m, ps, theta, newSampleRNG(seed), new(scorer), nil)
+	scs := new(roundScratch).workers(resolveWorkers(0))
+	subs, _ := exploreParents(context.Background(), g, m, ps, theta, newSampleRNG(seed), scs, nil)
 	return len(subs)
 }
 

@@ -225,9 +225,10 @@ func WithNegativeRatio(v float64) Option {
 
 // WithParallelism bounds the reconstructor's worker fan-out: the
 // ReconstructBatch targets, a session's dirty components, and the round
-// engine inside every reconstruction (the enumerate-and-score loop and the
-// per-component search — see README "Parallel round engine"). Every level
-// fans out through the same ordered-claim scheduler. 0 (the default) uses
+// engine inside every reconstruction (the enumerate-and-score loop, the
+// per-component search, and Phase 2's scoring in a round that searches one
+// component — see README "Parallel round engine"). Every level fans out
+// through the same ordered-claim scheduler. 0 (the default) uses
 // GOMAXPROCS; 1 runs every path serially. Output bytes are identical at
 // every setting.
 func WithParallelism(n int) Option {

@@ -3,11 +3,13 @@
 # parallel-equivalence job): for each bundled dataset, train once, produce
 # a -parallel 1 golden reconstruction, then reconstruct with -parallel 2,
 # -parallel 8 and the default (-parallel 0, one worker per GOMAXPROCS) and
-# require every output to be byte-identical to the golden. The same matrix then runs over
-# scenario-corpus families (datagen -family), whose shapes — dense hubs,
-# bridge chains, overlapping cliques, island archipelagos — stress the
-# parallel round engine's seed loop and component search harder than the
-# bundled datasets.
+# require every output to be byte-identical to the golden. eu is one dense
+# component whose first rounds draw thousands of Phase 2 sub-cliques, so
+# they score their draws on every worker; pschool's first rounds do too.
+# The same matrix then runs over scenario-corpus families (datagen
+# -family), whose shapes — dense hubs, bridge chains, overlapping cliques,
+# island archipelagos — stress the parallel round engine's seed loop and
+# component search harder than the bundled datasets.
 #
 # SEED overrides the generation/reconstruction seed (default 1); the
 # nightly job rotates it.
@@ -37,7 +39,7 @@ check() {
     done
 }
 
-for ds in hosts pschool; do
+for ds in hosts pschool eu; do
     echo "== $ds"
     "$bin/mariohctl" gen -dataset "$ds" -seed "$SEED" -out "$work"
     "$bin/mariohctl" train -train "$work/$ds.source.hg" -seed "$SEED" -epochs 15 -out "$work/$ds.model.json"
