@@ -4,7 +4,7 @@ GO ?= go
 # PRs (compare runs with benchstat; see README "Benchmarks"), plus the
 # reconstruction of the multi-component graph (BenchmarkShardedReconstruct,
 # named for the sharded engine it once also timed).
-BENCH_SUBSTRATE ?= BenchmarkHasEdge|BenchmarkMaximalCliques|BenchmarkScoreCliques|BenchmarkFeatures|BenchmarkDegeneracyOrdering|BenchmarkCommonNeighborCount|BenchmarkSumMinCommonWeight|BenchmarkMLPForward|BenchmarkParallelScoring|BenchmarkShardedReconstruct|BenchmarkIncrementalApply|BenchmarkCorpusReconstruct|BenchmarkParallelRound|BenchmarkSubcliqueScoring
+BENCH_SUBSTRATE ?= BenchmarkHasEdge|BenchmarkMaximalCliques|BenchmarkScoreCliques|BenchmarkFeatures|BenchmarkDegeneracyOrdering|BenchmarkCommonNeighborCount|BenchmarkSumMinCommonWeight|BenchmarkMLPForward|BenchmarkMLPTrain|BenchmarkParallelScoring|BenchmarkShardedReconstruct|BenchmarkIncrementalApply|BenchmarkCorpusReconstruct|BenchmarkParallelRound|BenchmarkSubcliqueScoring
 
 # Flags for the bench-regression gate (CI overrides warn-only on pushes).
 BENCHDIFF_FLAGS ?= -warn-only
@@ -144,11 +144,12 @@ bench-regress:
 	st=$$?; rm -f "$$tmp"; exit $$st
 
 # Where the linker placed the MLP kernel in the end-to-end benchmark's
-# binary. layerInto's inner loop runs about 30% slower at 32 than at 0
-# mod 64, which alone moves eu-dense by 10-13%, and a size change anywhere
-# can move it. Builds perfbench exactly as perfbench/run.sh does (same
+# binary. The four-neuron layerInto runs as fast at 32 as at 0 mod 64
+# (the one-neuron loop it replaced did not; see README "Benchmarks"), but
+# a size change anywhere can move it, so a comparison of two revisions
+# states it. Builds perfbench exactly as perfbench/run.sh does (same
 # flags, environment and output path) and prints the address and the
-# offset mod 64, so a comparison of two revisions can state both.
+# offset mod 64.
 layout:
 	@out="$$(pwd)/.bench_build"; mkdir -p "$$out/gocache" "$$out/gotmp"; \
 	cd perfbench && \

@@ -149,6 +149,33 @@ func BenchmarkMLPForwardScratch(b *testing.B) {
 	}
 }
 
+// BenchmarkMLPTrain is Net.Train on a seeded set the size of eu's
+// training examples (3,322 × 23) with the default 23-32-16-1 net, 5
+// epochs: the forward and backward kernels and the Adam step of the
+// training stage, on one goroutine. Each op trains a fresh net.
+func BenchmarkMLPTrain(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	X := make([][]float64, 3322)
+	y := make([]float64, len(X))
+	for i := range X {
+		X[i] = make([]float64, 23)
+		for j := range X[i] {
+			X[i][j] = rng.NormFloat64()
+		}
+		if X[i][0]+X[i][1]*X[i][2] > 0 {
+			y[i] = 1
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		net := mlp.New(23, []int{32, 16}, 1)
+		b.StartTimer()
+		net.Train(X, y, mlp.TrainOptions{Epochs: 5, Seed: 1})
+	}
+}
+
 // BenchmarkDegeneracyOrdering exercises the bucket-queue peel that seeds
 // every maximal-clique enumeration.
 func BenchmarkDegeneracyOrdering(b *testing.B) {

@@ -399,19 +399,31 @@ func (d *subDraws) explore(ctx context.Context, g *graph.Graph, m *Model, parent
 // returns n and their draw count: n ends the block at the first parent
 // that brings the draws to limit, or at the last parent. Each parent q
 // must be sorted, so that q at sorted positions is the sorted subset
-// Sample would return.
+// Sample would return. It counts the block first, so each buffer grows at
+// most once per block: a parent of s nodes has s−2 draws and
+// s(s−1)/2 − 1 positions.
 func (d *subDraws) draw(parents []scoredClique, rng *sampleRNG, perm *PermSampler, limit int) (n, draws int) {
-	d.pos, d.spans = d.pos[:0], d.spans[:0]
+	npos := 0
 	for n < len(parents) && draws < limit {
-		q := parents[n].nodes
+		s := len(parents[n].nodes)
+		if s > 2 {
+			draws += s - 2
+			npos += s*(s-1)/2 - 1
+		}
+		n++
+	}
+	d.pos = slices.Grow(d.pos[:0], npos)
+	d.spans = slices.Grow(d.spans[:0], n)
+	d.scores = slices.Grow(d.scores[:0], draws)[:draws]
+	draws = 0
+	for _, c := range parents[:n] {
+		q := c.nodes
 		d.spans = append(d.spans, drawSpan{pos: len(d.pos), draw: draws})
 		for k := 2; k <= len(q)-1; k++ {
 			d.pos = append(d.pos, perm.SamplePositions(len(q), k, rng)...)
 			draws++
 		}
-		n++
 	}
-	d.scores = slices.Grow(d.scores[:0], draws)[:draws]
 	return n, draws
 }
 

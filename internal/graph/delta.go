@@ -34,6 +34,27 @@ type DeltaOp struct {
 	W    int
 }
 
+// Validate reports why op is not a well-formed mutation, or nil: an
+// unknown kind, a self-loop or negative node, an add weight ≤ 0, a set
+// weight < 0, or a weight past int32, as multiplicities are stored as
+// int32 (see Graph.AddWeight). The error names the reason only; callers
+// say where the op came from.
+func (op DeltaOp) Validate() error {
+	switch {
+	case op.Kind > DeltaSet:
+		return fmt.Errorf("unknown kind %d", op.Kind)
+	case op.U == op.V || op.U < 0 || op.V < 0:
+		return fmt.Errorf("bad edge {%d, %d}", op.U, op.V)
+	case op.Kind == DeltaAdd && op.W <= 0:
+		return fmt.Errorf("add weight %d must be > 0", op.W)
+	case op.Kind == DeltaSet && op.W < 0:
+		return fmt.Errorf("set weight %d must be ≥ 0", op.W)
+	case op.W > math.MaxInt32:
+		return fmt.Errorf("weight %d overflows int32", op.W)
+	}
+	return nil
+}
+
 // String renders the op in the delta text format (see WriteDeltas).
 func (op DeltaOp) String() string {
 	switch op.Kind {
@@ -107,19 +128,8 @@ func ReadDeltas(r io.Reader) ([]DeltaOp, error) {
 		if wantArgs == 3 {
 			op.W = args[2]
 		}
-		if op.U == op.V || op.U < 0 || op.V < 0 {
-			return nil, fmt.Errorf("graph: delta line %d: bad edge {%d, %d}", lineNo, op.U, op.V)
-		}
-		switch {
-		case op.Kind == DeltaAdd && op.W <= 0:
-			return nil, fmt.Errorf("graph: delta line %d: add weight %d must be > 0", lineNo, op.W)
-		case op.Kind == DeltaSet && op.W < 0:
-			return nil, fmt.Errorf("graph: delta line %d: set weight %d must be ≥ 0", lineNo, op.W)
-		case op.W > math.MaxInt32:
-			// Multiplicities are stored as int32 (see Graph.AddWeight);
-			// reject out-of-range weights at the wire instead of panicking
-			// deep inside the engine.
-			return nil, fmt.Errorf("graph: delta line %d: weight %d overflows int32", lineNo, op.W)
+		if err := op.Validate(); err != nil {
+			return nil, fmt.Errorf("graph: delta line %d: %w", lineNo, err)
 		}
 		ops = append(ops, op)
 	}

@@ -110,9 +110,8 @@ func (e *Engine) Components() int {
 var ErrBadDelta = errors.New("incremental: bad delta batch")
 
 // Check reports why Apply would refuse ops, without changing anything: an
-// op graph.ReadDeltas would reject (an unknown kind, a self-loop, a
-// negative node, an add weight ≤ 0, a set weight < 0, a weight past
-// int32), or an add that takes its pair's weight past math.MaxInt32,
+// op that graph.DeltaOp.Validate rejects (the rule graph.ReadDeltas
+// applies), or an add that takes its pair's weight past math.MaxInt32,
 // following the pair's weight through the batch from its current value.
 // The error wraps ErrBadDelta. Apply and the durable session run Check
 // before they count, log or mutate a batch, so a refused batch leaves no
@@ -121,26 +120,8 @@ func (e *Engine) Check(ops []graph.DeltaOp) error {
 	g := e.tracker.Graph()
 	weights := make(map[[2]int]int, len(ops))
 	for i, op := range ops {
-		// ReadDeltas' rule, restated rather than shared: graph's code sits
-		// ahead of the MLP kernel in the linked binary, so growing it moves
-		// the kernel (see `make layout`). For the same reason ops are
-		// formatted through String, not as interface values, which would
-		// add a (*DeltaOp).String wrapper to graph's code.
-		var bad string
-		switch {
-		case op.Kind > graph.DeltaSet:
-			bad = fmt.Sprintf("unknown kind %d", op.Kind)
-		case op.U == op.V || op.U < 0 || op.V < 0:
-			bad = "bad edge"
-		case op.Kind == graph.DeltaAdd && op.W <= 0:
-			bad = "add weight must be > 0"
-		case op.Kind == graph.DeltaSet && op.W < 0:
-			bad = "set weight must be ≥ 0"
-		case op.W > math.MaxInt32:
-			bad = "weight overflows int32"
-		}
-		if bad != "" {
-			return fmt.Errorf("%w: op %d (%s): %s", ErrBadDelta, i+1, op.String(), bad)
+		if err := op.Validate(); err != nil {
+			return fmt.Errorf("%w: op %d (%s): %w", ErrBadDelta, i+1, op, err)
 		}
 		pair := [2]int{min(op.U, op.V), max(op.U, op.V)}
 		w, ok := weights[pair]
@@ -157,7 +138,7 @@ func (e *Engine) Check(ops []graph.DeltaOp) error {
 		}
 		if w > math.MaxInt32 {
 			return fmt.Errorf("%w: op %d (%s): weight of {%d, %d} would reach %d, past int32",
-				ErrBadDelta, i+1, op.String(), op.U, op.V, w)
+				ErrBadDelta, i+1, op, op.U, op.V, w)
 		}
 		weights[pair] = w
 	}
