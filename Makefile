@@ -9,7 +9,7 @@ BENCH_SUBSTRATE ?= BenchmarkHasEdge|BenchmarkMaximalCliques|BenchmarkScoreClique
 # Flags for the bench-regression gate (CI overrides warn-only on pushes).
 BENCHDIFF_FLAGS ?= -warn-only
 
-.PHONY: all build fmt fmt-fix vet lint lint-triage test race smoke parallel-check incr-check crash-check load-check bench bench-substrate bench-json bench-json-force bench-regress layout check
+.PHONY: all build fmt fmt-fix vet lint lint-triage test race smoke parallel-check incr-check crash-check load-check bench bench-substrate bench-substrate-list bench-json bench-json-force bench-regress layout check
 
 all: check build
 
@@ -56,6 +56,8 @@ lint-triage:
 test:
 	$(GO) test ./...
 
+# Race detector over the concurrent paths (CI's race step runs this
+# target, so the -run list lives only here).
 race:
 	$(GO) test -race -run 'Batch|Cancel|Progress|Parallel|Pipeline|Server|Queue|Registry|Session|Engine|Durability|WAL|Snapshot' ./...
 
@@ -103,6 +105,11 @@ bench:
 # Human-readable substrate benchmark run.
 bench-substrate:
 	$(GO) test -run '^$$' -bench '$(BENCH_SUBSTRATE)' -benchmem .
+
+# Print the substrate benchmark regex, so CI's bench-regression job runs
+# the list kept here instead of a copy.
+bench-substrate-list:
+	@echo '$(BENCH_SUBSTRATE)'
 
 # Record the substrate benchmarks into BENCH_<date>.json (test2json event
 # stream; the benchmark result lines are in the "Output" fields) so the

@@ -58,10 +58,10 @@ func TestSnapshotFingerprintEraSessionResumes(t *testing.T) {
 	}
 
 	dir := copyDir(t, filepath.Join("testdata", "fpsession"))
-	s := resumeAndCheck(t, dir, m, opts, Options{NoFsync: true}, half/batch, OutcomeClean, golden(t, shadow, m, opts))
-	defer s.Close()
-	if s.LastDirty() != 0 {
-		t.Fatalf("resumed session recomputed %d of %d components, want 0", s.LastDirty(), s.Components())
+	eng, l := resumeAndCheck(t, dir, m, opts, Options{NoFsync: true}, half/batch, OutcomeClean, golden(t, shadow, m, opts))
+	defer l.Close(eng)
+	if eng.LastDirty() != 0 {
+		t.Fatalf("resumed session recomputed %d of %d components, want 0", eng.LastDirty(), eng.Components())
 	}
 
 	var res *core.Result
@@ -70,7 +70,7 @@ func TestSnapshotFingerprintEraSessionResumes(t *testing.T) {
 		for _, op := range b {
 			applyToShadow(shadow, op)
 		}
-		if res, err = s.Apply(context.Background(), b); err != nil {
+		if res, err = l.Apply(context.Background(), eng, b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -160,40 +160,49 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-func forceRotate(t *testing.T, s *Session) {
+// create opens a durable session over g in dir: a fresh engine and the
+// log that records it.
+func create(t *testing.T, dir string, g *graph.Graph, m *core.Model, opts core.Options, o Options) (*incremental.Engine, *Log) {
 	t.Helper()
-	s.mu.Lock()
-	err := s.rotateLocked()
-	s.mu.Unlock()
+	eng := incremental.New(g, m, opts, 0)
+	l, err := Create(dir, eng, o)
 	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, l
+}
+
+func forceRotate(t *testing.T, eng *incremental.Engine, l *Log) {
+	t.Helper()
+	if err := l.rotate(eng); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// resumeAndCheck recovers dir and asserts the recovered session's next
+// resumeAndCheck recovers dir and asserts the recovered engine's next
 // Apply is byte-identical to an uninterrupted serial rebuild at the
 // expected sequence, with the expected recovery outcome.
 func resumeAndCheck(t *testing.T, dir string, m *core.Model, opts core.Options, o Options,
-	wantApplies int, wantOutcome string, wantGolden []byte) *Session {
+	wantApplies int, wantOutcome string, wantGolden []byte) (*incremental.Engine, *Log) {
 	t.Helper()
-	s, err := Resume(dir, m, opts, 0, o)
+	eng, l, err := Resume(dir, m, opts, 0, o)
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
-	if got := s.Applies(); got != wantApplies {
+	if got := eng.Applies(); got != wantApplies {
 		t.Fatalf("recovered applies = %d, want %d", got, wantApplies)
 	}
-	if got := s.Stats().Outcome; got != wantOutcome {
+	if got := l.Stats().Outcome; got != wantOutcome {
 		t.Fatalf("recovery outcome = %q, want %q", got, wantOutcome)
 	}
-	res, err := s.Apply(context.Background(), nil)
+	res, err := l.Apply(context.Background(), eng, nil)
 	if err != nil {
 		t.Fatalf("post-recovery Apply: %v", err)
 	}
 	if !bytes.Equal(render(t, res), wantGolden) {
 		t.Fatalf("recovered output diverges from serial rebuild (%d unique)", res.Hypergraph.NumUnique())
 	}
-	return s
+	return eng, l
 }
 
 // TestDurabilityRoundTrip: create → apply → close → resume must restore
@@ -207,21 +216,18 @@ func TestDurabilityRoundTrip(t *testing.T) {
 	walk := makeWalk(g, 5, 4)
 	dir := filepath.Join(t.TempDir(), "sess")
 
-	s, err := Create(dir, g.Clone(), m, opts, 0, Options{SnapshotEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, l := create(t, dir, g.Clone(), m, opts, Options{SnapshotEvery: 2})
 	if !Exists(dir) {
 		t.Fatal("Exists false after Create")
 	}
-	if _, err := Create(dir, g.Clone(), m, opts, 0, Options{}); err == nil {
+	if _, err := Create(dir, incremental.New(g.Clone(), m, opts, 0), Options{}); err == nil {
 		t.Fatal("second Create on the same dir succeeded")
 	}
-	if _, err := s.Apply(context.Background(), nil); err != nil { // initial full build
+	if _, err := l.Apply(context.Background(), eng, nil); err != nil { // initial full build
 		t.Fatal(err)
 	}
 	for i, ops := range walk.batches {
-		res, err := s.Apply(context.Background(), ops)
+		res, err := l.Apply(context.Background(), eng, ops)
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
@@ -229,43 +235,37 @@ func TestDurabilityRoundTrip(t *testing.T) {
 			t.Fatalf("batch %d: durable apply diverges from full rebuild", i)
 		}
 	}
-	st := s.Stats()
+	st := l.Stats()
 	if st.WALRecords != 6 || st.WALBytes == 0 {
 		t.Fatalf("wal stats = %+v, want 6 records", st)
 	}
 	if st.Snapshots == 0 {
 		t.Fatal("no periodic snapshots at SnapshotEvery=2")
 	}
-	if err := s.Sync(); err != nil {
+	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
+	if err := l.Close(eng); err != nil {
 		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal("second Close errored:", err)
-	}
-	if _, err := s.Apply(context.Background(), nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Apply after Close = %v, want ErrClosed", err)
 	}
 
 	final := golden(t, walk.shadows[len(walk.shadows)-1], m, opts)
-	r := resumeAndCheck(t, dir, m, opts, Options{}, 6, OutcomeClean, final)
+	reng, r := resumeAndCheck(t, dir, m, opts, Options{}, 6, OutcomeClean, final)
 	if st := r.Stats(); st.Replayed != 0 {
 		t.Fatalf("clean resume replayed %d records, want 0", st.Replayed)
 	}
 	// A clean resume restores the cache whole: the verification Apply in
 	// resumeAndCheck recomputed nothing.
-	if r.LastDirty() != 0 {
-		t.Fatalf("clean resume recomputed %d components, want 0", r.LastDirty())
+	if reng.LastDirty() != 0 {
+		t.Fatalf("clean resume recomputed %d components, want 0", reng.LastDirty())
 	}
-	r.Close()
+	r.Close(reng)
 }
 
 // crashFixture builds the shared fault-injection scene: a session with a
 // snapshot at seq 2 (engine.snap, full cache) and a third batch in the
 // active WAL segment — then "crashes" by copying the directory while the
-// session is still open. Returns the live dir, the walk, and goldens for
+// log is still open. Returns the live dir, the walk, and goldens for
 // seq 0..3 (the walk is deterministic, so the goldens are computed once
 // and shared across the fault tests).
 var (
@@ -279,17 +279,14 @@ func crashFixture(t *testing.T) (dir string, walk *deltaWalk, m *core.Model, opt
 	opts = core.Options{Seed: 5}
 	walk = makeWalk(g, 3, 4)
 	dir = filepath.Join(t.TempDir(), "sess")
-	s, err := Create(dir, g.Clone(), m, opts, 0, Options{NoFsync: true, SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, l := create(t, dir, g.Clone(), m, opts, Options{NoFsync: true, SnapshotEvery: -1})
 	for _, ops := range walk.batches[:2] {
-		if _, err := s.Apply(context.Background(), ops); err != nil {
+		if _, err := l.Apply(context.Background(), eng, ops); err != nil {
 			t.Fatal(err)
 		}
 	}
-	forceRotate(t, s) // engine.snap @ seq 2, wal-000002.log active
-	if _, err := s.Apply(context.Background(), walk.batches[2]); err != nil {
+	forceRotate(t, eng, l) // engine.snap @ seq 2, wal-000002.log active
+	if _, err := l.Apply(context.Background(), eng, walk.batches[2]); err != nil {
 		t.Fatal(err)
 	}
 	// Deliberately no Close: the copies below are the crash snapshots.
@@ -330,8 +327,8 @@ func TestDurabilityTornWriteMatrix(t *testing.T) {
 		if cut == len(tail) {
 			wantApplies, wantBytes = 3, goldens[3]
 		}
-		s := resumeAndCheck(t, crashed, m, opts, Options{NoFsync: true}, wantApplies, wantOutcome, wantBytes)
-		s.Close()
+		eng, l := resumeAndCheck(t, crashed, m, opts, Options{NoFsync: true}, wantApplies, wantOutcome, wantBytes)
+		l.Close(eng)
 	}
 }
 
@@ -350,8 +347,8 @@ func TestDurabilityWALBitFlipTail(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := resumeAndCheck(t, crashed, m, opts, Options{NoFsync: true}, 2, OutcomeTornTail, goldens[2])
-	s.Close()
+	eng, l := resumeAndCheck(t, crashed, m, opts, Options{NoFsync: true}, 2, OutcomeTornTail, goldens[2])
+	l.Close(eng)
 }
 
 // TestDurabilityWALBitFlipMidLog: corruption inside acknowledged history
@@ -363,12 +360,9 @@ func TestDurabilityWALBitFlipMidLog(t *testing.T) {
 	opts := core.Options{Seed: 6}
 	walk := makeWalk(g, 3, 4)
 	dir := filepath.Join(t.TempDir(), "sess")
-	s, err := Create(dir, g.Clone(), m, opts, 0, Options{NoFsync: true, SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, l := create(t, dir, g.Clone(), m, opts, Options{NoFsync: true, SnapshotEvery: -1})
 	for _, ops := range walk.batches {
-		if _, err := s.Apply(context.Background(), ops); err != nil {
+		if _, err := l.Apply(context.Background(), eng, ops); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -388,12 +382,12 @@ func TestDurabilityWALBitFlipMidLog(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r := resumeAndCheck(t, crashed, m, opts, Options{NoFsync: true}, 1, OutcomeLostSuffix,
+	reng, r := resumeAndCheck(t, crashed, m, opts, Options{NoFsync: true}, 1, OutcomeLostSuffix,
 		golden(t, walk.shadows[1], m, opts))
 	if st := r.Stats(); st.Replayed != 1 {
 		t.Fatalf("replayed %d records, want 1", st.Replayed)
 	}
-	r.Close()
+	r.Close(reng)
 }
 
 // TestDurabilityMissingSnapshot: deleting engine.snap falls back to the
@@ -405,11 +399,11 @@ func TestDurabilityMissingSnapshot(t *testing.T) {
 	if err := os.Remove(filepath.Join(crashed, "engine.snap")); err != nil {
 		t.Fatal(err)
 	}
-	r := resumeAndCheck(t, crashed, m, opts, Options{NoFsync: true}, 3, OutcomeClean, goldens[3])
+	eng, r := resumeAndCheck(t, crashed, m, opts, Options{NoFsync: true}, 3, OutcomeClean, goldens[3])
 	if st := r.Stats(); st.Replayed != 3 {
 		t.Fatalf("replayed %d records, want 3", st.Replayed)
 	}
-	r.Close()
+	r.Close(eng)
 }
 
 // TestDurabilitySnapshotVersionSkew: a snapshot from a different format
@@ -430,8 +424,8 @@ func TestDurabilitySnapshotVersionSkew(t *testing.T) {
 	if err := os.WriteFile(path, []byte(skewed), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := resumeAndCheck(t, crashed, m, opts, Options{NoFsync: true}, 3, OutcomeSnapshotFallback, goldens[3])
-	s.Close()
+	eng, l := resumeAndCheck(t, crashed, m, opts, Options{NoFsync: true}, 3, OutcomeSnapshotFallback, goldens[3])
+	l.Close(eng)
 }
 
 // TestDurabilitySnapshotGraphCorrupt: a flipped byte in the snapshot's
@@ -453,8 +447,8 @@ func TestDurabilitySnapshotGraphCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := resumeAndCheck(t, crashed, m, opts, Options{NoFsync: true}, 3, OutcomeSnapshotFallback, goldens[3])
-	s.Close()
+	eng, l := resumeAndCheck(t, crashed, m, opts, Options{NoFsync: true}, 3, OutcomeSnapshotFallback, goldens[3])
+	l.Close(eng)
 }
 
 // TestDurabilitySnapshotCacheCorrupt: damage confined to the snapshot's
@@ -476,58 +470,53 @@ func TestDurabilitySnapshotCacheCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Resume(crashed, m, opts, 0, Options{NoFsync: true})
+	eng, l, err := Resume(crashed, m, opts, 0, Options{NoFsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().Outcome; got != OutcomeCacheDropped {
+	if got := l.Stats().Outcome; got != OutcomeCacheDropped {
 		t.Fatalf("outcome = %q, want %q", got, OutcomeCacheDropped)
 	}
-	if got := s.Applies(); got != 3 {
+	if got := eng.Applies(); got != 3 {
 		t.Fatalf("applies = %d, want 3", got)
 	}
-	res, err := s.Apply(context.Background(), nil)
+	res, err := l.Apply(context.Background(), eng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(render(t, res), goldens[3]) {
 		t.Fatal("cache-dropped recovery diverges from serial rebuild")
 	}
-	if res.DirtyComponents == 0 || res.DirtyComponents != s.Components() {
+	if res.DirtyComponents == 0 || res.DirtyComponents != eng.Components() {
 		t.Fatalf("dropped cache should force a full recompute: dirty %d, live %d",
-			res.DirtyComponents, s.Components())
+			res.DirtyComponents, eng.Components())
 	}
-	s.Close()
+	l.Close(eng)
 }
 
 // TestDurabilityBrokenWALRefusesApplies: once an append fails, the
-// session latches broken — no acknowledgement can outrun the log.
+// log latches broken — no acknowledgement can outrun the log.
 func TestDurabilityBrokenWALRefusesApplies(t *testing.T) {
 	g, m := fixture(t)
 	opts := core.Options{Seed: 2}
 	dir := filepath.Join(t.TempDir(), "sess")
-	s, err := Create(dir, g, m, opts, 0, Options{NoFsync: true})
-	if err != nil {
+	eng, l := create(t, dir, g, m, opts, Options{NoFsync: true})
+	if _, err := l.Apply(context.Background(), eng, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	s.wal.f.Close() // simulate the device yanking the handle
-	s.mu.Unlock()
-	if _, err := s.Apply(context.Background(), nil); !errors.Is(err, ErrStorage) {
+	l.wal.f.Close() // simulate the device yanking the handle
+	if _, err := l.Apply(context.Background(), eng, nil); !errors.Is(err, ErrStorage) {
 		t.Fatalf("Apply on dead WAL = %v, want ErrStorage", err)
 	}
-	if _, err := s.Apply(context.Background(), nil); !errors.Is(err, ErrStorage) {
-		t.Fatalf("broken session served an Apply: %v", err)
+	if _, err := l.Apply(context.Background(), eng, nil); !errors.Is(err, ErrStorage) {
+		t.Fatalf("broken log served an Apply: %v", err)
 	}
 }
 
 // TestDurabilityRefusesOverflowingBatch: a batch whose adds take a pair
 // past int32 is refused with incremental.ErrBadDelta before it is mutated
 // or logged — the graph's bytes, the applies counter and the WAL record
-// count stay put and the session does not latch broken — and the next
+// count stay put and the log does not latch broken — and the next
 // batch, and a resume of the directory, still equal a from-scratch
 // rebuild.
 func TestDurabilityRefusesOverflowingBatch(t *testing.T) {
@@ -535,21 +524,18 @@ func TestDurabilityRefusesOverflowingBatch(t *testing.T) {
 	opts := core.Options{Seed: 4}
 	walk := makeWalk(g, 1, 4)
 	dir := filepath.Join(t.TempDir(), "sess")
-	s, err := Create(dir, g, m, opts, 0, Options{NoFsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Apply(context.Background(), nil); err != nil {
+	eng, l := create(t, dir, g, m, opts, Options{NoFsync: true})
+	if _, err := l.Apply(context.Background(), eng, nil); err != nil {
 		t.Fatal(err)
 	}
 	graphBytes := func() []byte {
 		var buf bytes.Buffer
-		if err := s.Graph().Write(&buf); err != nil {
+		if err := eng.Graph().Write(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	before, records := graphBytes(), s.Stats().WALRecords
+	before, records := graphBytes(), l.Stats().WALRecords
 
 	e := walk.shadows[0].Edges()[0]
 	half := math.MaxInt32/2 + 1
@@ -557,15 +543,15 @@ func TestDurabilityRefusesOverflowingBatch(t *testing.T) {
 		{Kind: graph.DeltaAdd, U: e.U, V: e.V, W: half},
 		{Kind: graph.DeltaAdd, U: e.U, V: e.V, W: half},
 	}
-	if _, err := s.Apply(context.Background(), bad); !errors.Is(err, incremental.ErrBadDelta) {
+	if _, err := l.Apply(context.Background(), eng, bad); !errors.Is(err, incremental.ErrBadDelta) {
 		t.Fatalf("overflowing batch = %v, want ErrBadDelta", err)
 	}
-	if !bytes.Equal(graphBytes(), before) || s.Applies() != 1 || s.Stats().WALRecords != records {
+	if !bytes.Equal(graphBytes(), before) || eng.Applies() != 1 || l.Stats().WALRecords != records {
 		t.Fatalf("refused batch left a trace: applies %d, WAL records %d (was %d)",
-			s.Applies(), s.Stats().WALRecords, records)
+			eng.Applies(), l.Stats().WALRecords, records)
 	}
 
-	res, err := s.Apply(context.Background(), walk.batches[0])
+	res, err := l.Apply(context.Background(), eng, walk.batches[0])
 	if err != nil {
 		t.Fatalf("apply after the refused batch: %v", err)
 	}
@@ -573,10 +559,11 @@ func TestDurabilityRefusesOverflowingBatch(t *testing.T) {
 	if !bytes.Equal(render(t, res), want) {
 		t.Fatal("apply after the refused batch diverges from full rebuild")
 	}
-	if err := s.Close(); err != nil {
+	if err := l.Close(eng); err != nil {
 		t.Fatal(err)
 	}
-	resumeAndCheck(t, dir, m, opts, Options{}, 2, OutcomeClean, want).Close()
+	reng, r := resumeAndCheck(t, dir, m, opts, Options{}, 2, OutcomeClean, want)
+	r.Close(reng)
 }
 
 // TestWALStreamDecode covers the framing layer directly: clean streams
@@ -620,29 +607,4 @@ func TestWALStreamDecode(t *testing.T) {
 	if got, dmg := decodeWALStream(nil); dmg != walClean || len(got) != 0 {
 		t.Fatalf("empty stream: %d records, damage %v", len(got), dmg)
 	}
-}
-
-// TestDurabilityConcurrentReads: Stats/Applies/Graph race an in-flight
-// Apply without tripping the race detector.
-func TestDurabilityConcurrentReads(t *testing.T) {
-	g, m := fixture(t)
-	dir := filepath.Join(t.TempDir(), "sess")
-	s, err := Create(dir, g, m, core.Options{Seed: 1}, 0, Options{NoFsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			s.Stats()
-			s.Applies()
-			s.Components()
-		}
-	}()
-	if _, err := s.Apply(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
-	<-done
 }

@@ -2,7 +2,6 @@ package durability
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -10,15 +9,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"marioh/internal/core"
 	"marioh/internal/graph"
 	"marioh/internal/incremental"
 )
-
-// ErrClosed is returned by operations on a closed session.
-var ErrClosed = errors.New("durability: session closed")
 
 // Directory layout of one durable session:
 //
@@ -37,7 +32,7 @@ const (
 	walSuffix    = ".log"
 )
 
-// Recovery outcomes, ordered by increasing severity. A resumed session
+// Recovery outcomes, ordered by increasing severity. A resumed log
 // reports the most severe condition it observed.
 const (
 	// OutcomeClean: newest snapshot loaded, every WAL record replayed and
@@ -79,7 +74,7 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Stats reports the durability counters of one session.
+// Stats reports the durability counters of one log.
 type Stats struct {
 	WALRecords int64  // records appended by this process
 	WALBytes   int64  // framed bytes appended by this process
@@ -88,32 +83,30 @@ type Stats struct {
 	Outcome    string // recovery outcome of the last Resume ("" for Create)
 }
 
-// Session wraps an incremental.Engine with a write-ahead log and periodic
-// snapshots under one directory. Every Apply appends the batch (and the
-// post-apply graph fingerprint) to the WAL before reconstructing, so a
-// crash at any point loses at most the one batch that was never
+// Log is the durable half of a session: the write-ahead log and the
+// snapshot chain of one directory. The session that owns it keeps the
+// engine and serializes every call. Apply appends each batch (and the
+// post-apply graph fingerprint) to the WAL before the engine reconstructs
+// it, so a crash at any point loses at most the one batch that was never
 // acknowledged.
-type Session struct {
+type Log struct {
 	dir       string
 	fsync     bool
 	snapEvery int
 	logf      func(string, ...any)
 
-	mu          sync.Mutex
-	eng         *incremental.Engine // guarded by mu
-	wal         *walWriter          // guarded by mu
-	walSeg      int                 // guarded by mu; active segment index
-	lastSnapSeq uint64              // guarded by mu; applies covered by engine.snap
-	walRecords  int64               // guarded by mu
-	walBytes    int64               // guarded by mu
-	snapshots   int64               // guarded by mu
-	replayed    int                 // guarded by mu; set once at Resume
-	outcome     string              // guarded by mu; set once at Resume
-	broken      error               // guarded by mu; latched storage failure
-	closed      bool                // guarded by mu
+	wal         *walWriter
+	walSeg      int    // active segment index
+	lastSnapSeq uint64 // applies covered by engine.snap
+	walRecords  int64
+	walBytes    int64
+	snapshots   int64
+	replayed    int    // set once at Resume
+	outcome     string // set once at Resume
+	broken      error  // latched storage failure
 }
 
-func newSession(dir string, o Options) *Session {
+func newLog(dir string, o Options) *Log {
 	every := o.SnapshotEvery
 	if every == 0 {
 		every = defaultSnapshotEvery
@@ -122,11 +115,11 @@ func newSession(dir string, o Options) *Session {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Session{dir: dir, fsync: !o.NoFsync, snapEvery: every, logf: logf}
+	return &Log{dir: dir, fsync: !o.NoFsync, snapEvery: every, logf: logf}
 }
 
-func (s *Session) segPath(i int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s%06d%s", walPrefix, i, walSuffix))
+func (l *Log) segPath(i int) string {
+	return filepath.Join(l.dir, fmt.Sprintf("%s%06d%s", walPrefix, i, walSuffix))
 }
 
 // Exists reports whether dir holds a durable session (its base snapshot
@@ -137,38 +130,32 @@ func Exists(dir string) bool {
 }
 
 // Create initializes a durable session in dir (created if needed, must
-// not already hold one) over g. Like incremental.New it takes ownership
-// of g. The seq-0 base snapshot is written before Create returns, so the
-// session is recoverable from its first moment.
-func Create(dir string, g *graph.Graph, m *core.Model, opts core.Options, workers int, o Options) (*Session, error) {
+// not already hold one) for eng, a fresh engine its caller keeps. The
+// seq-0 base snapshot is written before Create returns, so the session
+// is recoverable from its first moment.
+func Create(dir string, eng *incremental.Engine, o Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("%w: session dir: %v", ErrStorage, err)
 	}
 	if Exists(dir) {
 		return nil, fmt.Errorf("durability: session dir %s already initialized (use Resume)", dir)
 	}
-	s := newSession(dir, o)
-	s.eng = incremental.New(g, m, opts, workers)
-	st := s.eng.State()
-	fp := s.eng.Fingerprint()
-	base := filepath.Join(dir, baseSnapName)
-	if err := WriteFileAtomic(base, s.fsync, func(w io.Writer) error {
-		return writeSnapshot(w, st, fp)
-	}); err != nil {
+	l := newLog(dir, o)
+	if err := l.writeSnapshotFile(baseSnapName, eng); err != nil {
 		return nil, err
 	}
-	wal, err := openWAL(s.segPath(1), s.fsync)
+	wal, err := openWAL(l.segPath(1), l.fsync)
 	if err != nil {
 		return nil, err
 	}
-	s.wal, s.walSeg = wal, 1
-	if s.fsync {
+	l.wal, l.walSeg = wal, 1
+	if l.fsync {
 		if err := syncDir(dir); err != nil {
 			wal.Close()
 			return nil, err
 		}
 	}
-	return s, nil
+	return l, nil
 }
 
 // Resume recovers the durable session in dir: it loads the newest valid
@@ -178,25 +165,26 @@ func Create(dir string, g *graph.Graph, m *core.Model, opts core.Options, worker
 // engine.snap → engine.snap.prev → base.snap; only when no candidate
 // replays to matching fingerprints does Resume fail. A successful Resume
 // writes a fresh snapshot and starts a new WAL segment, so the next
-// recovery replays nothing.
-func Resume(dir string, m *core.Model, opts core.Options, workers int, o Options) (*Session, error) {
+// recovery replays nothing. It returns the recovered engine, which the
+// caller owns, and the log that records it.
+func Resume(dir string, m *core.Model, opts core.Options, workers int, o Options) (*incremental.Engine, *Log, error) {
 	if !Exists(dir) {
-		return nil, fmt.Errorf("durability: no session in %s", dir)
+		return nil, nil, fmt.Errorf("durability: no session in %s", dir)
 	}
-	s := newSession(dir, o)
+	l := newLog(dir, o)
 
-	segs, err := s.listSegments()
+	segs, err := l.listSegments()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var all []walRecord
 	perSegCount := make([]int, len(segs))
 	damaged := make([]bool, len(segs)) // damage that may hide acknowledged records
 	tornTail := false
 	for i, seg := range segs {
-		recs, dmg, err := readWALSegment(s.segPath(seg))
+		recs, dmg, err := readWALSegment(l.segPath(seg))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		all = append(all, recs...)
 		perSegCount[i] = len(recs)
@@ -234,26 +222,26 @@ func Resume(dir string, m *core.Model, opts core.Options, workers int, o Options
 		st, fp0, dropped, err := readSnapshotFile(filepath.Join(dir, name))
 		if err != nil {
 			lastErr = fmt.Errorf("%s: %v", name, err)
-			s.logf("durability: %s unusable: %v", name, err)
+			l.logf("durability: %s unusable: %v", name, err)
 			continue
 		}
 		e := incremental.Restore(st, m, opts, workers)
 		if got := e.Fingerprint(); got != fp0 {
 			lastErr = fmt.Errorf("%s: graph fingerprint mismatch (got %016x want %016x)", name, got, fp0)
-			s.logf("durability: %s unusable: fingerprint mismatch", name)
+			l.logf("durability: %s unusable: fingerprint mismatch", name)
 			continue
 		}
 		n, ok := replayChain(e, all, uint64(st.Applies))
 		if !ok {
 			lastErr = fmt.Errorf("%s: wal replay diverged from recorded fingerprints", name)
-			s.logf("durability: %s unusable: replay fingerprint mismatch", name)
+			l.logf("durability: %s unusable: replay fingerprint mismatch", name)
 			continue
 		}
 		eng, replayed, cacheDropped, fellBack = e, n, dropped, i > 0
 		break
 	}
 	if eng == nil {
-		return nil, fmt.Errorf("durability: unrecoverable session in %s: %v", dir, lastErr)
+		return nil, nil, fmt.Errorf("durability: unrecoverable session in %s: %v", dir, lastErr)
 	}
 
 	// Loss accounting. Replay is chain-contiguous, so reaching maxSeen
@@ -290,39 +278,38 @@ func Resume(dir string, m *core.Model, opts core.Options, workers int, o Options
 		outcome = OutcomeTornTail
 	}
 	if outcome != OutcomeClean {
-		s.logf("durability: recovered %s at seq %d (replayed %d records): %s", dir, eng.Applies(), replayed, outcome)
+		l.logf("durability: recovered %s at seq %d (replayed %d records): %s", dir, eng.Applies(), replayed, outcome)
 	}
 
-	s.eng = eng
-	s.replayed = replayed
-	s.outcome = outcome
+	l.replayed = replayed
+	l.outcome = outcome
 	lastSeg := 0
 	if len(segs) > 0 {
 		lastSeg = segs[len(segs)-1]
 	}
-	s.walSeg = lastSeg + 1 // never append to a possibly-damaged segment
-	s.wal, err = openWAL(s.segPath(s.walSeg), s.fsync)
+	l.walSeg = lastSeg + 1 // never append to a possibly-damaged segment
+	l.wal, err = openWAL(l.segPath(l.walSeg), l.fsync)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Heal: a fresh snapshot at the recovered state bounds the next
 	// recovery's replay (and replaces a damaged engine.snap). Failure is
 	// not fatal — the WAL chain above remains sufficient.
-	if err := s.writeSnapshotLocked(); err != nil {
-		s.logf("durability: post-recovery snapshot failed: %v", err)
+	if err := l.snapshot(eng); err != nil {
+		l.logf("durability: post-recovery snapshot failed: %v", err)
 	}
-	if s.fsync {
+	if l.fsync {
 		if err := syncDir(dir); err != nil {
-			s.wal.Close()
-			return nil, err
+			l.wal.Close()
+			return nil, nil, err
 		}
 	}
-	return s, nil
+	return eng, l, nil
 }
 
 // listSegments returns the WAL segment indices present in dir, ascending.
-func (s *Session) listSegments() ([]int, error) {
-	entries, err := os.ReadDir(s.dir)
+func (l *Log) listSegments() ([]int, error) {
+	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return nil, fmt.Errorf("%w: session dir: %v", ErrStorage, err)
 	}
@@ -370,25 +357,22 @@ func replayChain(e *incremental.Engine, recs []walRecord, from uint64) (int, boo
 	return applied, true
 }
 
-// Apply durably applies one delta batch: the graph is mutated, the batch
-// and the post-mutation fingerprint are appended (and fsync'd, unless
-// disabled) to the WAL, and only then does the engine reconstruct — so
-// by the time the result is returned the batch is recoverable. Mirrors
-// incremental.Engine.Apply semantics: a batch the engine's Check refuses
-// returns its error (wrapping incremental.ErrBadDelta) before anything is
-// mutated or logged, and the session stays healthy; on reconstruction
-// error or cancellation the mutation has landed (and is logged) and a
-// retry with an empty batch resumes where it stopped.
-func (s *Session) Apply(ctx context.Context, ops []graph.DeltaOp) (*core.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
+// Apply durably applies one delta batch to eng, the engine this log
+// records: the graph is mutated, the batch and the post-mutation
+// fingerprint are appended (and fsync'd, unless disabled) to the WAL, and
+// only then does the engine reconstruct, so by the time the result is
+// returned the batch is recoverable. It keeps eng.Apply's semantics: a
+// batch the engine's Check refuses returns its error (wrapping
+// incremental.ErrBadDelta) before anything is mutated or logged, and the
+// log stays healthy; on reconstruction error or cancellation the mutation
+// has landed (and is logged) and a retry with an empty batch resumes
+// where it stopped. Every SnapshotEvery successful applies, the snapshot
+// and the WAL segment rotate.
+func (l *Log) Apply(ctx context.Context, eng *incremental.Engine, ops []graph.DeltaOp) (*core.Result, error) {
+	if l.broken != nil {
+		return nil, l.broken
 	}
-	if s.broken != nil {
-		return nil, s.broken
-	}
-	if err := s.eng.Check(ops); err != nil {
+	if err := eng.Check(ops); err != nil {
 		return nil, err
 	}
 
@@ -400,153 +384,114 @@ func (s *Session) Apply(ctx context.Context, ops []graph.DeltaOp) (*core.Result,
 				// log; any record appended after it could never replay to
 				// a matching fingerprint, so latch broken instead of
 				// poisoning the log.
-				s.broken = fmt.Errorf("%w: mutation panic: %v", ErrStorage, p)
+				l.broken = fmt.Errorf("%w: mutation panic: %v", ErrStorage, p)
 				panic(p)
 			}
 		}()
-		s.eng.Mutate(ops)
+		eng.Mutate(ops)
 	}()
-	fp := s.eng.Fingerprint()
-	seq := uint64(s.eng.Applies() + 1)
-	n, err := s.wal.Append(walRecord{seq: seq, fp: fp, ops: ops})
+	fp := eng.Fingerprint()
+	seq := uint64(eng.Applies() + 1)
+	n, err := l.wal.Append(walRecord{seq: seq, fp: fp, ops: ops})
 	if err != nil {
-		s.broken = err
+		l.broken = err
 		return nil, err
 	}
-	s.walRecords++
-	s.walBytes += int64(n)
+	l.walRecords++
+	l.walBytes += int64(n)
 
-	res, rerr := s.eng.Apply(ctx, nil)
+	res, rerr := eng.Apply(ctx, nil)
 
-	if rerr == nil && s.snapEvery > 0 && seq-s.lastSnapSeq >= uint64(s.snapEvery) {
-		if err := s.rotateLocked(); err != nil {
+	if rerr == nil && l.snapEvery > 0 && seq-l.lastSnapSeq >= uint64(l.snapEvery) {
+		if err := l.rotate(eng); err != nil {
 			// Snapshot failure loses nothing (the WAL has every batch);
 			// log and keep serving unless the WAL itself became unusable.
-			s.logf("durability: snapshot rotation failed: %v", err)
+			l.logf("durability: snapshot rotation failed: %v", err)
 		}
 	}
 	return res, rerr
 }
 
-// writeSnapshotLocked writes engine.snap at the engine's current state,
-// preserving the previous snapshot as engine.snap.prev. Callers hold mu
-// (or have exclusive access during Create/Resume).
-func (s *Session) writeSnapshotLocked() error {
-	st := s.eng.State()
-	fp := s.eng.Fingerprint()
-	snap := filepath.Join(s.dir, snapName)
+// writeSnapshotFile writes eng's state to the named file of the session
+// directory, atomically.
+func (l *Log) writeSnapshotFile(name string, eng *incremental.Engine) error {
+	st, fp := eng.State(), eng.Fingerprint()
+	return WriteFileAtomic(filepath.Join(l.dir, name), l.fsync, func(w io.Writer) error {
+		return writeSnapshot(w, st, fp)
+	})
+}
+
+// snapshot writes engine.snap at eng's current state, preserving the
+// previous snapshot as engine.snap.prev.
+func (l *Log) snapshot(eng *incremental.Engine) error {
+	snap := filepath.Join(l.dir, snapName)
 	if _, err := os.Stat(snap); err == nil {
-		if err := os.Rename(snap, filepath.Join(s.dir, snapPrevName)); err != nil {
+		if err := os.Rename(snap, filepath.Join(l.dir, snapPrevName)); err != nil {
 			return fmt.Errorf("%w: rotate snapshot: %v", ErrStorage, err)
 		}
 	}
-	if err := WriteFileAtomic(snap, s.fsync, func(w io.Writer) error {
-		return writeSnapshot(w, st, fp)
-	}); err != nil {
+	if err := l.writeSnapshotFile(snapName, eng); err != nil {
 		return err
 	}
-	s.lastSnapSeq = uint64(s.eng.Applies())
-	s.snapshots++
+	l.lastSnapSeq = uint64(eng.Applies())
+	l.snapshots++
 	return nil
 }
 
-// rotateLocked snapshots the engine and starts a fresh WAL segment.
-func (s *Session) rotateLocked() error {
-	if err := s.writeSnapshotLocked(); err != nil {
+// rotate snapshots eng and starts a fresh WAL segment.
+func (l *Log) rotate(eng *incremental.Engine) error {
+	if err := l.snapshot(eng); err != nil {
 		return err
 	}
-	if err := s.wal.Close(); err != nil {
-		s.broken = err // the active segment is in an unknown state
+	if err := l.wal.Close(); err != nil {
+		l.broken = err // the active segment is in an unknown state
 		return err
 	}
-	s.walSeg++
-	w, err := openWAL(s.segPath(s.walSeg), s.fsync)
+	l.walSeg++
+	w, err := openWAL(l.segPath(l.walSeg), l.fsync)
 	if err != nil {
-		s.broken = err
+		l.broken = err
 		return err
 	}
-	s.wal = w
-	if s.fsync {
-		return syncDir(s.dir)
+	l.wal = w
+	if l.fsync {
+		return syncDir(l.dir)
 	}
 	return nil
 }
 
-// Graph returns the session's live graph; callers must not mutate it.
-func (s *Session) Graph() *graph.Graph {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.Graph()
-}
-
-// Applies returns the engine's apply counter (the WAL sequence number of
-// the newest acknowledged batch).
-func (s *Session) Applies() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.Applies()
-}
-
-// LastDirty returns the number of components the most recent Apply
-// recomputed.
-func (s *Session) LastDirty() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.LastDirty()
-}
-
-// Components returns the number of live (edge-bearing) components of the
-// session's graph.
-func (s *Session) Components() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.Components()
-}
-
-// Stats returns the session's durability counters.
-func (s *Session) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// Stats returns the log's durability counters.
+func (l *Log) Stats() Stats {
 	return Stats{
-		WALRecords: s.walRecords,
-		WALBytes:   s.walBytes,
-		Snapshots:  s.snapshots,
-		Replayed:   s.replayed,
-		Outcome:    s.outcome,
+		WALRecords: l.walRecords,
+		WALBytes:   l.walBytes,
+		Snapshots:  l.snapshots,
+		Replayed:   l.replayed,
+		Outcome:    l.outcome,
 	}
 }
 
 // Sync forces the active WAL segment to disk, regardless of NoFsync.
-func (s *Session) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+func (l *Log) Sync() error {
+	if l.broken != nil {
+		return l.broken
 	}
-	if s.broken != nil {
-		return s.broken
-	}
-	return s.wal.Sync()
+	return l.wal.Sync()
 }
 
-// Close writes a final snapshot (bounding the next Resume's replay to
-// zero) and closes the WAL. Safe to call twice; a broken session skips
-// the snapshot but still releases the file handle.
-func (s *Session) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
+// Close writes a final snapshot of eng (bounding the next Resume's replay
+// to zero) and closes the WAL. A broken log skips the snapshot but still
+// releases the file handle. The owner calls Close once and uses the log
+// no more.
+func (l *Log) Close(eng *incremental.Engine) error {
 	var firstErr error
-	if s.broken == nil {
-		if err := s.writeSnapshotLocked(); err != nil {
+	if l.broken == nil {
+		if err := l.snapshot(eng); err != nil {
 			firstErr = err
-			s.logf("durability: final snapshot failed: %v", err)
+			l.logf("durability: final snapshot failed: %v", err)
 		}
 	}
-	if err := s.wal.Close(); err != nil && firstErr == nil {
+	if err := l.wal.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr

@@ -29,10 +29,11 @@ const (
 var ErrStorage = errors.New("durability: storage")
 
 // WriteFileAtomic writes path through a temp file in the same directory
-// followed by an atomic rename (the model registry's pattern), so readers
-// never observe a half-written file. With fsync set, the data and the
-// directory entry are forced to disk before returning, making the swap
-// survive power loss.
+// followed by an atomic rename, so readers never observe a half-written
+// file. Snapshots, mariohd's session metadata and its model registry all
+// write through it. With fsync set, the data and the directory entry are
+// forced to disk before returning, making the swap survive power loss.
+// Every failure wraps ErrStorage.
 func WriteFileAtomic(path string, fsync bool, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")

@@ -9,6 +9,13 @@
 // fingerprint along the way, so a recovered session's next Apply is
 // byte-identical to an uninterrupted rebuild of the same delta stream —
 // or it refuses with a reason, never a wrong answer.
+//
+// A durable session is an in-memory session plus a Log: marioh.Session
+// owns the incremental.Engine, the lock and the closed state for both
+// kinds, and passes the engine to the Log's Apply and Close. The Log holds
+// the WAL, the snapshot chain and recovery, and no engine or lock of its
+// own: Create starts a log for a fresh engine, and Resume returns a
+// recovered engine together with its log.
 package durability
 
 import (

@@ -47,8 +47,10 @@ import (
 // graph (mutated only through Apply), its touched-node tracker, and the
 // per-component result cache.
 //
-// An Engine is not safe for concurrent use; callers (marioh.Session, the
-// mariohd session store) serialize access.
+// An Engine is not safe for concurrent use. marioh.Session owns one per
+// session, in memory or durable alike, and serializes access under its
+// mutex; a durable session's durability.Log drives the same engine under
+// that lock.
 type Engine struct {
 	tracker *graph.Tracker
 	model   *core.Model
@@ -113,7 +115,7 @@ var ErrBadDelta = errors.New("incremental: bad delta batch")
 // op that graph.DeltaOp.Validate rejects (the rule graph.ReadDeltas
 // applies), or an add that takes its pair's weight past math.MaxInt32,
 // following the pair's weight through the batch from its current value.
-// The error wraps ErrBadDelta. Apply and the durable session run Check
+// The error wraps ErrBadDelta. Apply and durability.Log.Apply run Check
 // before they count, log or mutate a batch, so a refused batch leaves no
 // trace.
 func (e *Engine) Check(ops []graph.DeltaOp) error {

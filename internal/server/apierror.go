@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"marioh"
 	"marioh/internal/admission"
 	"marioh/internal/durability"
 )
@@ -65,14 +66,17 @@ func (e *APIError) Error() string {
 }
 
 // errStatus maps workload/registry errors to HTTP statuses: admission
-// rejections throttle (429), storage faults are the server's (500), and
-// everything else unrecognized is treated as a bad request.
+// rejections throttle (429), an unknown model or a closed session is not
+// found (404), storage faults are the server's (500), and everything else
+// unrecognized is treated as a bad request.
 func errStatus(err error) int {
 	var aerr *admission.Error
 	switch {
 	case errors.As(err, &aerr):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrModelNotFound):
+	case errors.Is(err, ErrModelNotFound), errors.Is(err, marioh.ErrSessionClosed):
+		// A deleted session is closed, so an apply that loses the race
+		// to its DELETE answers as if it came after.
 		return http.StatusNotFound
 	case errors.Is(err, ErrSessionBusy):
 		return http.StatusConflict

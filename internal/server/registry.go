@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -17,6 +18,7 @@ import (
 
 	"marioh"
 	"marioh/internal/admission"
+	"marioh/internal/durability"
 )
 
 // ErrModelNotFound is returned by registry lookups for unknown names;
@@ -142,7 +144,8 @@ func (r *Registry) Save(name string, m *marioh.Model) error {
 // Put stores a serialized model under name after validating that it
 // decodes (so the registry can never hold a model Get would fail on).
 // Disk writes happen outside the registry lock (via a temp file + atomic
-// rename), so a slow disk never stalls concurrent lookups.
+// rename, without fsync), so a slow disk never stalls concurrent lookups;
+// a failed write wraps durability.ErrStorage.
 func (r *Registry) Put(name string, raw []byte) error {
 	if err := validName(name); err != nil {
 		return err
@@ -152,26 +155,11 @@ func (r *Registry) Put(name string, raw []byte) error {
 		return err
 	}
 	if r.dir != "" {
-		tmp, err := os.CreateTemp(r.dir, name+".tmp-*")
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrStorage, err)
-		}
-		if _, err := tmp.Write(raw); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("%w: %v", ErrStorage, err)
-		}
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("%w: %v", ErrStorage, err)
-		}
-		if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("%w: %v", ErrStorage, err)
-		}
-		if err := os.Rename(tmp.Name(), r.path(name)); err != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("%w: %v", ErrStorage, err)
+		if err := durability.WriteFileAtomic(r.path(name), false, func(w io.Writer) error {
+			_, err := w.Write(raw)
+			return err
+		}); err != nil {
+			return err
 		}
 	}
 	r.mu.Lock()

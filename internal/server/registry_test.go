@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -113,6 +114,34 @@ func TestRegistryDiskPersistsAndReindexes(t *testing.T) {
 	}
 	if err := reg2.Delete("keeper"); !errors.Is(err, ErrModelNotFound) {
 		t.Fatalf("double delete = %v", err)
+	}
+}
+
+// TestRegistryPutStorageFailureIs500: a model write the disk refuses
+// answers 500 storage, not 400, and registers nothing. The registry
+// directory is removed rather than made read-only, because a process
+// running as root ignores permission bits.
+func TestRegistryPutStorageFailureIs500(t *testing.T) {
+	raw := trainedModelBytes(t)
+	dir := filepath.Join(t.TempDir(), "models")
+	_, c := newTestServer(t, func(cfg *Config) { cfg.ModelsDir = dir })
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	resp := doTenant(t, http.MethodPut, c.Base+"/v1/models/lost", "", raw)
+	if resp.StatusCode != http.StatusInternalServerError {
+		resp.Body.Close()
+		t.Fatalf("PUT into a removed registry dir = %d, want 500", resp.StatusCode)
+	}
+	if e := decodeEnvelope(t, resp); e.Code != CodeStorage {
+		t.Fatalf("PUT into a removed registry dir: code %q, want %q", e.Code, CodeStorage)
+	}
+	models, err := c.Models(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(models) != 0 {
+		t.Fatalf("a failed PUT registered %+v", models)
 	}
 }
 

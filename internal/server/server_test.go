@@ -404,7 +404,8 @@ func TestServerSyncDisconnectCancelsJob(t *testing.T) {
 // request answers with, and its code: cancellation and deadlines are 503
 // cancelled, everything else maps through errStatus, so a full queue is
 // 503 queue_full, a drained queue 503 shutting_down, a storage fault 500
-// storage and a workload error 400 bad_request.
+// storage, an apply on a session its DELETE closed 404 not_found and a
+// workload error 400 bad_request.
 func TestServerFailedInlineStatus(t *testing.T) {
 	for _, tc := range []struct {
 		err    error
@@ -416,6 +417,7 @@ func TestServerFailedInlineStatus(t *testing.T) {
 		{ErrQueueFull, http.StatusServiceUnavailable, CodeQueueFull},
 		{ErrShuttingDown, http.StatusServiceUnavailable, CodeShuttingDown},
 		{fmt.Errorf("%w: append: disk full", durability.ErrStorage), http.StatusInternalServerError, CodeStorage},
+		{marioh.ErrSessionClosed, http.StatusNotFound, CodeNotFound},
 		{fmt.Errorf("round 1: %w", marioh.ErrCliqueBudget), http.StatusBadRequest, CodeBadRequest},
 		{fmt.Errorf("%w: op 2: overflow", marioh.ErrBadDelta), http.StatusBadRequest, CodeBadRequest},
 	} {

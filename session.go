@@ -49,6 +49,10 @@ func WriteDeltas(w io.Writer, ops []DeltaOp) error { return graph.WriteDeltas(w,
 // the first offending op.
 var ErrBadDelta = incremental.ErrBadDelta
 
+// ErrSessionClosed is the error Apply and Sync return once the Session
+// is closed, for every kind of session; match it with errors.Is.
+var ErrSessionClosed = errors.New("marioh: session closed")
+
 // Session is a long-lived incremental reconstruction: it holds a
 // projected graph, the reconstructed hypergraph of every connected
 // component, and the per-component enumeration state, and recomputes only
@@ -65,14 +69,17 @@ var ErrBadDelta = incremental.ErrBadDelta
 //
 // A Session is safe for concurrent use; Apply calls serialize.
 //
-// A session opened durable (SessionConfig.Durable) additionally
-// write-ahead-logs every delta batch and snapshots its engine state under
-// a directory, so a crashed process resumes byte-identically to a cold
-// rebuild of the same delta sequence (see DurableOptions).
+// A durable session (SessionConfig.Durable) is an in-memory session plus
+// a log: it write-ahead-logs every delta batch and snapshots its engine
+// state under a directory, so a crashed process resumes byte-identically
+// to a cold rebuild of the same delta sequence (see DurableOptions).
+// Everything else, Close and ErrSessionClosed included, behaves the same
+// for both kinds.
 type Session struct {
-	mu  sync.Mutex
-	eng *incremental.Engine // guarded by mu; nil when dur is set
-	dur *durability.Session // guarded by mu; nil for in-memory sessions
+	mu     sync.Mutex
+	eng    *incremental.Engine // guarded by mu
+	log    *durability.Log     // guarded by mu; nil for in-memory sessions
+	closed bool                // guarded by mu
 }
 
 // SessionStats is a snapshot of a Session's state.
@@ -130,7 +137,8 @@ type SessionConfig struct {
 // is never mutated. The session performs no work until the first Apply —
 // Apply with an empty Delta produces the initial full reconstruction.
 //
-// A durable session appends every Apply's delta batch to a write-ahead
+// Every kind holds the same engine; a durable or resumed session adds a
+// log to it. The log appends every Apply's delta batch to a write-ahead
 // log before reconstructing and snapshots the engine periodically, so
 // after a crash a Resume recovers it byte-identically to a cold rebuild;
 // its directory must not already hold a session. A Resume loads the
@@ -157,18 +165,25 @@ func (r *Reconstructor) NewSession(ctx context.Context, cfg SessionConfig) (*Ses
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	switch {
-	case cfg.Resume:
+	if cfg.Resume {
 		if cfg.Durable == nil {
 			return nil, errors.New("marioh: SessionConfig.Resume requires Durable")
 		}
 		if cfg.Graph != nil {
 			return nil, errors.New("marioh: SessionConfig.Resume recovers its graph from disk; Graph must be nil")
 		}
-		s, err := r.resumeSession(*cfg.Durable)
+	}
+	m := r.Model()
+	if m == nil {
+		return nil, ErrNoModel
+	}
+	opts, workers := r.reconstructOptions(nil), r.cfg.parallelism
+	if cfg.Resume {
+		eng, log, err := durability.Resume(cfg.Durable.Dir, m, opts, workers, cfg.Durable.internal())
 		if err != nil {
 			return nil, err
 		}
+		s := &Session{eng: eng, log: log}
 		// The resume may have outlived the caller's interest; don't hand
 		// back a session the caller has already abandoned.
 		if err := ctx.Err(); err != nil {
@@ -176,24 +191,22 @@ func (r *Reconstructor) NewSession(ctx context.Context, cfg SessionConfig) (*Ses
 			return nil, err
 		}
 		return s, nil
-	case cfg.Durable != nil:
-		return r.openDurableSession(cfg.Graph, *cfg.Durable)
-	default:
-		return r.openSession(cfg.Graph)
 	}
-}
-
-func (r *Reconstructor) openSession(g *Graph) (*Session, error) {
-	m := r.Model()
-	if m == nil {
-		return nil, ErrNoModel
-	}
-	if g == nil {
+	if cfg.Graph == nil {
 		return nil, errors.New("marioh: nil session graph")
 	}
-	return &Session{
-		eng: incremental.New(g.Clone(), m, r.reconstructOptions(nil), r.cfg.parallelism),
-	}, nil
+	if cfg.Durable != nil && cfg.Durable.Dir == "" {
+		return nil, errors.New("marioh: durable session needs a directory")
+	}
+	s := &Session{eng: incremental.New(cfg.Graph.Clone(), m, opts, workers)}
+	if cfg.Durable != nil {
+		log, err := durability.Create(cfg.Durable.Dir, s.eng, cfg.Durable.internal())
+		if err != nil {
+			return nil, err
+		}
+		s.log = log
+	}
+	return s, nil
 }
 
 // DurableOptions configures an on-disk session directory.
@@ -221,36 +234,6 @@ func (o DurableOptions) internal() durability.Options {
 // whether to open it with SessionConfig.Resume).
 func HasDurableSession(dir string) bool { return durability.Exists(dir) }
 
-func (r *Reconstructor) openDurableSession(g *Graph, o DurableOptions) (*Session, error) {
-	m := r.Model()
-	if m == nil {
-		return nil, ErrNoModel
-	}
-	if g == nil {
-		return nil, errors.New("marioh: nil session graph")
-	}
-	if o.Dir == "" {
-		return nil, errors.New("marioh: durable session needs a directory")
-	}
-	dur, err := durability.Create(o.Dir, g.Clone(), m, r.reconstructOptions(nil), r.cfg.parallelism, o.internal())
-	if err != nil {
-		return nil, err
-	}
-	return &Session{dur: dur}, nil
-}
-
-func (r *Reconstructor) resumeSession(o DurableOptions) (*Session, error) {
-	m := r.Model()
-	if m == nil {
-		return nil, ErrNoModel
-	}
-	dur, err := durability.Resume(o.Dir, m, r.reconstructOptions(nil), r.cfg.parallelism, o.internal())
-	if err != nil {
-		return nil, err
-	}
-	return &Session{dur: dur}, nil
-}
-
 // Apply mutates the session graph with a batch of deltas and returns the
 // reconstruction of the whole mutated graph, recomputing only the
 // components the batch touched; everything else is merged from the
@@ -263,7 +246,8 @@ func (r *Reconstructor) resumeSession(o DurableOptions) (*Session, error) {
 // weight past math.MaxInt32 (following the weight through the batch from
 // its current value). A refused batch changes nothing: the graph, the
 // Applies counter and a durable session's log stay as they were, so the
-// session keeps serving.
+// session keeps serving. A closed session refuses every batch the same
+// way, with ErrSessionClosed.
 //
 // Cancelling ctx stops the recomputation; the deltas are already applied,
 // and the partial result is returned with ctx's error. Components that
@@ -272,8 +256,11 @@ func (r *Reconstructor) resumeSession(o DurableOptions) (*Session, error) {
 func (s *Session) Apply(ctx context.Context, d Delta) (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dur != nil {
-		return s.dur.Apply(ctx, d.Ops)
+	if s.closed {
+		return nil, ErrSessionClosed
+	}
+	if s.log != nil {
+		return s.log.Apply(ctx, s.eng, d.Ops)
 	}
 	return s.eng.Apply(ctx, d.Ops)
 }
@@ -282,9 +269,6 @@ func (s *Session) Apply(ctx context.Context, d Delta) (*Result, error) {
 func (s *Session) Graph() *Graph {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dur != nil {
-		return s.dur.Graph().Clone()
-	}
 	return s.eng.Graph().Clone()
 }
 
@@ -292,53 +276,52 @@ func (s *Session) Graph() *Graph {
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dur != nil {
-		g := s.dur.Graph()
-		ds := s.dur.Stats()
-		return SessionStats{
-			Nodes:           g.NumNodes(),
-			Edges:           g.NumEdges(),
-			Components:      s.dur.Components(),
-			Applies:         s.dur.Applies(),
-			LastDirty:       s.dur.LastDirty(),
-			Durable:         true,
-			WALRecords:      ds.WALRecords,
-			WALBytes:        ds.WALBytes,
-			Snapshots:       ds.Snapshots,
-			Replayed:        ds.Replayed,
-			RecoveryOutcome: ds.Outcome,
-		}
-	}
 	g := s.eng.Graph()
-	return SessionStats{
+	st := SessionStats{
 		Nodes:      g.NumNodes(),
 		Edges:      g.NumEdges(),
 		Components: s.eng.Components(),
 		Applies:    s.eng.Applies(),
 		LastDirty:  s.eng.LastDirty(),
 	}
+	if s.log != nil {
+		ls := s.log.Stats()
+		st.Durable = true
+		st.WALRecords, st.WALBytes, st.Snapshots = ls.WALRecords, ls.WALBytes, ls.Snapshots
+		st.Replayed, st.RecoveryOutcome = ls.Replayed, ls.Outcome
+	}
+	return st
 }
 
-// Sync forces the durable session's write-ahead log to disk, regardless
-// of NoFsync. It is a no-op for in-memory sessions.
+// Sync forces a durable session's write-ahead log to disk, regardless of
+// NoFsync. It is a no-op for an in-memory session. A closed session
+// returns ErrSessionClosed.
 func (s *Session) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dur != nil {
-		return s.dur.Sync()
+	if s.closed {
+		return ErrSessionClosed
 	}
-	return nil
+	if s.log == nil {
+		return nil
+	}
+	return s.log.Sync()
 }
 
-// Close writes a final snapshot (so the next Resume replays
-// nothing) and releases the durable session's file handles. In-memory
-// sessions close trivially. Safe to call twice; a closed session's
-// Apply returns an error.
+// Close ends the session. A durable session writes a final snapshot (so
+// the next Resume replays nothing) and releases its file handles. Closing
+// twice is safe: the second Close returns nil. After Close, Apply and Sync
+// return ErrSessionClosed, while Graph and Stats keep reporting the final
+// state.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dur != nil {
-		return s.dur.Close()
+	if s.closed {
+		return nil
 	}
-	return nil
+	s.closed = true
+	if s.log == nil {
+		return nil
+	}
+	return s.log.Close(s.eng)
 }

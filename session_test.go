@@ -3,6 +3,8 @@ package marioh_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -165,4 +167,76 @@ func TestSessionDeltaTextRoundTrip(t *testing.T) {
 	if got := buf.String(); got != "+ 1 2 3\n- 4 5\n= 6 7 0\n" {
 		t.Fatalf("serialized %q", got)
 	}
+}
+
+// eachSessionKind runs f as a subtest on a fresh in-memory session and on
+// a fresh durable one, both over g.
+func eachSessionKind(t *testing.T, r *marioh.Reconstructor, g *marioh.Graph, f func(t *testing.T, sess *marioh.Session)) {
+	t.Helper()
+	for _, durable := range []bool{false, true} {
+		name := "in-memory"
+		cfg := marioh.SessionConfig{Graph: g}
+		if durable {
+			name = "durable"
+			cfg.Durable = &marioh.DurableOptions{Dir: filepath.Join(t.TempDir(), "sess"), NoFsync: true}
+		}
+		t.Run(name, func(t *testing.T) {
+			sess, err := r.NewSession(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f(t, sess)
+		})
+	}
+}
+
+// TestSessionClosedRefusesApplyAndSync: after Close, both kinds of session
+// refuse Apply and Sync with ErrSessionClosed and count nothing, a second
+// Close returns nil, and Stats still reports the final state.
+func TestSessionClosedRefusesApplyAndSync(t *testing.T) {
+	r, g := trainedReconstructor(t)
+	ctx := context.Background()
+	eachSessionKind(t, r, g, func(t *testing.T, sess *marioh.Session) {
+		if _, err := sess.Apply(ctx, marioh.Delta{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatalf("second Close = %v, want nil", err)
+		}
+		d := marioh.Delta{Ops: []marioh.DeltaOp{{Kind: marioh.DeltaAdd, U: 0, V: 1, W: 1}}}
+		if res, err := sess.Apply(ctx, d); !errors.Is(err, marioh.ErrSessionClosed) || res != nil {
+			t.Fatalf("Apply after Close = (%v, %v), want (nil, ErrSessionClosed)", res, err)
+		}
+		if err := sess.Sync(); !errors.Is(err, marioh.ErrSessionClosed) {
+			t.Fatalf("Sync after Close = %v, want ErrSessionClosed", err)
+		}
+		if st := sess.Stats(); st.Applies != 1 {
+			t.Fatalf("Applies after a refused Apply = %d, want 1", st.Applies)
+		}
+	})
+}
+
+// TestSessionConcurrentReads: Stats and Graph race an in-flight Apply on
+// both kinds of session; under -race (make race) this proves the one
+// session mutex covers the engine and the log.
+func TestSessionConcurrentReads(t *testing.T) {
+	r, g := trainedReconstructor(t)
+	eachSessionKind(t, r, g, func(t *testing.T, sess *marioh.Session) {
+		defer sess.Close()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 50; i++ {
+				sess.Stats()
+				sess.Graph()
+			}
+		}()
+		if _, err := sess.Apply(context.Background(), marioh.Delta{}); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+	})
 }
