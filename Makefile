@@ -6,10 +6,15 @@ GO ?= go
 # named for the sharded engine it once also timed).
 BENCH_SUBSTRATE ?= BenchmarkHasEdge|BenchmarkMaximalCliques|BenchmarkScoreCliques|BenchmarkFeatures|BenchmarkDegeneracyOrdering|BenchmarkCommonNeighborCount|BenchmarkSumMinCommonWeight|BenchmarkMLPForward|BenchmarkMLPTrain|BenchmarkParallelScoring|BenchmarkShardedReconstruct|BenchmarkIncrementalApply|BenchmarkCorpusReconstruct|BenchmarkParallelRound|BenchmarkSubcliqueScoring
 
+# CI's bench smoke: a few of the substrate benchmarks, each run a fixed
+# number of times, so a broken kernel or benchmark fails fast. It takes
+# its list from here (bench-smoke-list).
+BENCH_SMOKE ?= BenchmarkHasEdge|BenchmarkScoreCliques|BenchmarkFeaturesMarioh|BenchmarkMaximalCliques|BenchmarkSubcliqueScoring|BenchmarkMLPTrain|BenchmarkMLPForwardScratch
+
 # Flags for the bench-regression gate (CI overrides warn-only on pushes).
 BENCHDIFF_FLAGS ?= -warn-only
 
-.PHONY: all build fmt fmt-fix vet lint lint-triage test race smoke parallel-check incr-check crash-check load-check bench bench-substrate bench-substrate-list bench-json bench-json-force bench-regress layout check
+.PHONY: all build fmt fmt-fix vet lint lint-triage test race smoke parallel-check incr-check crash-check load-check bench bench-substrate bench-substrate-list bench-smoke-list bench-json bench-json-force bench-regress layout check
 
 all: check build
 
@@ -110,6 +115,11 @@ bench-substrate:
 # the list kept here instead of a copy.
 bench-substrate-list:
 	@echo '$(BENCH_SUBSTRATE)'
+
+# Print the bench smoke regex, so CI's bench smoke step runs the list
+# kept here instead of a copy.
+bench-smoke-list:
+	@echo '$(BENCH_SMOKE)'
 
 # Record the substrate benchmarks into BENCH_<date>.json (test2json event
 # stream; the benchmark result lines are in the "Output" fields) so the

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -439,12 +440,15 @@ func phase2Inputs(g *graph.Graph, m *Model, theta, r float64) (*graph.Graph, []p
 
 // TestParallelPhase2MatchesSerial: Phase 2 at workers 1, 2, 3 and 8,
 // with the fan-out forced at the first draw, equals the serial walk that
-// draws and scores one sub-clique at a time, over the first round of eu
-// and of every corpus family. At a θ below every score it returns every
-// draw, with the walk's nodes and a score bit-equal to a full Compute of
-// the sub-clique, and leaves the stream where the walk leaves it; at
-// θ = 0.9 it returns the walk's above-θ draws in the walk's order. eu's
+// draws one sub-clique at a time and scores it if it is live (every pair
+// still an edge after Phase 1), over the first round of eu and of every
+// corpus family. At a θ below every score it returns every live draw,
+// with the walk's nodes and a score bit-equal to a full Compute of the
+// sub-clique, and leaves the stream where the walk leaves it; at θ = 0.9
+// it returns the walk's above-θ live draws in the walk's order. eu's
 // first round draws several blocks, so block boundaries are crossed too.
+// (TestPhase2SkipsDeadDraws pins that dropping the dead draws moves no
+// acceptance.)
 func TestParallelPhase2MatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	m, eu := pipelineTestSetup(t)
@@ -468,6 +472,9 @@ func TestParallelPhase2MatchesSerial(t *testing.T) {
 			for _, p := range in.parents {
 				for k := 2; k <= len(p.nodes)-1; k++ {
 					sub := ps.Sample(p.nodes, k, walk)
+					if !allEdgesPresent(g, sub) {
+						continue
+					}
 					d := scoredClique{nodes: sub, score: m.scoreScratch(g, sub, false, &ref)}
 					all = append(all, d)
 					if d.score > theta {
@@ -506,10 +513,117 @@ func TestParallelPhase2MatchesSerial(t *testing.T) {
 	}
 }
 
+// TestPhase2SkipsDeadDraws: Phase 2 skips a draw before featurizing it
+// exactly when one of its pairs is no edge of the residual graph after
+// Phase 1, and the skip moves nothing. Over the first round of eu and of
+// every corpus family, at workers 1, 2 and 8 with the fan-out forced, and
+// with the pairs read off the component's table (Marioh) and off the
+// graph's weights (a featurizer that reads no pairs), Phase 2 featurizes
+// and returns the live draws of a draw-by-draw walk and no others, and
+// leaves the stream where the walk leaves it. Its acceptances equal the
+// walk's when the walk scores every draw, dead ones included: at the
+// round's θ = 0.9, above which no dead draw scores here, and at θ = 0.01,
+// above which about half of them do.
+func TestPhase2SkipsDeadDraws(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	m, eu := pipelineTestSetup(t)
+	graphs := []namedGraph{{"eu", eu}}
+	for _, f := range corpus.Families {
+		graphs = append(graphs, namedGraph{f.Name, f.Gen(1)})
+	}
+	forceFanout(t)
+	thetas := []float64{0.9, 0.01}
+	// accept runs a component's Phase 2 acceptance: the draws above θ, in
+	// descending (score, nodes) order, while their edges last in a copy
+	// of g.
+	accept := func(g *graph.Graph, draws []scoredClique, theta float64) [][]int {
+		g = g.Clone()
+		var subs []scoredClique
+		for _, d := range draws {
+			if d.score > theta {
+				subs = append(subs, d)
+			}
+		}
+		sortByScoreDesc(subs)
+		var out [][]int
+		for _, c := range subs {
+			if allEdgesPresent(g, c.nodes) {
+				out = append(out, c.nodes)
+				consumeClique(g, c.nodes)
+			}
+		}
+		return out
+	}
+	nodesOf := func(subs []scoredClique) [][]int {
+		var out [][]int
+		for _, c := range subs {
+			out = append(out, c.nodes)
+		}
+		return out
+	}
+	dead, deadAbove, accepted := 0, 0, 0
+	for _, tc := range graphs {
+		g, inputs := phase2Inputs(tc.g, m, thetas[0], 40)
+		for c, in := range inputs {
+			walk := newSampleRNG(in.seed)
+			var ps PermSampler
+			var ref scorer
+			var every, live []scoredClique
+			for _, p := range in.parents {
+				for k := 2; k <= len(p.nodes)-1; k++ {
+					sub := ps.Sample(p.nodes, k, walk)
+					d := scoredClique{nodes: sub, score: m.scoreScratch(g, sub, false, &ref)}
+					every = append(every, d)
+					if allEdgesPresent(g, sub) {
+						live = append(live, d)
+						continue
+					}
+					dead++
+					if d.score > thetas[1] {
+						deadAbove++
+					}
+				}
+			}
+			for _, workers := range []int{1, 2, 8} {
+				// A featurizer behind an interface reads no pairs, so the
+				// weights answer the check, and every draw it featurizes
+				// goes through AppendFeatures, where it is counted.
+				counted := drawCancellingFeaturizer{Featurizer: features.Marioh{}, calls: new(atomic.Int64)}
+				for _, mm := range []*Model{m, withFeaturizer(m, counted)} {
+					name := fmt.Sprintf("%s component %d, workers=%d, featurizer %T", tc.name, c, workers, mm.Feat)
+					counted.calls.Store(0)
+					rng := newSampleRNG(in.seed)
+					got, _ := exploreParents(context.Background(), g, mm, in.parents, -1, rng, new(roundScratch).workers(workers), nil)
+					if !slices.EqualFunc(nodesOf(got), nodesOf(live), slices.Equal) || rng.s != walk.s {
+						t.Fatalf("%s: %d draws at θ below every score, want the walk's %d live ones in its order, and the stream where the walk leaves it", name, len(got), len(live))
+					}
+					if mm != m && counted.calls.Load() != int64(len(live)) {
+						t.Fatalf("%s: featurized %d draws, want the %d live ones", name, counted.calls.Load(), len(live))
+					}
+					for _, th := range thetas {
+						kept, _ := exploreParents(context.Background(), g, mm, in.parents, th, newSampleRNG(in.seed), new(roundScratch).workers(workers), nil)
+						got, want := accept(g, kept, th), accept(g, every, th)
+						if !slices.EqualFunc(got, want, slices.Equal) {
+							t.Fatalf("%s, θ=%v: accepts %d sub-cliques, want the %d the walk accepts scoring every draw", name, th, len(got), len(want))
+						}
+						if workers == 1 && mm == m {
+							accepted += len(want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if deadAbove == 0 || accepted == 0 {
+		t.Fatalf("weak fixture: %d dead draws, %d of them above θ=%v, %d sub-cliques accepted", dead, deadAbove, thetas[1], accepted)
+	}
+	t.Logf("%d dead draws skipped, %d of them above θ=%v; %d sub-cliques accepted", dead, deadAbove, thetas[1], accepted)
+}
+
 // drawCancellingFeaturizer reads features through an embedded Featurizer
 // interface, which hides Marioh's sub-clique path, so ComputeSub scores
 // every Phase 2 draw through AppendFeatures. It counts the draws it
-// scores and cancels its context inside the at-th.
+// scores and cancels its context inside the at-th; at 0 never cancels.
 type drawCancellingFeaturizer struct {
 	features.Featurizer
 	calls  *atomic.Int64

@@ -74,18 +74,22 @@ func RunPieces(ctx context.Context, n int, piece func(i int) (g *graph.Graph, no
 // MergeResults unions the hypergraphs of results, all in one graph's node
 // ids, into one Result over n nodes, in slice order: FilteredSize2 and
 // the step durations add up, and Rounds is the maximum. nil entries are
-// skipped.
+// skipped. The union (hypergraph.Union) reuses each result's keys and
+// node slices rather than re-inserting every hyperedge, and leaves the
+// insertion order, keys and multiplicities that AddMult would.
 func MergeResults(n int, results []*Result) *Result {
-	merged := &Result{Hypergraph: hypergraph.New(n)}
+	merged := &Result{}
+	hs := make([]*hypergraph.Hypergraph, 0, len(results))
 	for _, res := range results {
 		if res == nil {
 			continue
 		}
-		res.Hypergraph.Each(merged.Hypergraph.AddMult)
+		hs = append(hs, res.Hypergraph)
 		merged.FilteredSize2 += res.FilteredSize2
 		merged.Times.Filtering += res.Times.Filtering
 		merged.Times.Bidirectional += res.Times.Bidirectional
 		merged.Times.Rounds = max(merged.Times.Rounds, res.Times.Rounds)
 	}
+	merged.Hypergraph = hypergraph.Union(n, hs)
 	return merged
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -99,10 +100,12 @@ type SearchOptions struct {
 // clique edges still exist. Phase 2 samples, for every clique among the
 // component's lowest-r% below-threshold ones, one random k-sub-clique per
 // size k ∈ [2, |Q|−1] from a component-keyed stream, keeps those scoring
-// above θ, and accepts them the same way. Components never share edges, so
-// this per-component order produces exactly the same acceptances as any
-// interleaving — which is what makes the round equal to the union of the
-// same round run on each component (or piece) separately.
+// above θ, and accepts them the same way; a sub-clique with a pair Phase
+// 1 consumed could never be accepted, and is not scored. Components never
+// share edges, so this per-component order produces exactly the same
+// acceptances as any interleaving — which is what makes the round equal
+// to the union of the same round run on each component (or piece)
+// separately.
 //
 // With a cache, the components it holds keep their cliques and the round
 // runs the seeds of the others' live nodes only. BidirectionalSearch
@@ -309,11 +312,11 @@ func searchComponent(g *graph.Graph, m *Model, opts SearchOptions, compKey int, 
 // exploreParents is Phase 2's scoring step for one component, run by the
 // worker that searches it, on scs[0]. It draws, scores and keeps the
 // parents' sub-cliques in blocks of parents (subDraws.explore), and
-// returns subs with the draws scoring above theta appended in draw order,
-// parent by parent and k ascending. A block's draws score on scs[0] alone
-// or, once they number fanoutAt, on every scorer of scs. eu-dense's rounds
-// of thousands of draws fan out; a serve-mixed miss draws at most 32 and
-// stays on the calling goroutine.
+// returns subs with the live draws (see subDraws.score) scoring above
+// theta appended in draw order, parent by parent and k ascending. A
+// block's draws score on scs[0] alone or, once they number fanoutAt, on
+// every scorer of scs. eu-dense's rounds of thousands of draws fan out; a
+// serve-mixed miss draws at most 32 and stays on the calling goroutine.
 //
 // When m's featurizer reads pair statistics, scs[0]'s pair table is built
 // over the parents' nodes first, and every scorer reads it, read-only,
@@ -326,7 +329,11 @@ func exploreParents(ctx context.Context, g *graph.Graph, m *Model, parents []sco
 	sc := scs[0]
 	var t *graph.PairTable
 	if features.UsesPairTable(m.Feat) {
-		sc.cover = sc.cover[:0]
+		n := 0
+		for _, c := range parents {
+			n += len(c.nodes)
+		}
+		sc.cover = sized(sc.cover, n)
 		for _, c := range parents {
 			sc.cover = append(sc.cover, c.nodes...)
 		}
@@ -371,9 +378,19 @@ type drawSpan struct{ pos, draw int }
 // the draw's own slot; the graph does not change until every block is
 // kept. So subs is the same at every worker count and block size. ctx is
 // polled before each parent is scored; ok is false after cancellation.
+// scs[0]'s feature, parent and sampler buffers are sized once, to the
+// largest parent, so a cold scorer does not grow them parent by parent.
 func (d *subDraws) explore(ctx context.Context, g *graph.Graph, m *Model, parents []scoredClique, theta float64, rng *sampleRNG, scs []*scorer, t *graph.PairTable, subs []scoredClique) (_ []scoredClique, ok bool) {
+	most := 0
+	for _, c := range parents {
+		most = max(most, len(c.nodes))
+	}
+	sc := scs[0]
+	sc.feat.Grow(most)
+	sc.parent.Grow(most)
+	sc.perm.perm = sized(sc.perm.perm, most)
 	for len(parents) > 0 {
-		n, draws := d.draw(parents, rng, &scs[0].perm, drawBlock)
+		n, draws := d.draw(parents, rng, &sc.perm, drawBlock)
 		block := parents[:n]
 		if draws >= fanoutAt && len(scs) > 1 {
 			d.fanout(ctx, g, m, block, scs, t)
@@ -382,7 +399,7 @@ func (d *subDraws) explore(ctx context.Context, g *graph.Graph, m *Model, parent
 				if ctx.Err() != nil {
 					break
 				}
-				d.score(g, m, c.nodes, i, scs[0])
+				d.score(g, m, c.nodes, i, sc)
 			}
 		}
 		if ctx.Err() != nil {
@@ -412,9 +429,9 @@ func (d *subDraws) draw(parents []scoredClique, rng *sampleRNG, perm *PermSample
 		}
 		n++
 	}
-	d.pos = slices.Grow(d.pos[:0], npos)
-	d.spans = slices.Grow(d.spans[:0], n)
-	d.scores = slices.Grow(d.scores[:0], draws)[:draws]
+	d.pos = sized(d.pos, npos)
+	d.spans = sized(d.spans, n)
+	d.scores = sized(d.scores, draws)[:draws]
 	draws = 0
 	for _, c := range parents[:n] {
 		q := c.nodes
@@ -427,14 +444,37 @@ func (d *subDraws) draw(parents []scoredClique, rng *sampleRNG, perm *PermSample
 	return n, draws
 }
 
-// score scores the draws of parent i, q, as non-maximal on sc. Every
-// draw's features are read off q's pairs, read once (features.ComputeSub)
-// off sc's attached table or off one built over q.
+// sized returns s emptied, with capacity for n, allocating once when it
+// has less. It copies nothing, as its callers overwrite what they sized;
+// slices.Grow would copy the old contents, and under the race detector
+// its append of a make takes two allocations.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// score scores the draws of parent i, q, as non-maximal on sc, and marks
+// each dead draw — one with a pair that is no edge of g — with a NaN
+// score instead, without featurizing it. Phase 1 is over, and Phase 2
+// only removes edges and consumes nothing it rejects, so a dead draw
+// would fail allEdgesPresent whatever its score; NaN is above no θ, so
+// keep drops it, and (score, nodes) being a strict total order, dropping
+// it moves no other acceptance. q's pairs are read once
+// (features.LiveSub), off sc's attached table or, for a featurizer that
+// reads no pairs, off g's weights, and every live draw's features are
+// read off that copy (features.ComputeSub).
 func (d *subDraws) score(g *graph.Graph, m *Model, q []int, i int, sc *scorer) {
 	sc.parent.Reset(q)
 	sp := d.spans[i]
 	for k := 2; k <= len(q)-1; k++ {
-		d.scores[sp.draw] = m.scoreSub(g, d.pos[sp.pos:sp.pos+k], sc)
+		pos := d.pos[sp.pos : sp.pos+k]
+		if features.LiveSub(m.Feat, &sc.feat, g, &sc.parent, pos) {
+			d.scores[sp.draw] = m.scoreSub(g, pos, sc)
+		} else {
+			d.scores[sp.draw] = math.NaN()
+		}
 		sp.pos += k
 		sp.draw++
 	}
@@ -459,8 +499,8 @@ func (d *subDraws) fanout(ctx context.Context, g *graph.Graph, m *Model, parents
 }
 
 // keep appends the draws scoring above theta to subs, parent by parent
-// and k ascending, each with a node slice of its own; the draws below it
-// cost nothing.
+// and k ascending, each with a node slice of its own; the draws below it,
+// and the dead draws that score marked NaN, cost nothing.
 func (d *subDraws) keep(parents []scoredClique, theta float64, subs []scoredClique) []scoredClique {
 	for i, c := range parents {
 		sp := d.spans[i]
@@ -482,9 +522,10 @@ func (d *subDraws) keep(parents []scoredClique, theta float64, subs []scoredCliq
 // ScoreSubcliques is the exported form of Phase 2's scoring step, used by
 // benchmarks: it explores every parent (a sorted clique of g) as a round's
 // Phase 2 does for one component, pair table included, drawing from one
-// stream seeded by seed, and returns how many draws score above theta. It
-// scores at the default parallelism (GOMAXPROCS), past the same fan-out
-// point as a round. g is not modified.
+// stream seeded by seed, and returns how many live draws (those whose
+// pairs are all edges of g; the others are not scored) score above
+// theta. It scores at the default parallelism (GOMAXPROCS), past the
+// same fan-out point as a round. g is not modified.
 func ScoreSubcliques(g *graph.Graph, m *Model, parents [][]int, theta float64, seed int64) int {
 	ps := make([]scoredClique, len(parents))
 	for i, q := range parents {

@@ -57,11 +57,22 @@ type Featurizer interface {
 // Scratch holds the reusable buffers of one feature-extraction worker. It
 // must not be shared between goroutines. The zero value is ready to use.
 type Scratch struct {
-	node, edge1, edge2, edge3 []float64 // value-family staging
-	out                       []float64 // Compute's result buffer
-	omega, mhh                []int     // pairStats' result buffers
-	own                       graph.PairTable
-	table                     *graph.PairTable // see UseTable
+	node, edge1, edge2 []float64 // value-family staging
+	out                []float64 // Compute's result buffer
+	omega, mhh         []int     // pairStats' result buffers
+	own                graph.PairTable
+	table              *graph.PairTable // see UseTable
+}
+
+// Grow sizes s's staging and pair buffers for cliques of up to n nodes,
+// so that no clique that small grows them.
+func (s *Scratch) Grow(n int) {
+	pairs := n * (n - 1) / 2
+	stage(&s.node, n)
+	stage(&s.edge1, pairs)
+	stage(&s.edge2, pairs)
+	stage(&s.omega, pairs)
+	stage(&s.mhh, pairs)
 }
 
 // Table returns s's own pair table, for a caller to Build over the graph
@@ -106,14 +117,16 @@ func Compute(f Featurizer, s *Scratch, g *graph.Graph, clique []int, maximal boo
 // Parent is a clique whose sub-cliques ComputeSub scores. Featurizers
 // that support it read the parent's pair statistics once — off the
 // Scratch's attached table, or off one built over the parent — on the
-// first ComputeSub call that needs them, and read every sub-clique's
-// pairs off that copy: ω(u,v) and MHH(u,v) depend only on the pair and
-// the graph, not on the clique they are read through. Neither the parent
-// nor the graph may change between Reset and the last ComputeSub on it.
-// The zero value is ready to use; one Parent per worker.
+// first ComputeSub or LiveSub call that needs them, and read every
+// sub-clique's pairs off that copy: ω(u,v) and MHH(u,v) depend only on
+// the pair and the graph, not on the clique they are read through.
+// Neither the parent nor the graph may change between Reset and the last
+// ComputeSub or LiveSub on it. The zero value is ready to use; one Parent
+// per worker.
 type Parent struct {
 	q            []int
-	read         bool
+	read         bool  // omega and mhh hold the parent's pairs
+	readW        bool  // omega holds the parent's ω, read with mhh or alone
 	omega, mhh   []int // the parent's pairs, once read
 	nodes        []int // the sub-clique being scored
 	subW, subMHH []int // its pairs, gathered from the parent's
@@ -123,7 +136,18 @@ type Parent struct {
 // q is kept by reference, not copied.
 func (p *Parent) Reset(q []int) {
 	p.q = q
-	p.read = false
+	p.read, p.readW = false, false
+}
+
+// Grow sizes p's buffers for parents of up to n nodes, so that no parent
+// that small grows them.
+func (p *Parent) Grow(n int) {
+	pairs := n * (n - 1) / 2
+	stage(&p.omega, pairs)
+	stage(&p.mhh, pairs)
+	stage(&p.nodes, n)
+	stage(&p.subW, pairs)
+	stage(&p.subMHH, pairs)
 }
 
 // subclique returns the sub-clique at the ascending positions pos of the
@@ -136,17 +160,22 @@ func (p *Parent) subclique(pos []int) []int {
 	return p.nodes
 }
 
-// pairs returns the ω and MHH tables of the sub-clique at pos, gathered
-// from the parent's, which are read on first use. The parent's are
-// copied out of s's buffers so that other users of s between two
-// ComputeSub calls cannot overwrite them.
-func (p *Parent) pairs(g *graph.Graph, s *Scratch, pos []int) (omega, mhh []int) {
+// readPairs reads the parent's ω and MHH, once per Reset. They are copied
+// out of s's buffers so that other users of s between two ComputeSub
+// calls cannot overwrite them.
+func (p *Parent) readPairs(g *graph.Graph, s *Scratch) {
 	if !p.read {
 		w, m := s.pairStats(g, p.q)
 		p.omega = append(p.omega[:0], w...)
 		p.mhh = append(p.mhh[:0], m...)
-		p.read = true
+		p.read, p.readW = true, true
 	}
+}
+
+// pairs returns the ω and MHH tables of the sub-clique at pos, gathered
+// from the parent's, which are read on first use.
+func (p *Parent) pairs(g *graph.Graph, s *Scratch, pos []int) (omega, mhh []int) {
+	p.readPairs(g, s)
 	n := len(p.q)
 	p.subW, p.subMHH = p.subW[:0], p.subMHH[:0]
 	for a, i := range pos {
@@ -157,6 +186,37 @@ func (p *Parent) pairs(g *graph.Graph, s *Scratch, pos []int) (omega, mhh []int)
 		}
 	}
 	return p.subW, p.subMHH
+}
+
+// LiveSub reports whether every pair of the sub-clique of p's parent at
+// the ascending positions pos is an edge of g (ω > 0), so that a caller
+// can skip a sub-clique before scoring it. It reads the parent's ω once
+// per Reset: a featurizer that reads pair statistics reads them with
+// their MHH, which its ComputeSub calls on the same parent then reuse;
+// the others read g's weights alone.
+func LiveSub(f Featurizer, s *Scratch, g *graph.Graph, p *Parent, pos []int) bool {
+	if !p.readW {
+		if UsesPairTable(f) {
+			p.readPairs(g, s)
+		} else {
+			p.omega = p.omega[:0]
+			for i, u := range p.q {
+				for _, v := range p.q[i+1:] {
+					p.omega = append(p.omega, g.Weight(u, v))
+				}
+			}
+			p.readW = true
+		}
+	}
+	n := len(p.q)
+	for a, i := range pos {
+		for _, j := range pos[a+1:] {
+			if p.omega[graph.PairIndex(n, i, j)] == 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // pairFeaturizer is implemented by the featurizers that read ω and MHH
@@ -187,10 +247,11 @@ func ComputeSub(f Featurizer, s *Scratch, g *graph.Graph, p *Parent, pos []int, 
 }
 
 // stage returns a zero-length slice with capacity ≥ n backed by *p, growing
-// the backing array only when needed.
-func stage(p *[]float64, n int) []float64 {
+// the backing array only when needed, in one allocation that copies
+// nothing.
+func stage[T any](p *[]T, n int) []T {
 	if cap(*p) < n {
-		*p = make([]float64, 0, n)
+		*p = make([]T, 0, n)
 	}
 	return (*p)[:0]
 }
@@ -242,13 +303,8 @@ func (Marioh) AppendFeatures(dst []float64, s *Scratch, g *graph.Graph, q []int,
 	return appendMarioh(dst, s, g, q, pairW, pairMHH, maximal)
 }
 
-// appendSubclique implements pairFeaturizer. A parent of three nodes or
-// fewer is not read whole: its proper sub-cliques are pairs, each read
-// directly.
-func (m Marioh) appendSubclique(dst []float64, s *Scratch, g *graph.Graph, p *Parent, pos []int, maximal bool) []float64 {
-	if len(p.q) < 4 {
-		return m.AppendFeatures(dst, s, g, p.subclique(pos), maximal)
-	}
+// appendSubclique implements pairFeaturizer.
+func (Marioh) appendSubclique(dst []float64, s *Scratch, g *graph.Graph, p *Parent, pos []int, maximal bool) []float64 {
 	pairW, pairMHH := p.pairs(g, s, pos)
 	return appendMarioh(dst, s, g, p.subclique(pos), pairW, pairMHH, maximal)
 }
@@ -264,28 +320,7 @@ func appendMarioh(dst []float64, s *Scratch, g *graph.Graph, q []int, pairW, pai
 		sumWDeg += wd
 	}
 	dst = aggStats(dst, nodeVals)
-
-	nEdges := len(q) * (len(q) - 1) / 2
-	omega := stage(&s.edge1, nEdges)
-	mhh := stage(&s.edge2, nEdges)
-	ratio := stage(&s.edge3, nEdges)
-	internal := 0.0
-	for p := range pairW {
-		w := float64(pairW[p])
-		m := float64(pairMHH[p])
-		omega = append(omega, w)
-		mhh = append(mhh, m)
-		if w > 0 {
-			ratio = append(ratio, m/w)
-		} else {
-			ratio = append(ratio, 0)
-		}
-		internal += w
-	}
-	dst = aggStats(dst, omega)
-	dst = aggStats(dst, mhh)
-	dst = aggStats(dst, ratio)
-
+	dst, internal := aggPairFamilies(dst, pairW, pairMHH)
 	dst = append(dst, float64(len(q)))
 	dst = append(dst, cutRatio(internal, sumWDeg))
 	if maximal {
@@ -294,6 +329,74 @@ func appendMarioh(dst []float64, s *Scratch, g *graph.Graph, q []int, pairW, pai
 		dst = append(dst, 0)
 	}
 	return dst
+}
+
+// aggPairFamilies appends the aggregates of Marioh's three edge-level
+// families over a clique's pairs — ω, MHH, and MHH/ω (0 where ω = 0) —
+// each exactly what aggStats appends for that family, and returns dst
+// and the ω sum. It takes one sum/min/max pass and one variance pass over
+// the pairs, where three aggStats calls take two passes each, and runs
+// the three families' chains side by side; each family still adds its
+// values in pair order, with the same operations, so every aggregate is
+// bit-identical.
+func aggPairFamilies(dst []float64, pairW, pairMHH []int) (_ []float64, sumW float64) {
+	if len(pairW) == 0 {
+		return append(dst, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 0
+	}
+	pairMHH = pairMHH[:len(pairW)]
+	w0, m0 := float64(pairW[0]), float64(pairMHH[0])
+	r0 := mhhRatio(m0, w0)
+	sumM, sumR := 0.0, 0.0
+	minW, maxW, minM, maxM, minR, maxR := w0, w0, m0, m0, r0, r0
+	for p, wi := range pairW {
+		w, m := float64(wi), float64(pairMHH[p])
+		r := mhhRatio(m, w)
+		sumW += w
+		sumM += m
+		sumR += r
+		if w < minW {
+			minW = w
+		}
+		if w > maxW {
+			maxW = w
+		}
+		if m < minM {
+			minM = m
+		}
+		if m > maxM {
+			maxM = m
+		}
+		if r < minR {
+			minR = r
+		}
+		if r > maxR {
+			maxR = r
+		}
+	}
+	n := float64(len(pairW))
+	meanW, meanM, meanR := sumW/n, sumM/n, sumR/n
+	varW, varM, varR := 0.0, 0.0, 0.0
+	for p, wi := range pairW {
+		w, m := float64(wi), float64(pairMHH[p])
+		d := w - meanW
+		varW += d * d
+		d = m - meanM
+		varM += d * d
+		d = mhhRatio(m, w) - meanR
+		varR += d * d
+	}
+	return append(dst,
+		sumW, meanW, minW, maxW, math.Sqrt(varW/n),
+		sumM, meanM, minM, maxM, math.Sqrt(varM/n),
+		sumR, meanR, minR, maxR, math.Sqrt(varR/n)), sumW
+}
+
+// mhhRatio is the MHH/ω feature of one pair: m/w, or 0 where ω = 0.
+func mhhRatio(m, w float64) float64 {
+	if w > 0 {
+		return m / w
+	}
+	return 0
 }
 
 // cutRatio is the clique cut ratio: the proportion of edge multiplicity

@@ -2,6 +2,7 @@ package features
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"marioh/internal/graph"
@@ -183,4 +184,71 @@ func TestAggStatsEmpty(t *testing.T) {
 			t.Fatal("empty agg must be zeros")
 		}
 	}
+}
+
+// TestAggPairFamiliesMatchesAggStats: the fused pass over Marioh's three
+// edge-level families appends, bit for bit, what three aggStats calls
+// append over the families staged one by one, and returns their ω sum:
+// over random pairs with ω = 0 among them, no pair, a single pair, and
+// values near the int32 limit, whose squared deviations round.
+func TestAggPairFamiliesMatchesAggStats(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	random := func(n, top int) (w, m []int) {
+		for i := 0; i < n; i++ {
+			wi := rng.Intn(top)
+			if rng.Intn(5) == 0 {
+				wi = 0
+			}
+			w, m = append(w, wi), append(m, rng.Intn(top))
+		}
+		return w, m
+	}
+	type tc struct{ w, m []int }
+	cases := []tc{{nil, nil}, {[]int{3}, []int{7}}, {[]int{0}, []int{5}}, {[]int{math.MaxInt32}, []int{math.MaxInt32 - 1}}}
+	for _, n := range []int{2, 3, 6, 10, 45, 190} {
+		for _, top := range []int{4, 1000, math.MaxInt32} {
+			for trial := 0; trial < 20; trial++ {
+				w, m := random(n, top)
+				cases = append(cases, tc{w, m})
+			}
+		}
+	}
+	near := make([]int, 12)
+	for i := range near {
+		near[i] = math.MaxInt32 - i
+	}
+	cases = append(cases, tc{near, append(near[6:], near[:6]...)})
+	for ci, c := range cases {
+		var omega, mhh, ratio []float64
+		for p := range c.w {
+			w, m := float64(c.w[p]), float64(c.m[p])
+			omega, mhh = append(omega, w), append(mhh, m)
+			if w > 0 {
+				ratio = append(ratio, m/w)
+			} else {
+				ratio = append(ratio, 0)
+			}
+		}
+		want := aggStats(aggStats(aggStats([]float64{-1}, omega), mhh), ratio)
+		got, sumW := aggPairFamilies([]float64{-1}, c.w, c.m)
+		if !sameBits(got, want) {
+			t.Fatalf("case %d (%d pairs): %v, want %v", ci, len(c.w), got, want)
+		}
+		if math.Float64bits(sumW) != math.Float64bits(want[1]) {
+			t.Fatalf("case %d: ω sum %v, want %v", ci, sumW, want[1])
+		}
+	}
+}
+
+// sameBits reports whether a and b hold bit-identical floats.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -43,6 +43,13 @@ func (t *PairTable) Build(g *Graph, nodes []int) {
 		}
 		t.mark = make([]int32, n)
 	}
+	want := len(g.nbrs)
+	if nodes != nil {
+		want = min(want, len(nodes))
+	}
+	if cap(t.nodes) < want {
+		t.nodes = make([]int32, 0, want)
+	}
 	total := 0
 	cover := func(u int) {
 		if t.off[u] < 0 {

@@ -82,6 +82,46 @@ func (h *Hypergraph) AddMult(nodes []int, m int) {
 	h.sumSizes += len(canon) * m
 }
 
+// Union returns the union of hs over at least n nodes: exactly what
+// calling AddMult on New(n) with every hyperedge of each of hs in turn,
+// in its insertion order, builds — the same keys, insertion order,
+// multiplicities and node count. It reuses each hyperedge's canonical
+// node slice and key instead of copying, sorting and re-encoding them,
+// and sizes its map and entries once. The node slices are shared with
+// hs, which is safe because a Hypergraph never changes a node slice nor
+// hands one out for writing; entries, which hold the multiplicities, are
+// never shared. nil entries of hs are skipped.
+func Union(n int, hs []*Hypergraph) *Hypergraph {
+	size := 0
+	for _, h := range hs {
+		if h != nil {
+			size += len(h.keys)
+		}
+	}
+	u := &Hypergraph{numNodes: n, entries: make(map[string]*entry, size), keys: make([]string, 0, size)}
+	block := make([]entry, size)
+	for _, h := range hs {
+		if h == nil {
+			continue
+		}
+		for _, k := range h.keys {
+			e := h.entries[k]
+			if ue, ok := u.entries[k]; ok {
+				ue.mult += e.mult
+			} else {
+				ue = &block[len(u.keys)]
+				*ue = entry{nodes: e.nodes, mult: e.mult}
+				u.entries[k] = ue
+				u.keys = append(u.keys, k)
+				u.numNodes = max(u.numNodes, e.nodes[len(e.nodes)-1]+1)
+			}
+			u.total += e.mult
+			u.sumSizes += len(e.nodes) * e.mult
+		}
+	}
+	return u
+}
+
 func canonical(nodes []int) []int {
 	s := make([]int, len(nodes))
 	copy(s, nodes)

@@ -1,6 +1,7 @@
 package hypergraph
 
 import (
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -343,6 +344,55 @@ func TestSingularValues(t *testing.T) {
 	for i := 1; i < len(sv); i++ {
 		if sv[i] > sv[i-1]+1e-9 {
 			t.Fatalf("singular values not sorted: %v", sv)
+		}
+	}
+}
+
+// TestUnionMatchesAddMult: Union leaves exactly what AddMult of every
+// hyperedge of each input, in turn, leaves on New(n): the same keys in
+// the same insertion order, multiplicities, node count and totals. The
+// inputs here include nil, an empty hypergraph, a hyperedge that two
+// inputs share, and node ids past n. The union's multiplicities are its
+// own: adding to it leaves its inputs as they were.
+func TestUnionMatchesAddMult(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	var hs []*Hypergraph
+	for i := 0; i < 6; i++ {
+		h := New(10)
+		for j := 0; j < 30; j++ {
+			k := 2 + rng.Intn(4)
+			nodes := make([]int, k)
+			for a := range nodes {
+				nodes[a] = 10*i + rng.Intn(12)
+			}
+			if len(canonical(nodes)) >= 2 {
+				h.AddMult(nodes, 1+rng.Intn(3))
+			}
+		}
+		hs = append(hs, h)
+	}
+	hs[2].AddMult([]int{3, 1}, 2) // shared with the inputs that hold {1, 3}
+	hs[4].Add([]int{1, 3})
+	hs = append(hs, nil, New(5))
+	for _, n := range []int{0, 40, 200} {
+		want := New(n)
+		for _, h := range hs {
+			if h != nil {
+				h.Each(want.AddMult)
+			}
+		}
+		got := Union(n, hs)
+		if !reflect.DeepEqual(got.Keys(), want.Keys()) || !reflect.DeepEqual(got.EdgesWithMult(), want.EdgesWithMult()) {
+			t.Fatalf("n=%d: union has %d keys, want AddMult's %d in its order with its multiplicities", n, got.NumUnique(), want.NumUnique())
+		}
+		if got.NumNodes() != want.NumNodes() || got.NumTotal() != want.NumTotal() || got.SumSizes() != want.SumSizes() {
+			t.Fatalf("n=%d: union has %d nodes, %d total, %d incidences; want %d, %d, %d", n,
+				got.NumNodes(), got.NumTotal(), got.SumSizes(), want.NumNodes(), want.NumTotal(), want.SumSizes())
+		}
+		before := hs[4].Multiplicity([]int{1, 3})
+		got.AddMult([]int{1, 3}, 5)
+		if hs[4].Multiplicity([]int{1, 3}) != before || hs[2].Multiplicity([]int{1, 3}) < 2 {
+			t.Fatalf("n=%d: adding to the union changed an input's multiplicity", n)
 		}
 	}
 }

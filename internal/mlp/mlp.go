@@ -72,7 +72,7 @@ func (n *Net) ForwardScratch(x []float64, s *Scratch) float64 {
 }
 
 // layerInto computes W[l]·a + B[l] into z (len n.Sizes[l+1]), applying ReLU
-// when relu is true. z must not alias a.
+// (reluGate, branch-free) when relu is true. z must not alias a.
 //
 // It computes four neurons per pass over a, with a one-neuron tail for the
 // rest, so four independent sums are in flight instead of one chain of
@@ -96,11 +96,37 @@ func (n *Net) layerInto(z []float64, l int, a []float64, relu bool) {
 		z[o] = s
 	}
 	if relu {
-		for i, v := range z {
-			if v < 0 {
-				z[i] = 0
-			}
+		reluGate(z)
+	}
+}
+
+// reluGate sets every negative entry of z to +0 and leaves the rest, −0
+// and NaN included, bit for bit: exactly `if v < 0 { z[i] = 0 }`. It is
+// branch-free: about half the units are negative, so a branch
+// mispredicts on about half of them. The mask comes from one comparison
+// (compiled to a conditional move), and max(v, 0) would not do, as it
+// turns −0 into +0.
+func reluGate(z []float64) {
+	for i, v := range z {
+		var m uint64
+		if !(v < 0) {
+			m = ^uint64(0)
 		}
+		z[i] = math.Float64frombits(math.Float64bits(v) & m)
+	}
+}
+
+// reluGateGrad sets d[i] to +0 wherever a[i] <= 0, the gradient gate of
+// a ReLU whose outputs are a, and leaves the other entries bit for bit:
+// exactly `if a[i] <= 0 { d[i] = 0 }`, branch-free as reluGate is.
+func reluGateGrad(d, a []float64) {
+	a = a[:len(d)]
+	for i, v := range a {
+		var m uint64
+		if !(v <= 0) {
+			m = ^uint64(0)
+		}
+		d[i] = math.Float64frombits(math.Float64bits(d[i]) & m)
 	}
 }
 
@@ -257,12 +283,7 @@ func (n *Net) backprop(x []float64, y float64, bp *backpropBuffers) float64 {
 		}
 		prev := bp.deltas[l-1]
 		n.propagate(prev, l, delta)
-		// ReLU gate of the previous hidden layer.
-		for i, v := range acts[l] {
-			if v <= 0 {
-				prev[i] = 0
-			}
-		}
+		reluGateGrad(prev, acts[l]) // the previous hidden layer's ReLU
 	}
 	return loss
 }

@@ -262,3 +262,46 @@ func TestTrainAllocationsBounded(t *testing.T) {
 			small, large)
 	}
 }
+
+// TestReluGateMatchesBranch: both branch-free gates leave every value the
+// branches they replaced leave, bit for bit: −0, +0, NaNs of either sign,
+// ±Inf, subnormals, negatives and positives, as the gated value and, in
+// the gradient gate, as the activation it reads.
+func TestReluGateMatchesBranch(t *testing.T) {
+	special := []float64{
+		math.Copysign(0, -1), 0,
+		math.NaN(), math.Float64frombits(0xfff8000000000001), // a NaN with its sign bit set
+		math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), math.Float64frombits(0x800fffffffffffff), // the largest subnormals
+		math.MaxFloat64, -math.MaxFloat64, 1, -1, 0.5, -1e-300,
+	}
+	rng := rand.New(rand.NewSource(29))
+	vals := append(special, normals(rng, 64)...)
+
+	z := append([]float64(nil), vals...)
+	reluGate(z)
+	for i, v := range vals {
+		want := v
+		if v < 0 {
+			want = 0
+		}
+		if math.Float64bits(z[i]) != math.Float64bits(want) {
+			t.Errorf("reluGate(%v) = %v (%#x), want %v (%#x)", v, z[i], math.Float64bits(z[i]), want, math.Float64bits(want))
+		}
+	}
+
+	for _, a := range vals {
+		for _, v := range vals {
+			d := []float64{v}
+			reluGateGrad(d, []float64{a})
+			want := v
+			if a <= 0 {
+				want = 0
+			}
+			if math.Float64bits(d[0]) != math.Float64bits(want) {
+				t.Fatalf("reluGateGrad(%v) at activation %v = %v (%#x), want %v (%#x)", v, a, d[0], math.Float64bits(d[0]), want, math.Float64bits(want))
+			}
+		}
+	}
+}
