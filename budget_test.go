@@ -123,3 +123,64 @@ func TestParallelCliqueBudgetAcrossPaths(t *testing.T) {
 		}
 	}
 }
+
+// TestReconstructBatchCliqueBudget: in a serial batch whose second target
+// has a component past the clique budget, the batch fails with
+// ErrCliqueBudget. The first target's result is complete, the second's
+// holds what ran before the budget stopped it (crime's filtering), and
+// the third never started.
+func TestReconstructBatchCliqueBudget(t *testing.T) {
+	ctx := context.Background()
+	ds := mustDataset(t, "crime", 1)
+	src, tgt := ds.Source.Reduced(), ds.Target.Reduced().Project()
+	r, err := marioh.New(marioh.WithSeed(1), marioh.WithEpochs(10),
+		marioh.WithParallelism(1), marioh.WithMaxCliqueLimit(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Train(ctx, src.Project(), src); err != nil {
+		t.Fatal(err)
+	}
+	// hostile is crime's target plus the Moon–Moser graph on 24 nodes: 8
+	// independent triples, every other pair joined, one component with
+	// 3^8 = 6,561 maximal cliques that filtering leaves whole.
+	hostile := tgt.Clone()
+	n := tgt.NumNodes()
+	hostile.EnsureNodes(n + 24)
+	for u := 0; u < 24; u++ {
+		for v := u + 1; v < 24; v++ {
+			if u/3 != v/3 {
+				hostile.AddWeight(n+u, n+v, 1)
+			}
+		}
+	}
+	want, err := r.Reconstruct(ctx, tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	results, err := r.ReconstructBatch(ctx, []*marioh.Graph{tgt, hostile, tgt})
+	if !errors.Is(err, marioh.ErrCliqueBudget) {
+		t.Fatalf("err = %v, want ErrCliqueBudget", err)
+	}
+	if len(results) != 3 {
+		t.Fatalf("%d results, want 3", len(results))
+	}
+	if results[0] == nil || !bytes.Equal(renderResult(t, results[0]), renderResult(t, want)) {
+		t.Fatal("the first target's result is not the complete reconstruction")
+	}
+	partial := results[1]
+	if partial == nil {
+		t.Fatal("the failed target's partial result is missing")
+	}
+	if partial.FilteredSize2 != want.FilteredSize2 || partial.Hypergraph.NumUnique() == 0 {
+		t.Fatalf("the failed target's partial result holds %d filtered occurrences and %d hyperedges, want crime's %d filtered",
+			partial.FilteredSize2, partial.Hypergraph.NumUnique(), want.FilteredSize2)
+	}
+	if partial.Hypergraph.Project().NumEdges() >= hostile.NumEdges() {
+		t.Fatal("the failed target's partial result covers every edge")
+	}
+	if results[2] != nil {
+		t.Fatal("the third target ran after the batch failed")
+	}
+}

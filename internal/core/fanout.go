@@ -8,8 +8,8 @@ import (
 
 // Fanout is the library's one ordered-claim scheduler. The round's
 // enumerate-and-score loop, the per-component search, Phase 2's scoring
-// of a round that searches one component, the piece runner behind
-// session applies, and marioh's batch pool all run through it.
+// of a round that searches one component, and the piece runner behind
+// session applies and marioh's batches all run through it.
 type Fanout struct {
 	// Workers bounds the goroutines: the calling goroutine is worker 0,
 	// and at most min(Workers, n)−1 helpers join it. ≤ 0 means one worker

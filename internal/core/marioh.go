@@ -89,8 +89,10 @@ func (o *Options) defaults() {
 // Options.Progress after each outer-loop round (and once after the
 // filtering step, with Round 0).
 type Progress struct {
-	// Target is the batch index of the graph being reconstructed; 0 for
-	// single-target runs. Set by marioh.(*Reconstructor).ReconstructBatch.
+	// Target is the index of the piece RunPieces reconstructs: in a
+	// marioh batch, the target's index; in a session Apply, the dirty
+	// component's index among the Apply's dirty components, which are
+	// ordered by their smallest node. 0 for single-target runs.
 	Target int
 	// Round is the 1-based outer-loop round just completed; 0 reports the
 	// filtering step.

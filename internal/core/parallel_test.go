@@ -171,7 +171,7 @@ func TestPipelineEnumerateScoredMatchesSerial(t *testing.T) {
 			})
 		}
 		set := slices.Clone(stream)
-		slices.SortFunc(set, cmpNodes)
+		slices.SortFunc(set, slices.Compare)
 		if all := tc.g.MaximalCliques(2); !slices.EqualFunc(set, all, slices.Equal) {
 			t.Fatalf("%s: the seeds of the live nodes emitted %d cliques, want the %d of EachMaximalClique", tc.name, len(set), len(all))
 		}
@@ -472,7 +472,7 @@ func TestParallelPhase2MatchesSerial(t *testing.T) {
 			for _, p := range in.parents {
 				for k := 2; k <= len(p.nodes)-1; k++ {
 					sub := ps.Sample(p.nodes, k, walk)
-					if !allEdgesPresent(g, sub) {
+					if !g.IsClique(sub) {
 						continue
 					}
 					d := scoredClique{nodes: sub, score: m.scoreScratch(g, sub, false, &ref)}
@@ -547,7 +547,7 @@ func TestPhase2SkipsDeadDraws(t *testing.T) {
 		sortByScoreDesc(subs)
 		var out [][]int
 		for _, c := range subs {
-			if allEdgesPresent(g, c.nodes) {
+			if g.IsClique(c.nodes) {
 				out = append(out, c.nodes)
 				consumeClique(g, c.nodes)
 			}
@@ -574,7 +574,7 @@ func TestPhase2SkipsDeadDraws(t *testing.T) {
 					sub := ps.Sample(p.nodes, k, walk)
 					d := scoredClique{nodes: sub, score: m.scoreScratch(g, sub, false, &ref)}
 					every = append(every, d)
-					if allEdgesPresent(g, sub) {
+					if g.IsClique(sub) {
 						live = append(live, d)
 						continue
 					}

@@ -18,29 +18,52 @@ func ReconstructPiece(ctx context.Context, g *graph.Graph, m *Model, opts Option
 	return reconstructGraph(ctx, g, m, opts, origID)
 }
 
-// RunPieces is the piece runner behind session applies: it reconstructs
-// pieces 0..n−1 through the round engine on a Fanout over workers (≤ 0 =
-// GOMAXPROCS), and relabels each result to original node ids. piece(i)
-// returns piece i as its subgraph, relabeled 0..len(nodes)−1, and the
-// sorted original ids of its nodes; it runs on the worker that
-// reconstructs the piece, so building a piece's subgraph there fans out
-// too. Progress events are delivered one at a time. The first piece to
-// fail cancels the pieces still to run; results[i] is nil for every piece
-// that did not finish, and err is the first error, or else ctx's.
+// RunPieces is the library's one runner for many reconstructions, behind
+// session applies and marioh's batches: it reconstructs pieces 0..n−1
+// through the round engine on a Fanout over workers (≤ 0 = GOMAXPROCS).
+// piece(i) returns piece i as its subgraph, relabeled
+// 0..len(nodes)−1, and the sorted original ids of its nodes, which
+// RunPieces relabels the piece's result to. A whole-graph piece has nil
+// nodes, the nil ReconstructPiece takes for the original graph, and keeps
+// its ids. piece runs on the worker that reconstructs the piece, so
+// building a piece's subgraph there fans out too.
+//
+// Progress events are delivered one at a time, each with Target set to
+// its piece's index. The first piece to fail cancels the pieces still to
+// run. results[i] is piece i's result: complete when it finished, partial
+// when it failed or was cancelled, and nil when it never started. err is
+// the first error, or else ctx's.
 func RunPieces(ctx context.Context, n int, piece func(i int) (g *graph.Graph, nodes []int), m *Model, opts Options, workers int) (results []*Result, err error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var mu sync.Mutex // guards err and the delivery of progress events
-	if progress := opts.Progress; progress != nil {
-		opts.Progress = func(p Progress) {
-			mu.Lock()
-			defer mu.Unlock()
-			progress(p)
+	progress := opts.Progress
+	results = make([]*Result, n)
+	Fanout{Workers: workers}.Run(runCtx, n, func(_, i int) {
+		popts := opts
+		if progress != nil {
+			popts.Progress = func(p Progress) {
+				p.Target = i
+				mu.Lock()
+				defer mu.Unlock()
+				progress(p)
+			}
 		}
-	}
-	run := func(i int) {
 		g, nodes := piece(i)
-		res, perr := ReconstructPiece(runCtx, g, m, opts, nodes)
+		res, perr := ReconstructPiece(runCtx, g, m, popts, nodes)
+		if nodes != nil {
+			rec := hypergraph.New(0)
+			buf := make([]int, 0, 16)
+			res.Hypergraph.Each(func(local []int, mult int) {
+				buf = buf[:0]
+				for _, u := range local {
+					buf = append(buf, nodes[u])
+				}
+				rec.AddMult(buf, mult)
+			})
+			res.Hypergraph = rec
+		}
+		results[i] = res
 		if perr != nil {
 			mu.Lock()
 			if err == nil {
@@ -48,23 +71,8 @@ func RunPieces(ctx context.Context, n int, piece func(i int) (g *graph.Graph, no
 			}
 			mu.Unlock()
 			cancel()
-			return
 		}
-		rec := hypergraph.New(0)
-		buf := make([]int, 0, 16)
-		res.Hypergraph.Each(func(local []int, mult int) {
-			buf = buf[:0]
-			for _, u := range local {
-				buf = append(buf, nodes[u])
-			}
-			rec.AddMult(buf, mult)
-		})
-		res.Hypergraph = rec
-		results[i] = res
-	}
-
-	results = make([]*Result, n)
-	Fanout{Workers: workers}.Run(runCtx, n, func(_, i int) { run(i) })
+	})
 	if err == nil {
 		err = ctx.Err()
 	}

@@ -92,7 +92,7 @@ func phase2Fixture(t *testing.T, feat features.Featurizer) (g *graph.Graph, m *M
 	BidirectionalSearch(g, m, SearchOptions{Theta: theta, DisableSubcliques: true, Parallelism: 1}, hypergraph.New(g.NumNodes()))
 	consumed := 0
 	for _, q := range parents {
-		if len(q) >= 4 && !allEdgesPresent(g, q) {
+		if len(q) >= 4 && !g.IsClique(q) {
 			consumed++
 		}
 	}
@@ -140,7 +140,7 @@ func checkDraws(t *testing.T, name string, g *graph.Graph, m *Model, parents [][
 	for _, q := range parents {
 		for k := 2; k <= len(q)-1; k++ {
 			sub := ps.Sample(q, k, rngB)
-			if !allEdgesPresent(g, sub) {
+			if !g.IsClique(sub) {
 				continue
 			}
 			want := m.scoreScratch(g, sub, false, ref)

@@ -274,7 +274,7 @@ func searchComponent(g *graph.Graph, m *Model, opts SearchOptions, compKey int, 
 		if i&0x3ff == 0 && ctx.Err() != nil {
 			return accepted
 		}
-		if allEdgesPresent(g, c.nodes) {
+		if g.IsClique(c.nodes) {
 			accepted = append(accepted, c.nodes)
 			consumeClique(g, c.nodes)
 		}
@@ -301,7 +301,7 @@ func searchComponent(g *graph.Graph, m *Model, opts SearchOptions, compKey int, 
 	}
 	sortByScoreDesc(subs)
 	for _, c := range subs {
-		if allEdgesPresent(g, c.nodes) {
+		if g.IsClique(c.nodes) {
 			accepted = append(accepted, c.nodes)
 			consumeClique(g, c.nodes)
 		}
@@ -459,7 +459,7 @@ func sized[T any](s []T, n int) []T {
 // each dead draw — one with a pair that is no edge of g — with a NaN
 // score instead, without featurizing it. Phase 1 is over, and Phase 2
 // only removes edges and consumes nothing it rejects, so a dead draw
-// would fail allEdgesPresent whatever its score; NaN is above no θ, so
+// would fail IsClique whatever its score; NaN is above no θ, so
 // keep drops it, and (score, nodes) being a strict total order, dropping
 // it moves no other acceptance. q's pairs are read once
 // (features.LiveSub), off sc's attached table or, for a featurizer that
@@ -649,19 +649,6 @@ func (r *sampleRNG) Intn(n int) int {
 	}
 }
 
-// allEdgesPresent reports whether every pair of nodes in q is still an edge
-// of g (the E_Q ⊆ E_G' check of Algorithm 3).
-func allEdgesPresent(g *graph.Graph, q []int) bool {
-	for i := 0; i < len(q); i++ {
-		for j := i + 1; j < len(q); j++ {
-			if !g.HasEdge(q[i], q[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // consumeClique decrements ω by one on every edge of the clique, deleting
 // edges whose multiplicity reaches zero.
 func consumeClique(g *graph.Graph, q []int) {
@@ -687,7 +674,7 @@ func sortByScoreDesc(s []scoredClique) {
 			}
 			return 1
 		}
-		return cmpNodes(a.nodes, b.nodes)
+		return slices.Compare(a.nodes, b.nodes)
 	})
 }
 
@@ -699,18 +686,6 @@ func sortByScoreAsc(s []scoredClique) {
 			}
 			return 1
 		}
-		return cmpNodes(a.nodes, b.nodes)
+		return slices.Compare(a.nodes, b.nodes)
 	})
-}
-
-func cmpNodes(a, b []int) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return len(a) - len(b)
 }

@@ -8,7 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -185,15 +185,7 @@ func entryLines(rec *hypergraph.Hypergraph) []string {
 	rec.Each(func(nodes []int, mult int) {
 		edges = append(edges, em{nodes: nodes, mult: mult})
 	})
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i].nodes, edges[j].nodes
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
+	slices.SortFunc(edges, func(a, b em) int { return slices.Compare(a.nodes, b.nodes) })
 	out := make([]string, len(edges))
 	for i, e := range edges {
 		var sb strings.Builder

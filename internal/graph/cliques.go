@@ -54,7 +54,7 @@ func (g *Graph) MaximalCliquesLimit(minSize, limit int) [][]int {
 		out = append(out, cc)
 		return limit < 0 || len(out) < limit
 	})
-	slices.SortFunc(out, cmpIntSlice)
+	slices.SortFunc(out, slices.Compare)
 	return out
 }
 
@@ -348,20 +348,4 @@ func (g *Graph) KCliques(k, limit int) [][]int {
 	}
 	rec(all)
 	return out
-}
-
-// cmpIntSlice is the lexicographic three-way comparison clique sorts order
-// by. Concrete (non-reflective) sorting matters here: these sorts run once
-// per round over every clique and reflection-based swaps were a measurable
-// slice of round CPU.
-func cmpIntSlice(a, b []int) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return len(a) - len(b)
 }

@@ -71,7 +71,7 @@ func seederParallelCliques(g *Graph, minSize, limit, workers int) [][]int {
 	if limit >= 0 && len(out) > limit {
 		out = out[:limit]
 	}
-	slices.SortFunc(out, cmpIntSlice)
+	slices.SortFunc(out, slices.Compare)
 	return out
 }
 
@@ -187,7 +187,7 @@ func TestCliqueSeederComponentSeedsAfterEdgeRemoval(t *testing.T) {
 					return true
 				})
 			}
-			slices.SortFunc(got, cmpIntSlice)
+			slices.SortFunc(got, slices.Compare)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d, mask %b: seeds emitted %d cliques, want those components' %d", step, mask, len(got), len(want))
 			}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -24,15 +23,7 @@ func (h *Hypergraph) Write(w io.Writer) error {
 	h.Each(func(nodes []int, mult int) {
 		lines = append(lines, line{nodes: nodes, mult: mult})
 	})
-	sort.Slice(lines, func(i, j int) bool {
-		a, b := lines[i].nodes, lines[j].nodes
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
+	slices.SortFunc(lines, func(a, b line) int { return slices.Compare(a.nodes, b.nodes) })
 	bw := bufio.NewWriter(w)
 	for _, l := range lines {
 		for i, u := range l.nodes {

@@ -156,8 +156,13 @@ func (e *Engine) Check(ops []graph.DeltaOp) error {
 // nothing changed: the graph, the apply count and the cache stay as they
 // were. On any other error or cancellation the graph mutation has already
 // happened and the merged partial result is returned with the first
-// error; components that finished stay cached, so a retry resumes where
-// the failed Apply stopped.
+// error: it holds the finished components and the partial results of
+// those that failed or were cancelled. Only results that project onto
+// their component are cached, so the finished components stay cached and
+// a retry resumes where the failed Apply stopped.
+//
+// Progress events carry the Apply's dirty count in Dirty, and the index
+// of their component among the dirty ones in Target.
 func (e *Engine) Apply(ctx context.Context, ops []graph.DeltaOp) (*core.Result, error) {
 	if err := e.Check(ops); err != nil {
 		return nil, err
@@ -213,8 +218,9 @@ func (e *Engine) Apply(ctx context.Context, ops []graph.DeltaOp) (*core.Result, 
 	fresh, firstErr := core.RunPieces(ctx, len(dirty), piece, e.model, opts, e.workers)
 
 	// Merge per-component results in ascending component-key order; a
-	// component whose reconstruction failed or was cancelled is missing.
-	// A fresh result is cached only when it projects onto its component.
+	// component whose reconstruction never started is missing, and one
+	// that failed or was cancelled is partial. A fresh result is cached
+	// only when it projects onto its component.
 	merge := make([]*core.Result, len(comps))
 	for i, comp := range comps {
 		merge[i] = e.cache[comp[0]]

@@ -9,7 +9,6 @@ import (
 	"marioh/internal/core"
 	"marioh/internal/eval"
 	"marioh/internal/features"
-	"marioh/internal/service"
 )
 
 // Version identifies this build of the marioh module (printed by
@@ -17,8 +16,9 @@ import (
 const Version = "0.2.0"
 
 // Progress is a per-round snapshot of a reconstruction run: round number,
-// threshold θ, residual edge count and accepted hyperedge occurrences. For
-// batch runs, Target is the index of the graph being reconstructed.
+// threshold θ, residual edge count and accepted hyperedge occurrences.
+// Target is the index of the graph being reconstructed in a batch, and of
+// the dirty component being recomputed in a session Apply.
 type Progress = core.Progress
 
 // ProgressFunc observes reconstruction progress; see WithProgress.
@@ -34,32 +34,19 @@ var ErrNoModel = errors.New("marioh: no model (call Train first or construct wit
 // message names the round and the budget.
 var ErrCliqueBudget = core.ErrCliqueBudget
 
-// config is the resolved functional-option state of a Reconstructor.
-//
-// Float fields use internal/core's sentinel encoding (0 = paper default,
-// negative = explicit zero); the With* options perform the encoding so
-// users always pass plain values.
+// config is the resolved functional-option state of a Reconstructor:
+// the options core trains and reconstructs with, which the With* options
+// write into directly. θ, r and α keep core's sentinel encoding (0 = paper
+// default, negative = explicit zero); the With* options perform the
+// encoding so users always pass plain values.
 type config struct {
-	variant     service.Variant
-	featurizer  string // "" = the variant's featurizer
-	thetaInit   float64
-	r           float64
-	alpha       float64
-	maxRounds   int
-	cliqueLimit int
-	seed        int64
-	epochs      int
-	hidden      []int
-	supervision float64
-	negRatio    float64
-	parallelism int
-	progress    ProgressFunc
+	opts  core.Options
+	train core.TrainOptions
+	// variantFeat is the selected variant's featurizer, which training
+	// uses unless WithFeaturizer set train.Featurizer; nil is core's
+	// default, the full method's.
+	variantFeat features.Featurizer
 	model       *Model
-}
-
-func defaultConfig() config {
-	v, _ := service.VariantByName("marioh")
-	return config{variant: v, supervision: 1, negRatio: 1}
 }
 
 // Option configures a Reconstructor; see the With* constructors. Options
@@ -76,16 +63,38 @@ func encodeNonNeg(v float64) float64 {
 	return v
 }
 
-// WithVariant selects a registered algorithm variant: "marioh" (the
-// default), or the paper's ablations "marioh-m", "marioh-f", "marioh-b".
+// variant is one of the paper's four configurations (Tables II and III):
+// the featurizer it trains with and the steps it switches off.
+type variant struct {
+	name                                   string
+	featurizer                             features.Featurizer
+	disableFiltering, disableBidirectional bool
+}
+
+// variants lists the configurations WithVariant accepts, the full method
+// first.
+var variants = []variant{
+	{name: "marioh", featurizer: features.Marioh{}},
+	{name: "marioh-m", featurizer: features.ShyreCount{}},
+	{name: "marioh-f", featurizer: features.Marioh{}, disableFiltering: true},
+	{name: "marioh-b", featurizer: features.Marioh{}, disableBidirectional: true},
+}
+
+// WithVariant selects an algorithm variant: "marioh" (the default), or
+// the paper's ablations "marioh-m" (multiplicity-unaware SHyRe count
+// features), "marioh-f" (no size-2 filtering) and "marioh-b" (no
+// sub-clique exploration).
 func WithVariant(name string) Option {
 	return func(c *config) error {
-		v, ok := service.VariantByName(name)
-		if !ok {
-			return fmt.Errorf("marioh: unknown variant %q (have %v)", name, service.VariantNames())
+		for _, v := range variants {
+			if v.name == name {
+				c.variantFeat = v.featurizer
+				c.opts.DisableFiltering = v.disableFiltering
+				c.opts.DisableBidirectional = v.disableBidirectional
+				return nil
+			}
 		}
-		c.variant = v
-		return nil
+		return fmt.Errorf("marioh: unknown variant %q (have %v)", name, VariantNames())
 	}
 }
 
@@ -94,10 +103,11 @@ func WithVariant(name string) Option {
 // overriding the variant's choice.
 func WithFeaturizer(name string) Option {
 	return func(c *config) error {
-		if _, ok := features.ByName(name); !ok {
+		f, ok := features.ByName(name)
+		if !ok {
 			return fmt.Errorf("marioh: unknown featurizer %q (have %v)", name, features.Names())
 		}
-		c.featurizer = name
+		c.train.Featurizer = f
 		return nil
 	}
 }
@@ -109,7 +119,7 @@ func WithThetaInit(v float64) Option {
 		if v < 0 || v > 1 {
 			return fmt.Errorf("marioh: θ_init %v out of [0, 1]", v)
 		}
-		c.thetaInit = encodeNonNeg(v)
+		c.opts.ThetaInit = encodeNonNeg(v)
 		return nil
 	}
 }
@@ -121,7 +131,7 @@ func WithR(v float64) Option {
 		if v < 0 || v > 100 {
 			return fmt.Errorf("marioh: r %v out of [0, 100]", v)
 		}
-		c.r = encodeNonNeg(v)
+		c.opts.R = encodeNonNeg(v)
 		return nil
 	}
 }
@@ -133,7 +143,7 @@ func WithAlpha(v float64) Option {
 		if v < 0 {
 			return fmt.Errorf("marioh: α %v must be ≥ 0", v)
 		}
-		c.alpha = encodeNonNeg(v)
+		c.opts.Alpha = encodeNonNeg(v)
 		return nil
 	}
 }
@@ -144,7 +154,7 @@ func WithMaxRounds(n int) Option {
 		if n <= 0 {
 			return fmt.Errorf("marioh: max rounds %d must be > 0", n)
 		}
-		c.maxRounds = n
+		c.opts.MaxRounds = n
 		return nil
 	}
 }
@@ -160,7 +170,7 @@ func WithMaxCliqueLimit(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("marioh: clique limit %d must be ≥ 0", n)
 		}
-		c.cliqueLimit = n
+		c.opts.MaxCliqueLimit = n
 		return nil
 	}
 }
@@ -169,7 +179,7 @@ func WithMaxCliqueLimit(n int) Option {
 // runs with equal seeds (and inputs) are bit-for-bit reproducible.
 func WithSeed(s int64) Option {
 	return func(c *config) error {
-		c.seed = s
+		c.opts.Seed, c.train.Seed = s, s
 		return nil
 	}
 }
@@ -180,7 +190,7 @@ func WithEpochs(n int) Option {
 		if n <= 0 {
 			return fmt.Errorf("marioh: epochs %d must be > 0", n)
 		}
-		c.epochs = n
+		c.train.Epochs = n
 		return nil
 	}
 }
@@ -194,7 +204,7 @@ func WithHidden(widths ...int) Option {
 				return fmt.Errorf("marioh: hidden width %d must be > 0", w)
 			}
 		}
-		c.hidden = append([]int(nil), widths...)
+		c.train.Hidden = append([]int(nil), widths...)
 		return nil
 	}
 }
@@ -206,7 +216,7 @@ func WithSupervisionRatio(v float64) Option {
 		if v <= 0 || v > 1 {
 			return fmt.Errorf("marioh: supervision ratio %v out of (0, 1]", v)
 		}
-		c.supervision = v
+		c.train.SupervisionRatio = v
 		return nil
 	}
 }
@@ -218,7 +228,7 @@ func WithNegativeRatio(v float64) Option {
 		if v <= 0 {
 			return fmt.Errorf("marioh: negative ratio %v must be > 0", v)
 		}
-		c.negRatio = v
+		c.train.NegativeRatio = v
 		return nil
 	}
 }
@@ -236,18 +246,20 @@ func WithParallelism(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("marioh: parallelism %d must be ≥ 0", n)
 		}
-		c.parallelism = n
+		c.opts.Parallelism = n
 		return nil
 	}
 }
 
 // WithProgress subscribes fn to per-round progress events of every
-// Reconstruct / ReconstructBatch / Pipeline call. Events are delivered
-// sequentially (batch runs serialize them), so fn needs no locking, but it
-// runs on the reconstruction path and must be fast.
+// Reconstruct / ReconstructBatch / Pipeline call and session Apply. Events
+// are delivered sequentially (batch runs and applies serialize them), so
+// fn needs no locking, but it runs on the reconstruction path and must be
+// fast. A batch's events carry their target's index in Target, and an
+// Apply's events the index of their dirty component.
 func WithProgress(fn ProgressFunc) Option {
 	return func(c *config) error {
-		c.progress = fn
+		c.opts.Progress = fn
 		return nil
 	}
 }
@@ -298,7 +310,7 @@ type Reconstructor struct {
 // New() is the paper's exact configuration (multiplicity-aware features,
 // θ_init = 0.9, r = 40 %, α = 1/20, a [32, 16] MLP trained 60 epochs).
 func New(opts ...Option) (*Reconstructor, error) {
-	cfg := defaultConfig()
+	var cfg config
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
@@ -307,37 +319,14 @@ func New(opts ...Option) (*Reconstructor, error) {
 	return &Reconstructor{cfg: cfg, model: cfg.model}, nil
 }
 
-// trainOptions resolves the config into internal/core training options.
+// trainOptions is the configured core.TrainOptions, with the variant's
+// featurizer unless WithFeaturizer chose one.
 func (r *Reconstructor) trainOptions() core.TrainOptions {
-	_, feat, _ := service.Resolve(r.cfg.variant.Name, r.cfg.featurizer)
-	return core.TrainOptions{
-		Featurizer:       feat,
-		Hidden:           r.cfg.hidden,
-		Epochs:           r.cfg.epochs,
-		SupervisionRatio: r.cfg.supervision,
-		NegativeRatio:    r.cfg.negRatio,
-		Seed:             r.cfg.seed,
+	o := r.cfg.train
+	if o.Featurizer == nil {
+		o.Featurizer = r.cfg.variantFeat
 	}
-}
-
-// reconstructOptions resolves the config into internal/core reconstruction
-// options; progress overrides the configured callback when non-nil.
-func (r *Reconstructor) reconstructOptions(progress ProgressFunc) core.Options {
-	if progress == nil {
-		progress = r.cfg.progress
-	}
-	return core.Options{
-		ThetaInit:            r.cfg.thetaInit,
-		R:                    r.cfg.r,
-		Alpha:                r.cfg.alpha,
-		DisableFiltering:     r.cfg.variant.DisableFiltering,
-		DisableBidirectional: r.cfg.variant.DisableBidirectional,
-		MaxRounds:            r.cfg.maxRounds,
-		MaxCliqueLimit:       r.cfg.cliqueLimit,
-		Seed:                 r.cfg.seed,
-		Parallelism:          r.cfg.parallelism,
-		Progress:             progress,
-	}
+	return o
 }
 
 // Train fits the multiplicity-aware classifier on a source projected graph
@@ -389,19 +378,23 @@ func (r *Reconstructor) Reconstruct(ctx context.Context, g *Graph) (*Result, err
 	if g == nil {
 		return nil, errors.New("marioh: nil target graph")
 	}
-	return core.ReconstructContext(ctx, g, m, r.reconstructOptions(nil))
+	return core.ReconstructContext(ctx, g, m, r.cfg.opts)
 }
 
 // ReconstructBatch reconstructs every target graph, fanned over
-// WithParallelism workers (GOMAXPROCS by default). Results are
-// positionally aligned with targets. Each target is reconstructed with the
-// same seed a lone Reconstruct call would use, so a batch run is
-// reproducibly equal to len(targets) sequential runs regardless of
-// parallelism. A nil target fails the batch before any work starts.
+// WithParallelism workers (GOMAXPROCS by default), through the same piece
+// runner as a session's dirty components (core.RunPieces), each target a
+// whole-graph piece. Results are positionally aligned with targets. Each
+// target is reconstructed with the same seed a lone Reconstruct call would
+// use, so a batch run is reproducibly equal to len(targets) sequential
+// runs regardless of parallelism. Progress events carry their target's
+// index in Target. A nil target fails the batch before any work starts.
 //
-// On cancellation the remaining targets are abandoned, in-flight ones stop
-// mid-round, and the first error is returned alongside the partial results
-// (finished entries stay valid; unstarted ones are nil).
+// The first target to fail (a cancelled ctx, or ErrCliqueBudget) cancels
+// the rest: targets not yet started are abandoned and in-flight ones stop
+// mid-round. The first error is returned alongside the results: finished
+// entries are complete, the failed and interrupted ones hold their partial
+// results, and unstarted ones are nil.
 func (r *Reconstructor) ReconstructBatch(ctx context.Context, targets []*Graph) ([]*Result, error) {
 	m := r.Model()
 	if m == nil {
@@ -412,43 +405,8 @@ func (r *Reconstructor) ReconstructBatch(ctx context.Context, targets []*Graph) 
 			return nil, fmt.Errorf("marioh: nil target graph at batch index %d", i)
 		}
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Serialize progress events across workers and stamp the target index,
-	// so one WithProgress callback observes the whole batch without locks.
-	var mu sync.Mutex // guards firstErr and the delivery of progress events
-	progressFor := func(target int) ProgressFunc {
-		fn := r.cfg.progress
-		if fn == nil {
-			return nil
-		}
-		return func(p Progress) {
-			p.Target = target
-			mu.Lock()
-			defer mu.Unlock()
-			fn(p)
-		}
-	}
-
-	results := make([]*Result, len(targets))
-	var firstErr error
-	core.Fanout{Workers: r.cfg.parallelism}.Run(ctx, len(targets), func(_, i int) {
-		res, err := core.ReconstructContext(ctx, targets[i], m, r.reconstructOptions(progressFor(i)))
-		results[i] = res
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			cancel()
-		}
-	})
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return results, firstErr
+	whole := func(i int) (*Graph, []int) { return targets[i], nil }
+	return core.RunPieces(ctx, len(targets), whole, m, r.cfg.opts, r.cfg.opts.Parallelism)
 }
 
 // PipelineResult is the outcome of a full Pipeline run.
@@ -472,7 +430,7 @@ type PipelineResult struct {
 // source half, reconstruct the target half from its projection alone, and
 // evaluate. The trained model is stored for later Reconstruct calls.
 func (r *Reconstructor) Pipeline(ctx context.Context, dataset string) (*PipelineResult, error) {
-	ds, err := GenerateDataset(dataset, r.cfg.seed)
+	ds, err := GenerateDataset(dataset, r.cfg.opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -495,7 +453,13 @@ func (r *Reconstructor) Pipeline(ctx context.Context, dataset string) (*Pipeline
 }
 
 // VariantNames lists the algorithm variants WithVariant accepts.
-func VariantNames() []string { return service.VariantNames() }
+func VariantNames() []string {
+	names := make([]string, len(variants))
+	for i, v := range variants {
+		names[i] = v.name
+	}
+	return names
+}
 
 // FeaturizerNames lists the featurizers WithFeaturizer accepts.
 func FeaturizerNames() []string { return features.Names() }

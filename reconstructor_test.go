@@ -1,8 +1,11 @@
 package marioh_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -343,6 +346,104 @@ func TestVariantsAndRegistry(t *testing.T) {
 	} {
 		if _, err := marioh.New(bad); err == nil {
 			t.Fatal("invalid option must fail New")
+		}
+	}
+}
+
+// TestVariantTable pins the four variants: their names in order, the
+// featurizer marioh-m trains with, the switches marioh-f and marioh-b
+// pass to core, and the error an unknown variant or featurizer name
+// fails with, which lists the valid names.
+func TestVariantTable(t *testing.T) {
+	if got, want := marioh.VariantNames(), []string{"marioh", "marioh-m", "marioh-f", "marioh-b"}; !slices.Equal(got, want) {
+		t.Fatalf("VariantNames = %v, want %v", got, want)
+	}
+	ctx := context.Background()
+	ds := mustDataset(t, "eu", 1)
+	src, g := ds.Source.Reduced(), ds.Target.Reduced().Project()
+	train := func(opts ...marioh.Option) *marioh.Model {
+		r, err := marioh.New(append([]marioh.Option{marioh.WithSeed(1), marioh.WithEpochs(10)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := r.Train(ctx, src.Project(), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if name := train(marioh.WithVariant("marioh-m")).Feat.Name(); name != "shyre-count" {
+		t.Fatalf("marioh-m trains with %q, want shyre-count", name)
+	}
+
+	m := train()
+	seen := map[string]string{}
+	for _, tc := range []struct {
+		variant string
+		opts    core.Options
+	}{
+		{"marioh", core.Options{Seed: 1}},
+		{"marioh-f", core.Options{Seed: 1, DisableFiltering: true}},
+		{"marioh-b", core.Options{Seed: 1, DisableBidirectional: true}},
+	} {
+		r, err := marioh.New(marioh.WithVariant(tc.variant), marioh.WithSeed(1), marioh.WithModel(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Reconstruct(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := renderResult(t, res), renderResult(t, core.Reconstruct(g, m, tc.opts))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: bytes differ from core.Reconstruct with %+v", tc.variant, tc.opts)
+		}
+		if prev, ok := seen[string(got)]; ok {
+			t.Fatalf("%s reconstructs eu as %s does: the input does not tell the switches apart", tc.variant, prev)
+		}
+		seen[string(got)] = tc.variant
+	}
+
+	for _, c := range []struct {
+		opt   marioh.Option
+		names []string
+	}{
+		{marioh.WithVariant("nope"), marioh.VariantNames()},
+		{marioh.WithFeaturizer("nope"), marioh.FeaturizerNames()},
+	} {
+		_, err := marioh.New(c.opt)
+		if err == nil {
+			t.Fatal("unknown name must fail New")
+		}
+		for _, name := range c.names {
+			if !strings.Contains(err.Error(), name) {
+				t.Fatalf("error %q does not list %q", err, name)
+			}
+		}
+	}
+}
+
+// TestFeaturizerOverridesVariant: WithFeaturizer picks the featurizer a
+// Reconstructor trains with over the variant's, whichever of the two
+// options comes first.
+func TestFeaturizerOverridesVariant(t *testing.T) {
+	src := mustDataset(t, "crime", 1).Source.Reduced()
+	for _, name := range marioh.FeaturizerNames() {
+		for _, opts := range [][]marioh.Option{
+			{marioh.WithVariant("marioh-m"), marioh.WithFeaturizer(name)},
+			{marioh.WithFeaturizer(name), marioh.WithVariant("marioh-m")},
+		} {
+			r, err := marioh.New(append(opts, marioh.WithSeed(1), marioh.WithEpochs(1))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := r.Train(context.Background(), src.Project(), src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Feat.Name(); got != name {
+				t.Fatalf("WithFeaturizer(%q) with marioh-m trains with %q", name, got)
+			}
 		}
 	}
 }

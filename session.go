@@ -177,9 +177,9 @@ func (r *Reconstructor) NewSession(ctx context.Context, cfg SessionConfig) (*Ses
 	if m == nil {
 		return nil, ErrNoModel
 	}
-	opts, workers := r.reconstructOptions(nil), r.cfg.parallelism
+	opts := r.cfg.opts
 	if cfg.Resume {
-		eng, log, err := durability.Resume(cfg.Durable.Dir, m, opts, workers, cfg.Durable.internal())
+		eng, log, err := durability.Resume(cfg.Durable.Dir, m, opts, opts.Parallelism, cfg.Durable.internal())
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +198,7 @@ func (r *Reconstructor) NewSession(ctx context.Context, cfg SessionConfig) (*Ses
 	if cfg.Durable != nil && cfg.Durable.Dir == "" {
 		return nil, errors.New("marioh: durable session needs a directory")
 	}
-	s := &Session{eng: incremental.New(cfg.Graph.Clone(), m, opts, workers)}
+	s := &Session{eng: incremental.New(cfg.Graph.Clone(), m, opts, opts.Parallelism)}
 	if cfg.Durable != nil {
 		log, err := durability.Create(cfg.Durable.Dir, s.eng, cfg.Durable.internal())
 		if err != nil {
@@ -239,7 +239,8 @@ func HasDurableSession(dir string) bool { return durability.Exists(dir) }
 // components the batch touched; everything else is merged from the
 // session cache. Result.DirtyComponents reports how many components were
 // recomputed, and Progress events emitted during the Apply carry the same
-// count in their Dirty field.
+// count in their Dirty field and their dirty component's index (among the
+// dirty components, ordered by smallest node) in Target.
 //
 // A batch is refused whole, with ErrBadDelta and a nil Result, when one of
 // its ops is one ReadDeltas would reject or when its adds take a pair's
@@ -249,8 +250,10 @@ func HasDurableSession(dir string) bool { return durability.Exists(dir) }
 // session keeps serving. A closed session refuses every batch the same
 // way, with ErrSessionClosed.
 //
-// Cancelling ctx stops the recomputation; the deltas are already applied,
-// and the partial result is returned with ctx's error. Components that
+// Cancelling ctx, or a component past WithMaxCliqueLimit, stops the
+// recomputation; the deltas are already applied, and the partial result
+// is returned with the error. It merges the finished components with the
+// partial results of the failed or interrupted ones. Components that
 // finished stay cached, so retrying with an empty Delta completes the
 // interrupted work.
 func (s *Session) Apply(ctx context.Context, d Delta) (*Result, error) {

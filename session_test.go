@@ -126,11 +126,15 @@ func TestSessionRequiresModel(t *testing.T) {
 }
 
 // TestSessionProgressDirtyCount: progress events during Apply carry the
-// batch's dirty-component count.
+// batch's dirty-component count, and each its component's index among
+// the dirty ones, so the first Apply over hosts' many components reports
+// every index from 0 to the count.
 func TestSessionProgressDirtyCount(t *testing.T) {
 	var dirty []int
+	targets := map[int]bool{}
 	r, g := trainedReconstructor(t, marioh.WithProgress(func(p marioh.Progress) {
 		dirty = append(dirty, p.Dirty)
+		targets[p.Target] = true
 	}))
 	sess, err := r.NewSession(context.Background(), marioh.SessionConfig{Graph: g})
 	if err != nil {
@@ -147,6 +151,17 @@ func TestSessionProgressDirtyCount(t *testing.T) {
 		if d != res.DirtyComponents {
 			t.Fatalf("event Dirty %d, want %d", d, res.DirtyComponents)
 		}
+	}
+	if res.DirtyComponents < 2 {
+		t.Fatalf("Apply dirtied %d components, want at least 2", res.DirtyComponents)
+	}
+	for i := 0; i < res.DirtyComponents; i++ {
+		if !targets[i] {
+			t.Fatalf("no event carries dirty index %d in Target (saw %v)", i, targets)
+		}
+	}
+	if len(targets) != res.DirtyComponents {
+		t.Fatalf("events carry %d distinct Targets, want %d: %v", len(targets), res.DirtyComponents, targets)
 	}
 }
 
