@@ -350,10 +350,8 @@ func TestVariantsAndRegistry(t *testing.T) {
 	}
 }
 
-// TestVariantTable pins the four variants: their names in order, the
-// featurizer marioh-m trains with, the switches marioh-f and marioh-b
-// pass to core, and the error an unknown variant or featurizer name
-// fails with, which lists the valid names.
+// TestVariantTable pins the four variants: their names in order and the
+// switches marioh-f and marioh-b pass to core.
 func TestVariantTable(t *testing.T) {
 	if got, want := marioh.VariantNames(), []string{"marioh", "marioh-m", "marioh-f", "marioh-b"}; !slices.Equal(got, want) {
 		t.Fatalf("VariantNames = %v, want %v", got, want)
@@ -372,10 +370,6 @@ func TestVariantTable(t *testing.T) {
 		}
 		return m
 	}
-	if name := train(marioh.WithVariant("marioh-m")).Feat.Name(); name != "shyre-count" {
-		t.Fatalf("marioh-m trains with %q, want shyre-count", name)
-	}
-
 	m := train()
 	seen := map[string]string{}
 	for _, tc := range []struct {
@@ -402,6 +396,52 @@ func TestVariantTable(t *testing.T) {
 			t.Fatalf("%s reconstructs eu as %s does: the input does not tell the switches apart", tc.variant, prev)
 		}
 		seen[string(got)] = tc.variant
+	}
+}
+
+// TestVariantResolution pins what the variant and featurizer options
+// resolve to: the full method with its own featurizer by default,
+// shyre-count for marioh-m, a featurizer named next to marioh-b that
+// keeps marioh-b's switch, and an unknown variant or featurizer name
+// failing New with an error that lists the valid names.
+func TestVariantResolution(t *testing.T) {
+	ctx := context.Background()
+	ds := mustDataset(t, "crime", 1)
+	src, g := ds.Source.Reduced(), ds.Target.Reduced().Project()
+	train := func(opts ...marioh.Option) *marioh.Model {
+		r, err := marioh.New(append([]marioh.Option{marioh.WithSeed(1), marioh.WithEpochs(1)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := r.Train(ctx, src.Project(), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if name := train().Feat.Name(); name != "marioh" {
+		t.Fatalf("the default variant trains with %q, want marioh", name)
+	}
+	if name := train(marioh.WithVariant("marioh-m")).Feat.Name(); name != "shyre-count" {
+		t.Fatalf("marioh-m trains with %q, want shyre-count", name)
+	}
+
+	opts := []marioh.Option{marioh.WithVariant("marioh-b"), marioh.WithFeaturizer("shyre-motif")}
+	m := train(opts...)
+	if name := m.Feat.Name(); name != "shyre-motif" {
+		t.Fatalf("marioh-b with shyre-motif trains with %q", name)
+	}
+	r, err := marioh.New(append(opts, marioh.WithSeed(1), marioh.WithModel(m))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Reconstruct(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Reconstruct(g, m, core.Options{Seed: 1, DisableBidirectional: true})
+	if !bytes.Equal(renderResult(t, res), renderResult(t, want)) {
+		t.Fatal("marioh-b with shyre-motif: bytes differ from core.Reconstruct without bidirectional search")
 	}
 
 	for _, c := range []struct {
